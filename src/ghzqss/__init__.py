@@ -2,117 +2,7 @@
 channel adversaries, and a deterministic Monte Carlo security harness."""
 
 from ._version import __version__
-from .statevector import (
-    QUBIT_ROLES,
-    MeasurementRecord,
-    StateVector,
-    apply_cnot,
-    apply_h,
-    apply_x,
-    discard_qubit,
-    equal_up_to_global_phase,
-    format_state,
-    from_terms,
-    marginal_probabilities,
-    max_abs_difference,
-    measure_z,
-    new_basis_state,
-    reduced_density_matrix,
-    state_terms,
-    state_to_dict,
-    tensor,
-)
-from .protocol import (
-    CARRIER_QUBIT,
-    RECEIVED_QUBIT,
-    DetectionReport,
-    Party,
-    RoundParity,
-    RoundRecord,
-    alice_entangle,
-    bob_disentangle,
-    charlie_disentangle,
-    encode_pair,
-    end_round_hadamards,
-    init_carrier,
-    public_comparison,
-    receive_and_reconstruct,
-    round_parity,
-)
-from .adversary import (
-    EVE_TOUCHABLE,
-    AttackKind,
-    EveInferenceError,
-    EveRecord,
-    EveScopeViolation,
-    eve_end_round,
-    eve_on_transit,
-    eve_postprocess,
-)
-from .harness import (
-    AggregateReport,
-    ExperimentConfig,
-    GoldenCheck,
-    TrialResult,
-    TrialRow,
-    aggregate_report_dict,
-    run_experiment,
-    run_trial,
-    seed_for_trial,
-    verify_golden_states,
-)
+from .adversary import AttackKind
+from .harness import ExperimentConfig, run_experiment, run_trial
 
-__all__ = [
-    "__version__",
-    "QUBIT_ROLES",
-    "MeasurementRecord",
-    "StateVector",
-    "apply_cnot",
-    "apply_h",
-    "apply_x",
-    "discard_qubit",
-    "equal_up_to_global_phase",
-    "format_state",
-    "from_terms",
-    "marginal_probabilities",
-    "max_abs_difference",
-    "measure_z",
-    "new_basis_state",
-    "reduced_density_matrix",
-    "state_terms",
-    "state_to_dict",
-    "tensor",
-    "CARRIER_QUBIT",
-    "RECEIVED_QUBIT",
-    "DetectionReport",
-    "Party",
-    "RoundParity",
-    "RoundRecord",
-    "alice_entangle",
-    "bob_disentangle",
-    "charlie_disentangle",
-    "encode_pair",
-    "end_round_hadamards",
-    "init_carrier",
-    "public_comparison",
-    "receive_and_reconstruct",
-    "round_parity",
-    "EVE_TOUCHABLE",
-    "AttackKind",
-    "EveInferenceError",
-    "EveRecord",
-    "EveScopeViolation",
-    "eve_end_round",
-    "eve_on_transit",
-    "eve_postprocess",
-    "AggregateReport",
-    "ExperimentConfig",
-    "GoldenCheck",
-    "TrialResult",
-    "TrialRow",
-    "aggregate_report_dict",
-    "run_experiment",
-    "run_trial",
-    "seed_for_trial",
-    "verify_golden_states",
-]
+__all__ = ["__version__", "AttackKind", "ExperimentConfig", "run_experiment", "run_trial"]

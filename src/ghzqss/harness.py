@@ -11,9 +11,11 @@ identical between the single-trial and the vectorized batch engines.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -41,11 +43,16 @@ from .protocol import (
     round_parity,
 )
 from .statevector import (
+    EXACT_TOL,
     INV_SQRT2,
+    MIN_BRANCH_PROBABILITY,
     StateVector,
     discard_qubit,
     from_terms,
     max_abs_difference,
+    measure_z,
+    measurement_log,
+    probability_of_zero,
     tensor,
 )
 
@@ -71,8 +78,10 @@ class ExperimentConfig:
 
     ``bits`` fixes the transmitted sequence for every trial; ``None`` draws a
     fresh uniform sequence per trial. The comparison subset always has
-    ``ceil(compare_fraction * n_bits)`` indices, chosen uniformly without
-    replacement.
+    ``ceil(compare_fraction * n_bits)`` indices (at least one), chosen
+    uniformly without replacement. The product is taken exactly on the
+    fraction's decimal form, so 0.28 x 25 gives 7, not the 8 the float
+    product rounds up to.
     """
 
     n_bits: int
@@ -104,7 +113,7 @@ class ExperimentConfig:
 
     @property
     def compare_count(self) -> int:
-        return max(1, math.ceil(self.compare_fraction * self.n_bits))
+        return max(1, math.ceil(Fraction(str(self.compare_fraction)) * self.n_bits))
 
 
 @dataclass
@@ -237,10 +246,112 @@ def run_trial(config: ExperimentConfig, trial_index: int = 0, observer=None) -> 
 
 
 # ---------------------------------------------------------------------------
-# Vectorized batch engine. Runs a chunk of trials as one (B, dim) amplitude
-# array per stage; consumes exactly the randomness of _trial_randomness, so
-# outcomes match run_trial trial for trial (asserted by the test suite).
+# Vectorized batch engine. Every gate is Clifford and every prepared state is
+# a stabilizer state, so a run only ever visits a handful of distinct
+# carriers. _transition_table finds them by playing the reference round (the
+# protocol, adversary and statevector ops run_trial calls) on every reachable
+# (carrier, round phase, data bit, earlier outcomes); a chunk of trials then
+# advances round by round through integer gathers and ``draw >= p0``. It
+# consumes exactly the randomness of _trial_randomness, so outcomes match
+# run_trial trial for trial (asserted by the test suite).
 # ---------------------------------------------------------------------------
+
+#: Representative round of each round phase: round 1, even rounds, odd
+#: rounds >= 3. The adversary acts alike in every round of one phase.
+_PHASE_ROUNDS = (1, 2, 3)
+
+
+def _phase(k: int) -> int:
+    """Index into ``_PHASE_ROUNDS`` of 1-based round ``k``."""
+    if k == 1:
+        return 0
+    return 1 if k % 2 == 0 else 2
+
+
+@dataclass(frozen=True)
+class _TransitionTable:
+    """Round transitions, indexed [phase, state, q, eve, bob, charlie] (as
+    deep as each field goes). Impossible branches hold p0 = nan and next
+    state -1; ``eve_p0`` is inf where Eve measures nothing, so every draw
+    takes branch 0."""
+
+    eve_p0: np.ndarray      # (3, S, 2)
+    readout: np.ndarray     # (3, S, 2, 2) Eve's recorded r_k, -1 where absent
+    bob_p0: np.ndarray      # (3, S, 2, 2)
+    charlie_p0: np.ndarray  # (3, S, 2, 2, 2)
+    next_state: np.ndarray  # (3, S, 2, 2, 2, 2)
+    carriers: np.ndarray    # (S, carrier dim) amplitudes of each state
+
+
+def _branches(p0: float):
+    """(outcome, draw realizing it) for each outcome the measurement guard
+    allows at Born P(0) = ``p0``."""
+    return [(o, d) for o, d, p in ((0, 0.0, p0), (1, p0, 1.0 - p0)) if p >= MIN_BRANCH_PROBABILITY]
+
+
+@functools.cache
+def _transition_table(kind: AttackKind) -> _TransitionTable:
+    """Closure over the (carrier, phase) pairs reachable from the initial
+    carrier. Carriers within ``EXACT_TOL`` of a known one share its state id,
+    so rounding noise does not grow the state set."""
+    carriers = [init_carrier(with_adversary_ancilla=kind is AttackKind.CNOT_ANCILLA)]
+    eve_p0s, readouts, bob_p0s, charlie_p0s, next_states = {}, {}, {}, {}, {}
+
+    def state_id(carrier: StateVector) -> int:
+        for i, known in enumerate(carriers):
+            if max_abs_difference(known, carrier) <= EXACT_TOL:
+                return i
+        carriers.append(carrier)
+        return len(carriers) - 1
+
+    pending = [(0, 0)]
+    seen = set(pending)
+    while pending:
+        ph, s = pending.pop()
+        k = _PHASE_ROUNDS[ph]
+        parity = round_parity(k)
+        following = _phase(k + 1)
+        for q in (0, 1):
+            joint = alice_entangle(tensor(carriers[s], encode_pair(q, parity)), parity)
+            # Dry run that only reads the P(0) Eve measures with, if she
+            # measures at all; a draw of 0.5 never lands in a refused branch.
+            with measurement_log() as eve_log:
+                eve_on_transit(kind, k, joint, EveRecord(), draw=0.5)
+            eve_p0 = eve_p0s[ph, s, q] = eve_log[0] if eve_log else math.inf
+            for e, eve_draw in _branches(eve_p0):
+                after_eve, record = eve_on_transit(kind, k, joint, EveRecord(), draw=eve_draw)
+                readouts[ph, s, q, e] = record.measured.get(k, -1)
+                received = charlie_disentangle(bob_disentangle(after_eve))
+                bob_p0 = bob_p0s[ph, s, q, e] = probability_of_zero(received, "S1")
+                for b, bob_draw in _branches(bob_p0):
+                    _, after_bob, _ = measure_z(received, "S1", bob_draw)
+                    charlie_p0 = charlie_p0s[ph, s, q, e, b] = probability_of_zero(after_bob, "S2")
+                    for c, charlie_draw in _branches(charlie_p0):
+                        _, after_charlie, _ = measure_z(after_bob, "S2", charlie_draw)
+                        carrier = discard_qubit(discard_qubit(after_charlie, "S1", b), "S2", c)
+                        carrier = eve_end_round(kind, end_round_hadamards(carrier))
+                        nxt = next_states[ph, s, q, e, b, c] = state_id(carrier)
+                        if (following, nxt) not in seen:
+                            seen.add((following, nxt))
+                            pending.append((following, nxt))
+
+    def dense(cells: dict, depth: int, fill) -> np.ndarray:
+        arr = np.full((len(_PHASE_ROUNDS), len(carriers)) + (2,) * depth, fill)
+        for index, value in cells.items():
+            arr[index] = value
+        return arr
+
+    table = _TransitionTable(
+        eve_p0=dense(eve_p0s, 1, np.nan),
+        readout=dense(readouts, 2, -1),
+        bob_p0=dense(bob_p0s, 2, np.nan),
+        charlie_p0=dense(charlie_p0s, 3, np.nan),
+        next_state=dense(next_states, 4, -1),
+        carriers=np.array([c.amplitudes for c in carriers]),
+    )
+    for arr in vars(table).values():
+        arr.flags.writeable = False  # the cached table is shared by every caller
+    return table
 
 
 @dataclass
@@ -256,7 +367,6 @@ class _BatchOutcome:
     eve_correct: np.ndarray   # (B,)
     known_fraction: np.ndarray  # (B,)
     final_carrier: np.ndarray   # (B, carrier dim)
-    carrier_labels: tuple[str, ...]
 
 
 def _batch_randomness(config: ExperimentConfig, indices: np.ndarray):
@@ -281,108 +391,28 @@ def _batch_randomness(config: ExperimentConfig, indices: np.ndarray):
 
 def _run_batch(config: ExperimentConfig, indices: np.ndarray) -> _BatchOutcome:
     kind = config.attack
-    anc = kind is AttackKind.CNOT_ANCILLA
-    carrier_labels = ("A", "B", "C", "E") if anc else ("A", "B", "C")
-    joint_labels = carrier_labels + ("S1", "S2")
-    nq = len(joint_labels)
-    D = 1 << nq
     n = config.n_bits
     B = len(indices)
     bits, draws, compared = _batch_randomness(config, indices)
-    ar = np.arange(B)
-    inv = INV_SQRT2
+    table = _transition_table(kind)
 
-    shift = {lab: nq - 1 - i for i, lab in enumerate(joint_labels)}
-
-    def cnot_perm(control: str, target: str) -> np.ndarray:
-        idx = np.arange(D)
-        return np.where((idx >> shift[control]) & 1, idx ^ (1 << shift[target]), idx)
-
-    p_as1 = cnot_perm("A", "S1")
-    p_as2 = cnot_perm("A", "S2")
-    p_bs1 = cnot_perm("B", "S1")
-    p_cs2 = cnot_perm("C", "S2")
-    if anc:
-        p_s1e = cnot_perm("S1", "E")
-        p_es1 = cnot_perm("E", "S1")
-
-    def hadamard(S: np.ndarray, s: int) -> None:
-        d = S.shape[1]
-        r = S.reshape(B, d >> (s + 1), 2, 1 << s)
-        a0 = r[:, :, 0, :].copy()
-        a1 = r[:, :, 1, :].copy()
-        r[:, :, 0, :] = (a0 + a1) * inv
-        r[:, :, 1, :] = (a0 - a1) * inv
-
-    def measure(S: np.ndarray, s: int, dcol: np.ndarray) -> np.ndarray:
-        d = S.shape[1]
-        r = S.reshape(B, d >> (s + 1), 2, 1 << s)
-        p0 = np.clip((np.abs(r[:, :, 0, :]) ** 2).sum(axis=(1, 2)), 0.0, 1.0)
-        out = (dcol >= p0).astype(np.int64)
-        p_out = np.where(out == 0, p0, 1.0 - p0)
-        if np.any(p_out < 1e-12):
-            raise RuntimeError("measurement realized a zero-probability branch")
-        r[ar, :, 1 - out, :] = 0.0
-        S /= np.sqrt(p_out)[:, None]
-        return out
-
-    def drop(S: np.ndarray, s: int, out: np.ndarray) -> np.ndarray:
-        d = S.shape[1]
-        r = S.reshape(B, d >> (s + 1), 2, 1 << s)
-        kept = r[ar, :, out, :].reshape(B, d >> 1)
-        nrm = np.sqrt((np.abs(kept) ** 2).sum(axis=1))
-        return kept / nrm[:, None]
-
-    def attach(C: np.ndarray, qcol: np.ndarray, odd: bool) -> np.ndarray:
-        S = np.zeros((B, C.shape[1] * 4), dtype=np.complex128)
-        r = S.reshape(B, C.shape[1], 4)
-        if odd:
-            r[ar, :, 3 * qcol] = C
-        else:
-            r[ar, :, qcol] = C * inv
-            r[ar, :, 3 - qcol] = C * inv
-        return S
-
-    # Initial carrier (GHZ, plus |0> ancilla for the CNOT-ancilla attack).
-    dc = 1 << len(carrier_labels)
-    C = np.zeros((B, dc), dtype=np.complex128)
-    C[:, 0b1110 if anc else 0b111] = inv
-    C[:, 0] = inv
-
-    carrier_shift = {lab: len(carrier_labels) - 1 - i for i, lab in enumerate(carrier_labels)}
-
+    state = np.zeros(B, dtype=np.int64)
     bob = np.empty((B, n), dtype=np.int64)
     charlie = np.empty((B, n), dtype=np.int64)
-    eve_readouts = np.full((B, n), -1, dtype=np.int64)
+    eve_readouts = np.empty((B, n), dtype=np.int64)
 
     for k in range(1, n + 1):
-        odd = k % 2 == 1
+        ph = _phase(k)
         q = bits[:, k - 1]
-        S = attach(C, q, odd)
-        S = S[:, p_as1]
-        if odd:
-            S = S[:, p_as2]
-        if kind is AttackKind.CNOT_ANCILLA:
-            if k == 1:
-                S = S[:, p_s1e]
-            elif not odd:
-                S = S[:, p_es1]
-            else:
-                S = S[:, p_es1]
-                eve_readouts[:, k - 1] = measure(S, shift["S1"], draws[:, k - 1, 0])
-                S = S[:, p_es1]
-        elif kind is AttackKind.INTERCEPT_RESEND:
-            measure(S, shift["S1"], draws[:, k - 1, 0])
-        S = S[:, p_bs1]
-        S = S[:, p_cs2]
-        bob[:, k - 1] = measure(S, shift["S1"], draws[:, k - 1, 1])
-        charlie[:, k - 1] = measure(S, shift["S2"], draws[:, k - 1, 2])
-        S = drop(S, 1, bob[:, k - 1])   # S1 out; S2 still at shift 0
-        C = drop(S, 0, charlie[:, k - 1])
-        for lab in ("A", "B", "C"):
-            hadamard(C, carrier_shift[lab])
-        if anc:
-            hadamard(C, carrier_shift["E"])
+        eve = (draws[:, k - 1, 0] >= table.eve_p0[ph, state, q]).astype(np.int64)
+        b = (draws[:, k - 1, 1] >= table.bob_p0[ph, state, q, eve]).astype(np.int64)
+        c = (draws[:, k - 1, 2] >= table.charlie_p0[ph, state, q, eve, b]).astype(np.int64)
+        eve_readouts[:, k - 1] = table.readout[ph, state, q, eve]
+        bob[:, k - 1] = b
+        charlie[:, k - 1] = c
+        state = table.next_state[ph, state, q, eve, b, c]
+        if np.any(state < 0):
+            raise RuntimeError("measurement realized a zero-probability branch")
 
     rounds = np.arange(1, n + 1)
     odd_rounds = rounds % 2 == 1
@@ -423,8 +453,7 @@ def _run_batch(config: ExperimentConfig, indices: np.ndarray) -> _BatchOutcome:
         ambiguous=ambiguous,
         eve_correct=eve_correct,
         known_fraction=eve_correct / float(n),
-        final_carrier=C,
-        carrier_labels=carrier_labels,
+        final_carrier=table.carriers[state],
     )
 
 

@@ -31,18 +31,6 @@ from .statevector import (
 )
 
 
-class Party(Enum):
-    ALICE = "Alice"
-    BOB = "Bob"
-    CHARLIE = "Charlie"
-
-
-#: Carrier qubit held by each party.
-CARRIER_QUBIT = {Party.ALICE: "A", Party.BOB: "B", Party.CHARLIE: "C"}
-#: Sending qubit each receiver takes delivery of.
-RECEIVED_QUBIT = {Party.BOB: "S1", Party.CHARLIE: "S2"}
-
-
 class RoundParity(Enum):
     ODD = "odd"
     EVEN = "even"

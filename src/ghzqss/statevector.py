@@ -13,6 +13,8 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +30,10 @@ INV_SQRT2 = float(1.0 / np.sqrt(2.0))
 NORM_TOL = 1e-9
 #: Tolerance for exact algebraic identities at this register size.
 EXACT_TOL = 1e-12
+#: A measurement may only realize an outcome at least this probable.
+MIN_BRANCH_PROBABILITY = 1e-12
+
+_measurement_log: ContextVar[list[float] | None] = ContextVar("measurement_log", default=None)
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,15 +194,31 @@ def measure_z(state: StateVector, q: str, draw: float) -> tuple[int, StateVector
     if not 0.0 <= draw < 1.0:
         raise ValueError(f"draw must lie in [0, 1), got {draw}")
     p0 = probability_of_zero(state, q)
+    log = _measurement_log.get()
+    if log is not None:
+        log.append(p0)
     outcome = 0 if draw < p0 else 1
     p_out = p0 if outcome == 0 else 1.0 - p0
-    if p_out < 1e-12:
+    if p_out < MIN_BRANCH_PROBABILITY:
         raise RuntimeError(f"measurement realized a zero-probability branch on {q!r}")
     view = _split_view(state, q)
     out = np.zeros_like(view)
     out[:, outcome, :] = view[:, outcome, :] / np.sqrt(p_out)
     collapsed = StateVector(state.labels, out.reshape(-1))
     return outcome, _check_finite(collapsed), MeasurementRecord(q, outcome, p_out)
+
+
+@contextmanager
+def measurement_log():
+    """Collect the Born P(0) of every :func:`measure_z` call made inside the
+    block, in call order. The batch engine reads the adversary's measurement
+    probabilities this way, without knowing which qubit she measures, or when."""
+    log: list[float] = []
+    token = _measurement_log.set(log)
+    try:
+        yield log
+    finally:
+        _measurement_log.reset(token)
 
 
 def discard_qubit(state: StateVector, q: str, outcome: int) -> StateVector:

@@ -10,6 +10,7 @@ significant bit) so states can be compared, but no simulator code is shared.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -143,7 +144,7 @@ def intercept_resend_detection_probability(n_bits: int, compare_fraction: float)
     the probability that a uniform ``ceil(f*n)``-subset of indices hits at
     least one corrupted round (hypergeometric miss term per branch).
     """
-    m = math.ceil(compare_fraction * n_bits)
+    m = math.ceil(Fraction(str(compare_fraction)) * n_bits)
     ghz = np.zeros(8, dtype=complex)
     ghz[0b000] = _INV_SQRT2
     ghz[0b111] = _INV_SQRT2
@@ -174,6 +175,6 @@ def intercept_resend_detection_probability(n_bits: int, compare_fraction: float)
 
 def all_even_subset_probability(n_bits: int, compare_fraction: float) -> float:
     """Closed-form probability that a uniform subset announces no odd index."""
-    m = math.ceil(compare_fraction * n_bits)
+    m = math.ceil(Fraction(str(compare_fraction)) * n_bits)
     n_even = n_bits // 2
     return math.comb(n_even, m) / math.comb(n_bits, m) if m <= n_even else 0.0

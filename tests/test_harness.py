@@ -87,6 +87,12 @@ def test_compare_count_is_at_least_one():
     assert config.compare_count == 1
 
 
+@pytest.mark.parametrize("fraction, n_bits", [(0.28, 25), (0.14, 50), (0.07, 100)])
+def test_compare_count_is_exact_where_the_float_product_misrounds(fraction, n_bits):
+    assert math.ceil(fraction * n_bits) == 8
+    assert ExperimentConfig(n_bits=n_bits, compare_fraction=fraction).compare_count == 7
+
+
 # --- single trials ----------------------------------------------------------------
 
 
@@ -220,7 +226,7 @@ def test_trace_snapshots_cover_every_round():
 
 
 @pytest.mark.parametrize("attack", list(AttackKind))
-@pytest.mark.parametrize("n_bits, fraction", [(1, 1.0), (5, 0.4), (8, 0.25)])
+@pytest.mark.parametrize("n_bits, fraction", [(1, 1.0), (5, 0.4), (8, 0.25), (17, 0.25)])
 def test_batch_engine_matches_single_trials(attack, n_bits, fraction):
     config = ExperimentConfig(
         n_bits=n_bits, trials=24, attack=attack, compare_fraction=fraction, master_seed=77
@@ -241,6 +247,30 @@ def test_batch_engine_matches_single_trials(attack, n_bits, fraction):
         if attack is AttackKind.CNOT_ANCILLA:
             for k, r in single.eve.measured.items():
                 assert out.eve_readouts[t, k - 1] == r
+
+
+def test_transition_table_is_built_on_first_use_once_per_attack():
+    import ghzqss.harness as harness
+
+    harness._transition_table.cache_clear()
+    for attack in AttackKind:
+        config = ExperimentConfig(n_bits=3, trials=2, attack=attack)
+        run_experiment(config)
+        run_experiment(config)
+    info = harness._transition_table.cache_info()
+    assert info.misses == info.currsize == len(AttackKind)
+
+
+def test_batch_engine_refuses_a_branch_missing_from_the_table(monkeypatch):
+    import dataclasses
+
+    import ghzqss.harness as harness
+
+    table = harness._transition_table(AttackKind.NO_ATTACK)
+    holed = dataclasses.replace(table, next_state=np.full_like(table.next_state, -1))
+    monkeypatch.setattr(harness, "_transition_table", lambda kind: holed)
+    with pytest.raises(RuntimeError, match="zero-probability branch"):
+        _run_batch(ExperimentConfig(n_bits=2, trials=4), np.arange(4))
 
 
 def test_batch_compared_subset_matches_single():

@@ -15,6 +15,7 @@ from ghzqss.statevector import (
     marginal_probabilities,
     max_abs_difference,
     measure_z,
+    measurement_log,
     new_basis_state,
     probability_of_zero,
     reduced_density_matrix,
@@ -219,6 +220,15 @@ def test_measure_detached_s1_is_deterministic():
             outcome, _, record = measure_z(split, "S1", 0.999)
             assert outcome == s1_bit
             assert record.probability == pytest.approx(1.0, abs=1e-12)
+
+
+def test_measurement_log_collects_born_p0_in_call_order():
+    ghz = from_terms(("A", "B", "C"), {"000": INV_SQRT2, "111": INV_SQRT2})
+    with measurement_log() as log:
+        _, collapsed, _ = measure_z(ghz, "A", 0.7)
+        measure_z(collapsed, "B", 0.2)
+    measure_z(ghz, "C", 0.1)
+    assert log == [probability_of_zero(ghz, "A"), 0.0]
 
 
 def test_measure_rejects_draw_out_of_range():
