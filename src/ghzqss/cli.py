@@ -151,10 +151,10 @@ def _cmd_trace(args, parser: argparse.ArgumentParser) -> int:
         attack=AttackKind.from_name(args.attack),
         compare_fraction=args.compare_fraction,
         master_seed=_resolve_seed(parser, args.seed),
-        trace=True,
         bits=bits,
     )
-    result = run_trial(config, trial_index=0)
+    snapshots = []
+    result = run_trial(config, trial_index=0, observer=lambda *snapshot: snapshots.append(snapshot))
 
     if args.format == "json":
         eve = result.eve
@@ -165,7 +165,7 @@ def _cmd_trace(args, parser: argparse.ArgumentParser) -> int:
             "seed": config.master_seed,
             "snapshots": [
                 {"round": k, "stage": stage, "state": state_to_dict(state)}
-                for k, stage, state in result.snapshots
+                for k, stage, state in snapshots
             ],
             "records": [
                 {
@@ -199,7 +199,7 @@ def _cmd_trace(args, parser: argparse.ArgumentParser) -> int:
     print(f"bits: {bits}  attack: {config.attack.value}  seed: {config.master_seed}")
     print("ket convention: leftmost label = most significant basis bit")
     current: int | None = None
-    for k, stage, state in result.snapshots:
+    for k, stage, state in snapshots:
         if k != current:
             current = k
             if k == 0:

@@ -2,11 +2,12 @@
 golden-state verifier.
 
 Determinism contract: every trial is a pure function of
-``(master_seed, trial_index)``. A trial's randomness is pre-drawn from its
-own generator in a fixed order (data bits if random, then an ``(n, 3)``
-matrix of measurement draws with columns eve/bob/charlie, then the
-comparison permutation), so results are independent of execution order and
-identical between the single-trial and the vectorized batch engines.
+``(master_seed, trial_index)``. ``_batch_randomness`` alone draws a trial's
+randomness, from its own generator in a fixed order (data bits if random,
+then an ``(n, 3)`` matrix of measurement draws with columns
+eve/bob/charlie, then the comparison permutation), for the single-trial and
+the vectorized batch engines alike, so results are independent of execution
+order and identical between the two.
 """
 
 from __future__ import annotations
@@ -57,7 +58,9 @@ from .statevector import (
 )
 
 _MASK64 = (1 << 64) - 1
-_CHUNK = 8192
+#: Trial-rounds per batch-engine chunk: a chunk holds ``max(1, _CHUNK_ROUNDS
+#: // n_bits)`` trials, so its arrays stay bounded whatever ``n_bits`` is.
+_CHUNK_ROUNDS = 2**21
 
 
 def seed_for_trial(master_seed: int, trial_index: int) -> int:
@@ -89,7 +92,6 @@ class ExperimentConfig:
     attack: AttackKind = AttackKind.NO_ATTACK
     compare_fraction: float = 0.25
     master_seed: int = 0
-    trace: bool = False
     bits: str | None = None
 
     def __post_init__(self) -> None:
@@ -128,7 +130,6 @@ class TrialResult:
     eve_correct_bits: int
     eve_known_fraction: float
     final_carrier: StateVector
-    snapshots: list[tuple[int, str, StateVector]] | None = None
 
 
 @dataclass(frozen=True)
@@ -159,19 +160,6 @@ class AggregateReport:
     trial_rows: list[TrialRow] | None = None
 
 
-def _trial_randomness(config: ExperimentConfig, trial_index: int):
-    """Pre-draw all randomness a trial consumes, in the documented order."""
-    rng = np.random.default_rng(seed_for_trial(config.master_seed, trial_index))
-    if config.bits is None:
-        bits = tuple(int(b) for b in rng.integers(0, 2, size=config.n_bits))
-    else:
-        bits = tuple(int(c) for c in config.bits)
-    draws = rng.random((config.n_bits, 3))
-    perm = rng.permutation(config.n_bits)
-    subset = tuple(sorted(int(p) + 1 for p in perm[: config.compare_count]))
-    return bits, draws, subset
-
-
 def run_trial(config: ExperimentConfig, trial_index: int = 0, observer=None) -> TrialResult:
     """Run one full protocol trial.
 
@@ -182,20 +170,14 @@ def run_trial(config: ExperimentConfig, trial_index: int = 0, observer=None) -> 
     the CNOT-ancilla attack, Eve post-processes her readouts against the
     announced bits.
 
-    ``observer(round, stage, state)`` is invoked at every protocol stage when
-    given; with ``config.trace`` the same snapshots are kept on the result.
+    ``observer(round, stage, state)``, when given, is invoked at every
+    protocol stage; it is the only way to watch a trial.
     """
-    bits, draws, subset = _trial_randomness(config, trial_index)
+    bits, draws, compared = (a[0] for a in _batch_randomness(config, np.array([trial_index])))
+    bits = tuple(int(b) for b in bits)
+    subset = tuple(int(j) + 1 for j in np.flatnonzero(compared))
     kind = config.attack
-    snapshots: list[tuple[int, str, StateVector]] | None = [] if config.trace else None
-
-    def emit(k: int, stage: str, state: StateVector) -> None:
-        if snapshots is not None:
-            snapshots.append((k, stage, state))
-        if observer is not None:
-            observer(k, stage, state)
-
-    watching = snapshots is not None or observer is not None
+    emit = observer or (lambda k, stage, state: None)
     carrier = init_carrier(with_adversary_ancilla=kind is AttackKind.CNOT_ANCILLA)
     emit(0, "initial carrier", carrier)
     record = EveRecord()
@@ -208,7 +190,7 @@ def run_trial(config: ExperimentConfig, trial_index: int = 0, observer=None) -> 
         emit(k, "carrier+pair prepared", joint)
         joint = alice_entangle(joint, parity)
         emit(k, "after Alice CNOTs", joint)
-        eve_observer = (lambda stage, state, _k=k: emit(_k, stage, state)) if watching else None
+        eve_observer = (lambda stage, state, _k=k: observer(_k, stage, state)) if observer else None
         joint, record = eve_on_transit(
             kind, k, joint, record, draw=float(draws[k - 1, 0]), observer=eve_observer
         )
@@ -241,46 +223,37 @@ def run_trial(config: ExperimentConfig, trial_index: int = 0, observer=None) -> 
         eve_correct_bits=correct,
         eve_known_fraction=correct / config.n_bits,
         final_carrier=carrier,
-        snapshots=snapshots,
     )
 
 
 # ---------------------------------------------------------------------------
 # Vectorized batch engine. Every gate is Clifford and every prepared state is
-# a stabilizer state, so a run only ever visits a handful of distinct
-# carriers. _transition_table finds them by playing the reference round (the
-# protocol, adversary and statevector ops run_trial calls) on every reachable
-# (carrier, round phase, data bit, earlier outcomes); a chunk of trials then
+# a stabilizer state, so a run only ever visits a handful of distinct states,
+# a state being a carrier plus the phase of the round it enters.
+# _transition_table finds them by playing the reference round (the protocol,
+# adversary and statevector ops run_trial calls) from every reachable state,
+# for each data bit and each earlier outcome, and flags each transition's
+# mismatch with the reference public comparison. A chunk of trials then
 # advances round by round through integer gathers and ``draw >= p0``. It
-# consumes exactly the randomness of _trial_randomness, so outcomes match
-# run_trial trial for trial (asserted by the test suite).
+# consumes the randomness run_trial does, from the same _batch_randomness,
+# so outcomes match run_trial trial for trial (asserted by the test suite).
 # ---------------------------------------------------------------------------
-
-#: Representative round of each round phase: round 1, even rounds, odd
-#: rounds >= 3. The adversary acts alike in every round of one phase.
-_PHASE_ROUNDS = (1, 2, 3)
-
-
-def _phase(k: int) -> int:
-    """Index into ``_PHASE_ROUNDS`` of 1-based round ``k``."""
-    if k == 1:
-        return 0
-    return 1 if k % 2 == 0 else 2
 
 
 @dataclass(frozen=True)
 class _TransitionTable:
-    """Round transitions, indexed [phase, state, q, eve, bob, charlie] (as
-    deep as each field goes). Impossible branches hold p0 = nan and next
-    state -1; ``eve_p0`` is inf where Eve measures nothing, so every draw
-    takes branch 0."""
+    """Round transitions, indexed [state, q, eve, bob, charlie] (as deep as
+    each field goes). Impossible branches hold p0 = nan and next state -1;
+    ``eve_p0`` is inf where Eve measures nothing, so every draw takes
+    branch 0."""
 
-    eve_p0: np.ndarray      # (3, S, 2)
-    readout: np.ndarray     # (3, S, 2, 2) Eve's recorded r_k, -1 where absent
-    bob_p0: np.ndarray      # (3, S, 2, 2)
-    charlie_p0: np.ndarray  # (3, S, 2, 2, 2)
-    next_state: np.ndarray  # (3, S, 2, 2, 2, 2)
-    carriers: np.ndarray    # (S, carrier dim) amplitudes of each state
+    eve_p0: np.ndarray      # (S, 2)
+    readout: np.ndarray     # (S, 2, 2) Eve's recorded r_k, -1 where absent
+    bob_p0: np.ndarray      # (S, 2, 2)
+    charlie_p0: np.ndarray  # (S, 2, 2, 2)
+    mismatch: np.ndarray    # (S, 2, 2, 2, 2) the round's bit fails the public comparison
+    next_state: np.ndarray  # (S, 2, 2, 2, 2)
+    carriers: np.ndarray    # (S, carrier dim) amplitudes of each state's carrier
 
 
 def _branches(p0: float):
@@ -291,52 +264,55 @@ def _branches(p0: float):
 
 @functools.cache
 def _transition_table(kind: AttackKind) -> _TransitionTable:
-    """Closure over the (carrier, phase) pairs reachable from the initial
-    carrier. Carriers within ``EXACT_TOL`` of a known one share its state id,
-    so rounding noise does not grow the state set."""
-    carriers = [init_carrier(with_adversary_ancilla=kind is AttackKind.CNOT_ANCILLA)]
-    eve_p0s, readouts, bob_p0s, charlie_p0s, next_states = {}, {}, {}, {}, {}
+    """Closure over the states reachable from the initial carrier in round 1.
 
-    def state_id(carrier: StateVector) -> int:
-        for i, known in enumerate(carriers):
-            if max_abs_difference(known, carrier) <= EXACT_TOL:
+    A state is a carrier plus the representative round (1, 2 or 3) of the
+    round it enters: round 1, then 2 for every even round and 3 for every
+    odd round >= 3, since the protocol and the adversary act alike in every
+    round of one kind. Carriers within ``EXACT_TOL`` of a known one at the
+    same round share its state id, so rounding noise does not grow the state
+    set.
+    """
+    states = [(init_carrier(with_adversary_ancilla=kind is AttackKind.CNOT_ANCILLA), 1)]
+    eve_p0s, readouts, bob_p0s, charlie_p0s, mismatches, next_states = {}, {}, {}, {}, {}, {}
+
+    def state_id(carrier: StateVector, k: int) -> int:
+        for i, (known, known_k) in enumerate(states):
+            if known_k == k and max_abs_difference(known, carrier) <= EXACT_TOL:
                 return i
-        carriers.append(carrier)
-        return len(carriers) - 1
+        states.append((carrier, k))
+        return len(states) - 1
 
-    pending = [(0, 0)]
-    seen = set(pending)
-    while pending:
-        ph, s = pending.pop()
-        k = _PHASE_ROUNDS[ph]
+    # The loop also visits the states state_id appends while it runs.
+    for s, (start, k) in enumerate(states):
         parity = round_parity(k)
-        following = _phase(k + 1)
+        following = 2 if k % 2 else 3
         for q in (0, 1):
-            joint = alice_entangle(tensor(carriers[s], encode_pair(q, parity)), parity)
+            joint = alice_entangle(tensor(start, encode_pair(q, parity)), parity)
             # Dry run that only reads the P(0) Eve measures with, if she
             # measures at all; a draw of 0.5 never lands in a refused branch.
             with measurement_log() as eve_log:
                 eve_on_transit(kind, k, joint, EveRecord(), draw=0.5)
-            eve_p0 = eve_p0s[ph, s, q] = eve_log[0] if eve_log else math.inf
+            eve_p0 = eve_p0s[s, q] = eve_log[0] if eve_log else math.inf
             for e, eve_draw in _branches(eve_p0):
                 after_eve, record = eve_on_transit(kind, k, joint, EveRecord(), draw=eve_draw)
-                readouts[ph, s, q, e] = record.measured.get(k, -1)
+                readouts[s, q, e] = record.measured.get(k, -1)
                 received = charlie_disentangle(bob_disentangle(after_eve))
-                bob_p0 = bob_p0s[ph, s, q, e] = probability_of_zero(received, "S1")
+                bob_p0 = bob_p0s[s, q, e] = probability_of_zero(received, "S1")
                 for b, bob_draw in _branches(bob_p0):
                     _, after_bob, _ = measure_z(received, "S1", bob_draw)
-                    charlie_p0 = charlie_p0s[ph, s, q, e, b] = probability_of_zero(after_bob, "S2")
+                    charlie_p0 = charlie_p0s[s, q, e, b] = probability_of_zero(after_bob, "S2")
                     for c, charlie_draw in _branches(charlie_p0):
                         _, after_charlie, _ = measure_z(after_bob, "S2", charlie_draw)
+                        mismatches[s, q, e, b, c] = public_comparison(
+                            [RoundRecord.from_outcomes(k, q, b, c)], [q], [1]
+                        ).detected
                         carrier = discard_qubit(discard_qubit(after_charlie, "S1", b), "S2", c)
                         carrier = eve_end_round(kind, end_round_hadamards(carrier))
-                        nxt = next_states[ph, s, q, e, b, c] = state_id(carrier)
-                        if (following, nxt) not in seen:
-                            seen.add((following, nxt))
-                            pending.append((following, nxt))
+                        next_states[s, q, e, b, c] = state_id(carrier, following)
 
     def dense(cells: dict, depth: int, fill) -> np.ndarray:
-        arr = np.full((len(_PHASE_ROUNDS), len(carriers)) + (2,) * depth, fill)
+        arr = np.full((len(states),) + (2,) * depth, fill)
         for index, value in cells.items():
             arr[index] = value
         return arr
@@ -346,8 +322,9 @@ def _transition_table(kind: AttackKind) -> _TransitionTable:
         readout=dense(readouts, 2, -1),
         bob_p0=dense(bob_p0s, 2, np.nan),
         charlie_p0=dense(charlie_p0s, 3, np.nan),
+        mismatch=dense(mismatches, 4, False),
         next_state=dense(next_states, 4, -1),
-        carriers=np.array([c.amplitudes for c in carriers]),
+        carriers=np.array([carrier.amplitudes for carrier, _ in states]),
     )
     for arr in vars(table).values():
         arr.flags.writeable = False  # the cached table is shared by every caller
@@ -370,6 +347,9 @@ class _BatchOutcome:
 
 
 def _batch_randomness(config: ExperimentConfig, indices: np.ndarray):
+    """Pre-draw all randomness the trials at ``indices`` consume, each from
+    its own generator in the documented order: (B, n) bits, (B, n, 3)
+    eve/bob/charlie draws and the (B, n) comparison subset mask."""
     n = config.n_bits
     m = config.compare_count
     B = len(indices)
@@ -400,32 +380,25 @@ def _run_batch(config: ExperimentConfig, indices: np.ndarray) -> _BatchOutcome:
     bob = np.empty((B, n), dtype=np.int64)
     charlie = np.empty((B, n), dtype=np.int64)
     eve_readouts = np.empty((B, n), dtype=np.int64)
+    mismatches = np.zeros(B, dtype=np.int64)
 
     for k in range(1, n + 1):
-        ph = _phase(k)
         q = bits[:, k - 1]
-        eve = (draws[:, k - 1, 0] >= table.eve_p0[ph, state, q]).astype(np.int64)
-        b = (draws[:, k - 1, 1] >= table.bob_p0[ph, state, q, eve]).astype(np.int64)
-        c = (draws[:, k - 1, 2] >= table.charlie_p0[ph, state, q, eve, b]).astype(np.int64)
-        eve_readouts[:, k - 1] = table.readout[ph, state, q, eve]
+        eve = (draws[:, k - 1, 0] >= table.eve_p0[state, q]).astype(np.int64)
+        b = (draws[:, k - 1, 1] >= table.bob_p0[state, q, eve]).astype(np.int64)
+        c = (draws[:, k - 1, 2] >= table.charlie_p0[state, q, eve, b]).astype(np.int64)
+        eve_readouts[:, k - 1] = table.readout[state, q, eve]
         bob[:, k - 1] = b
         charlie[:, k - 1] = c
-        state = table.next_state[ph, state, q, eve, b, c]
+        mismatches += table.mismatch[state, q, eve, b, c] & compared[:, k - 1]
+        state = table.next_state[state, q, eve, b, c]
         if np.any(state < 0):
             raise RuntimeError("measurement realized a zero-probability branch")
-
-    rounds = np.arange(1, n + 1)
-    odd_rounds = rounds % 2 == 1
-    reconstructed = np.where(odd_rounds[None, :], bob, bob ^ charlie)
-    inconsistent = odd_rounds[None, :] & (bob != charlie)
-    mismatch = (reconstructed != bits) | inconsistent
-    mismatches = (mismatch & compared).sum(axis=1)
-    detected = mismatches > 0
 
     ambiguous = np.zeros(B, dtype=bool)
     eve_correct = np.zeros(B, dtype=np.int64)
     if kind is AttackKind.CNOT_ANCILLA:
-        odd_cols = np.nonzero(odd_rounds)[0]
+        odd_cols = np.arange(0, n, 2)
         # Column for round 1 holds no readout; treating it as 0 makes
         # r XOR q equal the offset q1 at every odd column uniformly.
         r_full = np.where(eve_readouts[:, odd_cols] >= 0, eve_readouts[:, odd_cols], 0)
@@ -449,7 +422,7 @@ def _run_batch(config: ExperimentConfig, indices: np.ndarray) -> _BatchOutcome:
         charlie=charlie,
         eve_readouts=eve_readouts,
         mismatches=mismatches,
-        detected=detected,
+        detected=mismatches > 0,
         ambiguous=ambiguous,
         eve_correct=eve_correct,
         known_fraction=eve_correct / float(n),
@@ -460,8 +433,9 @@ def _run_batch(config: ExperimentConfig, indices: np.ndarray) -> _BatchOutcome:
 def run_experiment(config: ExperimentConfig, keep_trial_rows: bool = False) -> AggregateReport:
     """Aggregate ``config.trials`` independent trials.
 
-    Trials are processed in seeded chunks by the vectorized engine; because
-    every trial's randomness is derived solely from its index, the report is
+    Trials are processed by the vectorized engine in chunks of at most
+    ``_CHUNK_ROUNDS`` trial-rounds (one trial at least); because every
+    trial's randomness is derived solely from its index, the report is
     independent of chunking and execution order, and two runs with the same
     config are byte-identical.
     """
@@ -472,9 +446,10 @@ def run_experiment(config: ExperimentConfig, keep_trial_rows: bool = False) -> A
     nonambiguous_total = 0
     rows: list[TrialRow] | None = [] if keep_trial_rows else None
 
+    chunk = max(1, _CHUNK_ROUNDS // config.n_bits)
     start = 0
     while start < config.trials:
-        count = min(_CHUNK, config.trials - start)
+        count = min(chunk, config.trials - start)
         out = _run_batch(config, np.arange(start, start + count))
         detected_total += int(out.detected.sum())
         ambiguous_total += int(out.ambiguous.sum())
@@ -496,6 +471,7 @@ def run_experiment(config: ExperimentConfig, keep_trial_rows: bool = False) -> A
                     )
                 )
         start += count
+        del out  # free this chunk's arrays before the next chunk draws its own
 
     return AggregateReport(
         trial_count=config.trials,

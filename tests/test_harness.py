@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from ghzqss.adversary import AttackKind
 from ghzqss.harness import (
     ExperimentConfig,
+    _batch_randomness,
     _run_batch,
-    _trial_randomness,
     aggregate_report_dict,
     run_experiment,
     run_trial,
@@ -47,19 +47,18 @@ def test_seed_for_trial_no_collisions_across_masters():
 
 def test_trial_randomness_is_stable_and_sized():
     config = ExperimentConfig(n_bits=9, trials=1, compare_fraction=0.3, master_seed=5)
-    bits, draws, subset = _trial_randomness(config, 4)
-    bits2, draws2, subset2 = _trial_randomness(config, 4)
-    assert bits == bits2 and subset == subset2
+    bits, draws, compared = _batch_randomness(config, np.array([4]))
+    bits2, draws2, compared2 = _batch_randomness(config, np.array([4]))
+    assert np.array_equal(bits, bits2) and np.array_equal(compared, compared2)
     assert np.array_equal(draws, draws2)
-    assert len(bits) == 9 and draws.shape == (9, 3)
-    assert len(subset) == config.compare_count == 3
-    assert all(1 <= j <= 9 for j in subset)
+    assert bits.shape == (1, 9) and draws.shape == (1, 9, 3) and compared.shape == (1, 9)
+    assert set(np.unique(bits)) <= {0, 1}
+    assert compared.sum() == config.compare_count == 3
 
 
 def test_fixed_bits_mode():
     config = ExperimentConfig(n_bits=4, bits="1011", master_seed=1)
-    bits, _, _ = _trial_randomness(config, 0)
-    assert bits == (1, 0, 1, 1)
+    assert run_trial(config, 0).bits == (1, 0, 1, 1)
     assert config.bits_mode == "fixed"
 
 
@@ -211,13 +210,12 @@ def test_final_carrier_purity_after_even_length_attack_run():
 
 
 def test_trace_snapshots_cover_every_round():
-    config = ExperimentConfig(
-        n_bits=2, attack=AttackKind.CNOT_ANCILLA, master_seed=2, trace=True, bits="10"
-    )
-    result = run_trial(config, 0)
-    rounds_seen = {k for k, _, _ in result.snapshots}
+    config = ExperimentConfig(n_bits=2, attack=AttackKind.CNOT_ANCILLA, master_seed=2, bits="10")
+    snapshots = []
+    run_trial(config, 0, observer=lambda *snapshot: snapshots.append(snapshot))
+    rounds_seen = {k for k, _, _ in snapshots}
     assert rounds_seen == {0, 1, 2}
-    stages_round_1 = [stage for k, stage, _ in result.snapshots if k == 1]
+    stages_round_1 = [stage for k, stage, _ in snapshots if k == 1]
     assert "after Eve C(S1->E)" in stages_round_1
     assert "after round-end Hadamards" in stages_round_1
 
@@ -226,10 +224,21 @@ def test_trace_snapshots_cover_every_round():
 
 
 @pytest.mark.parametrize("attack", list(AttackKind))
-@pytest.mark.parametrize("n_bits, fraction", [(1, 1.0), (5, 0.4), (8, 0.25), (17, 0.25)])
-def test_batch_engine_matches_single_trials(attack, n_bits, fraction):
+@pytest.mark.parametrize(
+    "n_bits, fraction, bits",
+    [
+        pytest.param(1, 1.0, None, id="1-1.0"),
+        pytest.param(5, 0.4, None, id="5-0.4"),
+        pytest.param(8, 0.25, None, id="8-0.25"),
+        pytest.param(17, 0.25, None, id="17-0.25"),
+        pytest.param(1, 1.0, "1", id="1-1.0-fixed"),
+        pytest.param(5, 0.4, "10110", id="5-0.4-fixed"),
+        pytest.param(17, 0.25, "01101001110010110", id="17-0.25-fixed"),
+    ],
+)
+def test_batch_engine_matches_single_trials(attack, n_bits, fraction, bits):
     config = ExperimentConfig(
-        n_bits=n_bits, trials=24, attack=attack, compare_fraction=fraction, master_seed=77
+        n_bits=n_bits, trials=24, attack=attack, compare_fraction=fraction, master_seed=77, bits=bits
     )
     out = _run_batch(config, np.arange(24))
     for t in range(24):
@@ -277,9 +286,8 @@ def test_batch_compared_subset_matches_single():
     config = ExperimentConfig(n_bits=7, trials=10, compare_fraction=0.4, master_seed=9)
     out = _run_batch(config, np.arange(10))
     for t in range(10):
-        _, _, subset = _trial_randomness(config, t)
         batch_subset = tuple(np.nonzero(out.compared[t])[0] + 1)
-        assert batch_subset == subset
+        assert batch_subset == run_trial(config, t).detection.compared_indices
 
 
 # --- experiments ------------------------------------------------------------------
@@ -302,9 +310,29 @@ def test_run_experiment_chunking_is_invisible(monkeypatch):
         n_bits=5, trials=50, attack=AttackKind.INTERCEPT_RESEND, compare_fraction=0.5, master_seed=6
     )
     full = run_experiment(config, keep_trial_rows=True)
-    monkeypatch.setattr(harness, "_CHUNK", 7)
+    monkeypatch.setattr(harness, "_CHUNK_ROUNDS", 35)  # chunks of 7 trials at n_bits=5
     chunked = run_experiment(config, keep_trial_rows=True)
     assert full == chunked
+
+
+def test_run_experiment_peak_memory_follows_the_chunk_budget(monkeypatch):
+    import tracemalloc
+
+    import ghzqss.harness as harness
+
+    def peak(trials: int) -> int:
+        config = ExperimentConfig(n_bits=256, trials=trials, attack=AttackKind.CNOT_ANCILLA)
+        tracemalloc.start()
+        try:
+            run_experiment(config)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    monkeypatch.setattr(harness, "_CHUNK_ROUNDS", 256 * 16)  # chunks of 16 trials
+    peak(1)  # the table and one-time allocations land outside the compared peaks
+    # Eight chunks peak no higher than one: memory follows the budget, not trials x n.
+    assert peak(128) < 1.25 * peak(16)
 
 
 def test_run_experiment_reports_are_byte_identical():
