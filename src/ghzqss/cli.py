@@ -3,7 +3,7 @@
 Subcommands:
 
 - ``run``: Monte Carlo experiment, reported as pretty text, JSON (aggregate
-  plus config echo), or CSV (one row per trial).
+  plus config echo), or CSV (one row per trial, written chunk by chunk).
 - ``trace``: single run over a fixed bit sequence with labeled state
   snapshots at every protocol stage.
 - ``verify``: golden-state checks of the simulator against the hand-coded
@@ -92,39 +92,45 @@ def _resolve_seed(parser: argparse.ArgumentParser, seed: int | None) -> int:
         raise AssertionError("unreachable")
 
 
+def _build_config(args, parser: argparse.ArgumentParser, **fields) -> ExperimentConfig:
+    """The config of a ``run`` or ``trace``; a rule it breaks is a usage error."""
+    try:
+        return ExperimentConfig(
+            attack=AttackKind.from_name(args.attack),
+            compare_fraction=args.compare_fraction,
+            master_seed=_resolve_seed(parser, args.seed),
+            **fields,
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
+        raise AssertionError("unreachable")
+
+
 def _cmd_run(args, parser: argparse.ArgumentParser) -> int:
-    if args.bits_count < 1:
-        parser.error("--bits-count must be >= 1")
-    if args.trials < 1:
-        parser.error("--trials must be >= 1")
-    if not 0.0 < args.compare_fraction <= 1.0:
-        parser.error("--compare-fraction must lie in (0, 1]")
-    config = ExperimentConfig(
-        n_bits=args.bits_count,
-        trials=args.trials,
-        attack=AttackKind.from_name(args.attack),
-        compare_fraction=args.compare_fraction,
-        master_seed=_resolve_seed(parser, args.seed),
-    )
-    report = run_experiment(config, keep_trial_rows=args.format == "csv")
-    if args.format == "json":
-        print(json.dumps(aggregate_report_dict(config, report), indent=2, sort_keys=True))
-    elif args.format == "csv":
+    config = _build_config(args, parser, n_bits=args.bits_count, trials=args.trials)
+    if args.format == "csv":
         writer = csv.writer(sys.stdout)
         writer.writerow(
             ["trial_index", "detected", "mismatches", "ambiguous", "eve_correct_bits", "eve_known_fraction"]
         )
-        for row in report.trial_rows:
-            writer.writerow(
-                [
-                    row.trial_index,
-                    int(row.detected),
-                    row.mismatches,
-                    int(row.ambiguous),
-                    row.eve_correct_bits,
-                    f"{row.eve_known_fraction:.6f}",
-                ]
+
+        def write_rows(indices, detected, mismatches, ambiguous, eve_correct, known_fraction):
+            writer.writerows(
+                zip(
+                    indices.tolist(),
+                    detected.astype(int).tolist(),
+                    mismatches.tolist(),
+                    ambiguous.astype(int).tolist(),
+                    eve_correct.tolist(),
+                    [f"{fraction:.6f}" for fraction in known_fraction.tolist()],
+                )
             )
+
+        run_experiment(config, on_chunk=write_rows)
+        return 0
+    report = run_experiment(config)
+    if args.format == "json":
+        print(json.dumps(aggregate_report_dict(config, report), indent=2, sort_keys=True))
     else:
         print(f"attack:                  {config.attack.value}")
         print(f"trials:                  {report.trial_count}")
@@ -141,18 +147,7 @@ def _cmd_run(args, parser: argparse.ArgumentParser) -> int:
 
 def _cmd_trace(args, parser: argparse.ArgumentParser) -> int:
     bits = args.bits
-    if not bits or any(c not in "01" for c in bits):
-        parser.error(f"--bits must be a nonempty string of 0/1, got {bits!r}")
-    if not 0.0 < args.compare_fraction <= 1.0:
-        parser.error("--compare-fraction must lie in (0, 1]")
-    config = ExperimentConfig(
-        n_bits=len(bits),
-        trials=1,
-        attack=AttackKind.from_name(args.attack),
-        compare_fraction=args.compare_fraction,
-        master_seed=_resolve_seed(parser, args.seed),
-        bits=bits,
-    )
+    config = _build_config(args, parser, n_bits=len(bits), bits=bits)
     snapshots = []
     result = run_trial(config, trial_index=0, observer=lambda *snapshot: snapshots.append(snapshot))
 

@@ -8,6 +8,10 @@ then an ``(n, 3)`` matrix of measurement draws with columns
 eve/bob/charlie, then the comparison permutation), for the single-trial and
 the vectorized batch engines alike, so results are independent of execution
 order and identical between the two.
+
+``run_experiment`` keeps only running totals: per-trial results leave each
+chunk through its ``on_chunk`` callback, so its memory is bounded by the
+chunk size whatever ``trials`` is.
 """
 
 from __future__ import annotations
@@ -132,18 +136,6 @@ class TrialResult:
     final_carrier: StateVector
 
 
-@dataclass(frozen=True)
-class TrialRow:
-    """Per-trial summary row (the CSV export unit)."""
-
-    trial_index: int
-    detected: bool
-    mismatches: int
-    ambiguous: bool
-    eve_correct_bits: int
-    eve_known_fraction: float
-
-
 @dataclass
 class AggregateReport:
     """Aggregated Monte Carlo statistics.
@@ -157,7 +149,6 @@ class AggregateReport:
     mean_eve_known_fraction: float
     ambiguous_rate: float
     mismatch_histogram: dict[int, int]
-    trial_rows: list[TrialRow] | None = None
 
 
 def run_trial(config: ExperimentConfig, trial_index: int = 0, observer=None) -> TrialResult:
@@ -333,17 +324,17 @@ def _transition_table(kind: AttackKind) -> _TransitionTable:
 
 @dataclass
 class _BatchOutcome:
-    bits: np.ndarray          # (B, n) data bits
+    bits: np.ndarray          # (B, n) uint8 data bits
     compared: np.ndarray      # (B, n) bool, comparison subset membership
-    bob: np.ndarray           # (B, n) outcomes
-    charlie: np.ndarray       # (B, n) outcomes
-    eve_readouts: np.ndarray  # (B, n) r_k, -1 where absent
+    bob: np.ndarray           # (B, n) uint8 outcomes
+    charlie: np.ndarray       # (B, n) uint8 outcomes
+    eve_readouts: np.ndarray  # (B, n) int8 r_k, -1 where absent
     mismatches: np.ndarray    # (B,) counted within the compared subset
     detected: np.ndarray      # (B,) bool
     ambiguous: np.ndarray     # (B,) bool
     eve_correct: np.ndarray   # (B,)
     known_fraction: np.ndarray  # (B,)
-    final_carrier: np.ndarray   # (B, carrier dim)
+    final_state: np.ndarray     # (B,) state ids; the table's carriers hold their amplitudes
 
 
 def _batch_randomness(config: ExperimentConfig, indices: np.ndarray):
@@ -353,10 +344,10 @@ def _batch_randomness(config: ExperimentConfig, indices: np.ndarray):
     n = config.n_bits
     m = config.compare_count
     B = len(indices)
-    bits = np.empty((B, n), dtype=np.int64)
+    bits = np.empty((B, n), dtype=np.uint8)
     draws = np.empty((B, n, 3), dtype=np.float64)
     compared = np.zeros((B, n), dtype=bool)
-    fixed = None if config.bits is None else np.array([int(c) for c in config.bits], dtype=np.int64)
+    fixed = None if config.bits is None else np.array([int(c) for c in config.bits], dtype=np.uint8)
     for row, t in enumerate(indices):
         rng = np.random.default_rng(seed_for_trial(config.master_seed, int(t)))
         if fixed is None:
@@ -377,9 +368,9 @@ def _run_batch(config: ExperimentConfig, indices: np.ndarray) -> _BatchOutcome:
     table = _transition_table(kind)
 
     state = np.zeros(B, dtype=np.int64)
-    bob = np.empty((B, n), dtype=np.int64)
-    charlie = np.empty((B, n), dtype=np.int64)
-    eve_readouts = np.empty((B, n), dtype=np.int64)
+    bob = np.empty((B, n), dtype=np.uint8)
+    charlie = np.empty((B, n), dtype=np.uint8)
+    eve_readouts = np.empty((B, n), dtype=np.int8)
     mismatches = np.zeros(B, dtype=np.int64)
 
     for k in range(1, n + 1):
@@ -426,11 +417,11 @@ def _run_batch(config: ExperimentConfig, indices: np.ndarray) -> _BatchOutcome:
         ambiguous=ambiguous,
         eve_correct=eve_correct,
         known_fraction=eve_correct / float(n),
-        final_carrier=table.carriers[state],
+        final_state=state,
     )
 
 
-def run_experiment(config: ExperimentConfig, keep_trial_rows: bool = False) -> AggregateReport:
+def run_experiment(config: ExperimentConfig, on_chunk=None) -> AggregateReport:
     """Aggregate ``config.trials`` independent trials.
 
     Trials are processed by the vectorized engine in chunks of at most
@@ -438,19 +429,24 @@ def run_experiment(config: ExperimentConfig, keep_trial_rows: bool = False) -> A
     trial's randomness is derived solely from its index, the report is
     independent of chunking and execution order, and two runs with the same
     config are byte-identical.
+
+    ``on_chunk(indices, detected, mismatches, ambiguous, eve_correct,
+    known_fraction)``, when given, receives each chunk's per-trial columns as
+    arrays in trial order, before the chunk is released; it is the only way
+    to see single trials, so nothing per trial outlives its chunk.
     """
     hist: Counter[int] = Counter()
     detected_total = 0
     ambiguous_total = 0
     fraction_sum = 0.0
     nonambiguous_total = 0
-    rows: list[TrialRow] | None = [] if keep_trial_rows else None
 
     chunk = max(1, _CHUNK_ROUNDS // config.n_bits)
     start = 0
     while start < config.trials:
         count = min(chunk, config.trials - start)
-        out = _run_batch(config, np.arange(start, start + count))
+        indices = np.arange(start, start + count)
+        out = _run_batch(config, indices)
         detected_total += int(out.detected.sum())
         ambiguous_total += int(out.ambiguous.sum())
         nonambiguous = ~out.ambiguous
@@ -458,18 +454,8 @@ def run_experiment(config: ExperimentConfig, keep_trial_rows: bool = False) -> A
         nonambiguous_total += int(nonambiguous.sum())
         for value, c in zip(*np.unique(out.mismatches, return_counts=True)):
             hist[int(value)] += int(c)
-        if rows is not None:
-            for i in range(count):
-                rows.append(
-                    TrialRow(
-                        trial_index=start + i,
-                        detected=bool(out.detected[i]),
-                        mismatches=int(out.mismatches[i]),
-                        ambiguous=bool(out.ambiguous[i]),
-                        eve_correct_bits=int(out.eve_correct[i]),
-                        eve_known_fraction=float(out.known_fraction[i]),
-                    )
-                )
+        if on_chunk is not None:
+            on_chunk(indices, out.detected, out.mismatches, out.ambiguous, out.eve_correct, out.known_fraction)
         start += count
         del out  # free this chunk's arrays before the next chunk draws its own
 
@@ -479,7 +465,6 @@ def run_experiment(config: ExperimentConfig, keep_trial_rows: bool = False) -> A
         mean_eve_known_fraction=(fraction_sum / nonambiguous_total) if nonambiguous_total else 0.0,
         ambiguous_rate=ambiguous_total / config.trials,
         mismatch_histogram=dict(sorted(hist.items())),
-        trial_rows=rows,
     )
 
 

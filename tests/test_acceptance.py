@@ -40,7 +40,7 @@ from ghzqss.statevector import (
     tensor,
 )
 
-from _util import random_state
+from _util import random_state, run_with_rows
 from oracles import (
     all_even_subset_probability,
     intercept_resend_detection_probability,
@@ -83,7 +83,7 @@ def attack_run_32():
         compare_fraction=0.25,
         master_seed=20_260_809,
     )
-    return config, run_experiment(config, keep_trial_rows=True)
+    return (config,) + run_with_rows(config)
 
 
 # --- criterion 1: golden state reproduction ----------------------------------
@@ -124,7 +124,7 @@ def test_criterion_1_golden_states():
 
 
 def test_criterion_2_zero_detection(attack_run_32):
-    config, report = attack_run_32
+    config, report, _rows = attack_run_32
     ok = report.detection_rate == 0.0 and report.mismatch_histogram == {0: 10_000}
 
     # Per-round observable statistics match an honest run on every reachable
@@ -183,12 +183,11 @@ def test_criterion_2_zero_detection(attack_run_32):
 
 
 def test_criterion_3_half_the_bits(attack_run_32):
-    _config, report = attack_run_32
-    rows = report.trial_rows
-    nonambiguous = [row for row in rows if not row.ambiguous]
-    ok = len(nonambiguous) > 0
-    ok = ok and all(row.eve_correct_bits == 16 for row in nonambiguous)  # ceil(32/2)
-    ok = ok and all(row.eve_known_fraction == 0.5 for row in nonambiguous)
+    _config, report, rows = attack_run_32
+    nonambiguous = ~rows["ambiguous"]
+    ok = bool(nonambiguous.any())
+    ok = ok and bool(np.all(rows["eve_correct_bits"][nonambiguous] == 16))  # ceil(32/2)
+    ok = ok and bool(np.all(rows["eve_known_fraction"][nonambiguous] == 0.5))
     ok = ok and report.mean_eve_known_fraction == 0.5
 
     # Offset relation r_k = q_k xor q_1 in 100% of recorded rounds,
@@ -223,7 +222,7 @@ def test_criterion_3_half_the_bits(attack_run_32):
         3,
         "half-the-bits recovery",
         ok,
-        f"{len(nonambiguous)} non-ambiguous trials, offset relation over {relation_rounds} readouts",
+        f"{int(nonambiguous.sum())} non-ambiguous trials, offset relation over {relation_rounds} readouts",
     )
     assert ok
 

@@ -123,6 +123,8 @@ def test_run_csv_emits_one_row_per_trial(capsys):
         ["run", "--compare-fraction", "1.2"],
         ["run", "--attack", "bogus"],
         ["run", "--format", "yaml"],
+        ["trace", "--bits", "1", "--compare-fraction", "0"],
+        ["trace", "--bits", "101", "--compare-fraction", "1.2"],
     ],
 )
 def test_run_usage_errors_exit_2(capsys, argv):

@@ -10,6 +10,7 @@ from ghzqss.harness import (
     ExperimentConfig,
     _batch_randomness,
     _run_batch,
+    _transition_table,
     aggregate_report_dict,
     run_experiment,
     run_trial,
@@ -23,6 +24,8 @@ from ghzqss.statevector import (
     INV_SQRT2,
     marginal_probabilities,
 )
+
+from _util import ROW_COLUMNS, run_with_rows
 
 LAB4 = ("A", "B", "C", "E")
 
@@ -252,7 +255,8 @@ def test_batch_engine_matches_single_trials(attack, n_bits, fraction, bits):
         assert bool(out.ambiguous[t]) == single.eve.ambiguous
         assert int(out.eve_correct[t]) == single.eve_correct_bits
         assert float(out.known_fraction[t]) == pytest.approx(single.eve_known_fraction)
-        assert np.max(np.abs(out.final_carrier[t] - single.final_carrier.amplitudes)) <= 1e-12
+        final_carrier = _transition_table(attack).carriers[out.final_state[t]]
+        assert np.max(np.abs(final_carrier - single.final_carrier.amplitudes)) <= 1e-12
         if attack is AttackKind.CNOT_ANCILLA:
             for k, r in single.eve.measured.items():
                 assert out.eve_readouts[t, k - 1] == r
@@ -309,10 +313,12 @@ def test_run_experiment_chunking_is_invisible(monkeypatch):
     config = ExperimentConfig(
         n_bits=5, trials=50, attack=AttackKind.INTERCEPT_RESEND, compare_fraction=0.5, master_seed=6
     )
-    full = run_experiment(config, keep_trial_rows=True)
+    full, full_rows = run_with_rows(config)
     monkeypatch.setattr(harness, "_CHUNK_ROUNDS", 35)  # chunks of 7 trials at n_bits=5
-    chunked = run_experiment(config, keep_trial_rows=True)
+    chunked, chunked_rows = run_with_rows(config)
     assert full == chunked
+    for name in ROW_COLUMNS:
+        assert np.array_equal(full_rows[name], chunked_rows[name]), name
 
 
 def test_run_experiment_peak_memory_follows_the_chunk_budget(monkeypatch):
@@ -333,6 +339,30 @@ def test_run_experiment_peak_memory_follows_the_chunk_budget(monkeypatch):
     peak(1)  # the table and one-time allocations land outside the compared peaks
     # Eight chunks peak no higher than one: memory follows the budget, not trials x n.
     assert peak(128) < 1.25 * peak(16)
+
+
+def test_run_csv_peak_memory_does_not_grow_with_trials(monkeypatch):
+    import contextlib
+    import os
+    import tracemalloc
+
+    import ghzqss.harness as harness
+    from ghzqss.cli import main
+
+    def peak(trials: int) -> int:
+        argv = ["run", "--bits-count", "16", "--attack", "cnot-ancilla", "--trials", str(trials), "--format", "csv"]
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+    monkeypatch.setattr(harness, "_CHUNK_ROUNDS", 256)  # chunks of 16 trials
+    peak(1)  # the table and one-time allocations land outside the compared peaks
+    # Rows are written chunk by chunk, so 256 chunks peak no higher than 32.
+    assert peak(4096) < 1.25 * peak(512)
 
 
 def test_run_experiment_reports_are_byte_identical():
@@ -375,14 +405,13 @@ def test_trial_rows_align_with_aggregate():
     config = ExperimentConfig(
         n_bits=6, trials=120, attack=AttackKind.INTERCEPT_RESEND, compare_fraction=0.5, master_seed=14
     )
-    report = run_experiment(config, keep_trial_rows=True)
-    rows = report.trial_rows
-    assert len(rows) == 120
-    assert [r.trial_index for r in rows] == list(range(120))
-    assert sum(r.detected for r in rows) / 120 == pytest.approx(report.detection_rate)
+    report, rows = run_with_rows(config)
+    assert len(rows["trial_index"]) == 120
+    assert rows["trial_index"].tolist() == list(range(120))
+    assert rows["detected"].sum() / 120 == pytest.approx(report.detection_rate)
     hist = {}
-    for r in rows:
-        hist[r.mismatches] = hist.get(r.mismatches, 0) + 1
+    for m in rows["mismatches"].tolist():
+        hist[m] = hist.get(m, 0) + 1
     assert hist == report.mismatch_histogram
 
 
