@@ -62,8 +62,8 @@ from .statevector import (
 )
 
 _MASK64 = (1 << 64) - 1
-#: Trial-rounds per batch-engine chunk: a chunk holds ``max(1, _CHUNK_ROUNDS
-#: // n_bits)`` trials, so its arrays stay bounded whatever ``n_bits`` is.
+#: Trial-rounds per batch-engine chunk (``_CHUNK_ROUNDS // n_bits`` trials),
+#: and the largest ``n_bits`` a config accepts, so a chunk holds one trial.
 _CHUNK_ROUNDS = 2**21
 
 
@@ -101,6 +101,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.n_bits < 1:
             raise ValueError(f"n_bits must be >= 1, got {self.n_bits}")
+        if self.n_bits > _CHUNK_ROUNDS:
+            raise ValueError(f"n_bits must be <= {_CHUNK_ROUNDS}, got {self.n_bits}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if not 0.0 < self.compare_fraction <= 1.0:
@@ -223,11 +225,12 @@ def run_trial(config: ExperimentConfig, trial_index: int = 0, observer=None) -> 
 # a state being a carrier plus the phase of the round it enters.
 # _transition_table finds them by playing the reference round (the protocol,
 # adversary and statevector ops run_trial calls) from every reachable state,
-# for each data bit and each earlier outcome, and flags each transition's
-# mismatch with the reference public comparison. A chunk of trials then
-# advances round by round through integer gathers and ``draw >= p0``. It
-# consumes the randomness run_trial does, from the same _batch_randomness,
-# so outcomes match run_trial trial for trial (asserted by the test suite).
+# for each data bit and each earlier outcome, and reads each transition's
+# mismatch and Eve's inference from the reference rules. A chunk of trials
+# steps through the table by integer gathers and ``draw >= p0``, then gathers
+# every per-trial column along each trial's path. It consumes run_trial's
+# randomness, from the same _batch_randomness, so outcomes match run_trial
+# trial for trial (asserted by the test suite).
 # ---------------------------------------------------------------------------
 
 
@@ -236,10 +239,13 @@ class _TransitionTable:
     """Round transitions, indexed [state, q, eve, bob, charlie] (as deep as
     each field goes). Impossible branches hold p0 = nan and next state -1;
     ``eve_p0`` is inf where Eve measures nothing, so every draw takes
-    branch 0."""
+    branch 0. ``reveals`` and ``hits`` are read from ``eve_postprocess`` on
+    the round's record, for the CNOT-ancilla attack only, as in run_trial."""
 
     eve_p0: np.ndarray      # (S, 2)
-    readout: np.ndarray     # (S, 2, 2) Eve's recorded r_k, -1 where absent
+    readout: np.ndarray     # (S, 2, 2) int8 Eve's recorded r_k, -1 where absent
+    reveals: np.ndarray     # (S, 2, 2) int8 offset announcing the round reveals, -1 for none
+    hits: np.ndarray        # (S, 2, 2, 2) offset o decodes the round's bit right
     bob_p0: np.ndarray      # (S, 2, 2)
     charlie_p0: np.ndarray  # (S, 2, 2, 2)
     mismatch: np.ndarray    # (S, 2, 2, 2, 2) the round's bit fails the public comparison
@@ -265,7 +271,7 @@ def _transition_table(kind: AttackKind) -> _TransitionTable:
     set.
     """
     states = [(init_carrier(with_adversary_ancilla=kind is AttackKind.CNOT_ANCILLA), 1)]
-    eve_p0s, readouts, bob_p0s, charlie_p0s, mismatches, next_states = {}, {}, {}, {}, {}, {}
+    eve_p0s, readouts, reveals, hits, bob_p0s, charlie_p0s, mismatches, next_states = ({} for _ in range(8))
 
     def state_id(carrier: StateVector, k: int) -> int:
         for i, (known, known_k) in enumerate(states):
@@ -288,6 +294,12 @@ def _transition_table(kind: AttackKind) -> _TransitionTable:
             for e, eve_draw in _branches(eve_p0):
                 after_eve, record = eve_on_transit(kind, k, joint, EveRecord(), draw=eve_draw)
                 readouts[s, q, e] = record.measured.get(k, -1)
+                if kind is AttackKind.CNOT_ANCILLA:
+                    offset = eve_postprocess(record, {k: q}).inferred_offset
+                    reveals[s, q, e] = -1 if offset is None else offset
+                    for o in (0, 1):
+                        # Announcing round 1 as o is how the reference fixes the offset to o.
+                        hits[s, q, e, o] = eve_postprocess(record, {1: o}).inferred_bits.get(k) == q
                 received = charlie_disentangle(bob_disentangle(after_eve))
                 bob_p0 = bob_p0s[s, q, e] = probability_of_zero(received, "S1")
                 for b, bob_draw in _branches(bob_p0):
@@ -310,7 +322,9 @@ def _transition_table(kind: AttackKind) -> _TransitionTable:
 
     table = _TransitionTable(
         eve_p0=dense(eve_p0s, 1, np.nan),
-        readout=dense(readouts, 2, -1),
+        readout=dense(readouts, 2, np.int8(-1)),
+        reveals=dense(reveals, 2, np.int8(-1)),
+        hits=dense(hits, 3, False),
         bob_p0=dense(bob_p0s, 2, np.nan),
         charlie_p0=dense(charlie_p0s, 3, np.nan),
         mismatch=dense(mismatches, 4, False),
@@ -326,8 +340,8 @@ def _transition_table(kind: AttackKind) -> _TransitionTable:
 class _BatchOutcome:
     bits: np.ndarray          # (B, n) uint8 data bits
     compared: np.ndarray      # (B, n) bool, comparison subset membership
-    bob: np.ndarray           # (B, n) uint8 outcomes
-    charlie: np.ndarray       # (B, n) uint8 outcomes
+    bob: np.ndarray           # (B, n) outcomes
+    charlie: np.ndarray       # (B, n) outcomes
     eve_readouts: np.ndarray  # (B, n) int8 r_k, -1 where absent
     mismatches: np.ndarray    # (B,) counted within the compared subset
     detected: np.ndarray      # (B,) bool
@@ -361,57 +375,46 @@ def _batch_randomness(config: ExperimentConfig, indices: np.ndarray):
 
 
 def _run_batch(config: ExperimentConfig, indices: np.ndarray) -> _BatchOutcome:
-    kind = config.attack
     n = config.n_bits
     B = len(indices)
     bits, draws, compared = _batch_randomness(config, indices)
-    table = _transition_table(kind)
+    table = _transition_table(config.attack)
 
+    # Trial t's flat [state, q, eve, bob, charlie] index in round k: its two
+    # low bits are Bob's and Charlie's outcomes, path >> 2 is [state, q, eve].
+    path = np.empty((B, n), dtype=np.min_scalar_type(table.next_state.size - 1))
     state = np.zeros(B, dtype=np.int64)
-    bob = np.empty((B, n), dtype=np.uint8)
-    charlie = np.empty((B, n), dtype=np.uint8)
-    eve_readouts = np.empty((B, n), dtype=np.int8)
-    mismatches = np.zeros(B, dtype=np.int64)
-
     for k in range(1, n + 1):
         q = bits[:, k - 1]
+        # int64, not bool: a bool array used as an index acts as a mask.
         eve = (draws[:, k - 1, 0] >= table.eve_p0[state, q]).astype(np.int64)
         b = (draws[:, k - 1, 1] >= table.bob_p0[state, q, eve]).astype(np.int64)
         c = (draws[:, k - 1, 2] >= table.charlie_p0[state, q, eve, b]).astype(np.int64)
-        eve_readouts[:, k - 1] = table.readout[state, q, eve]
-        bob[:, k - 1] = b
-        charlie[:, k - 1] = c
-        mismatches += table.mismatch[state, q, eve, b, c] & compared[:, k - 1]
-        state = table.next_state[state, q, eve, b, c]
+        path[:, k - 1] = np.ravel_multi_index((state, q, eve, b, c), table.next_state.shape)
+        state = table.next_state.reshape(-1)[path[:, k - 1]]
         if np.any(state < 0):
             raise RuntimeError("measurement realized a zero-probability branch")
+    del draws  # the largest array; free it before the columns are gathered
 
+    transit = path >> 2
+    mismatches = (table.mismatch.reshape(-1)[path] & compared).sum(axis=1)
     ambiguous = np.zeros(B, dtype=bool)
     eve_correct = np.zeros(B, dtype=np.int64)
-    if kind is AttackKind.CNOT_ANCILLA:
-        odd_cols = np.arange(0, n, 2)
-        # Column for round 1 holds no readout; treating it as 0 makes
-        # r XOR q equal the offset q1 at every odd column uniformly.
-        r_full = np.where(eve_readouts[:, odd_cols] >= 0, eve_readouts[:, odd_cols], 0)
-        vals = r_full ^ bits[:, odd_cols]
-        announced_odd = compared[:, odd_cols]
-        has_odd = announced_odd.any(axis=1)
-        hi = np.where(announced_odd, vals, -1).max(axis=1)
-        lo = np.where(announced_odd, vals, 2).min(axis=1)
-        if np.any(has_odd & (hi != lo)):
+    if config.attack is AttackKind.CNOT_ANCILLA:
+        reveals = np.where(compared, table.reveals.reshape(-1)[transit], -1)
+        offset = reveals.max(axis=1)
+        if np.any((reveals >= 0) & (reveals != offset[:, None])):
             raise EveInferenceError("announced odd indices imply conflicting offsets")
-        ambiguous = ~has_odd
-        offset = np.where(has_odd, hi, 0)
-        q_hat = r_full ^ offset[:, None]
-        correct = (q_hat == bits[:, odd_cols]).sum(axis=1)
-        eve_correct = np.where(has_odd, correct, 0)
+        ambiguous = offset < 0
+        hits = table.hits.reshape(-1, 2)[transit, np.maximum(offset, 0)[:, None]]
+        eve_correct = np.where(ambiguous, 0, hits.sum(axis=1))
 
     return _BatchOutcome(
         bits=bits,
         compared=compared,
-        bob=bob,
-        charlie=charlie,
-        eve_readouts=eve_readouts,
+        bob=(path >> 1) & 1,
+        charlie=path & 1,
+        eve_readouts=table.readout.reshape(-1)[transit],
         mismatches=mismatches,
         detected=mismatches > 0,
         ambiguous=ambiguous,
@@ -425,10 +428,9 @@ def run_experiment(config: ExperimentConfig, on_chunk=None) -> AggregateReport:
     """Aggregate ``config.trials`` independent trials.
 
     Trials are processed by the vectorized engine in chunks of at most
-    ``_CHUNK_ROUNDS`` trial-rounds (one trial at least); because every
-    trial's randomness is derived solely from its index, the report is
-    independent of chunking and execution order, and two runs with the same
-    config are byte-identical.
+    ``_CHUNK_ROUNDS`` trial-rounds; because every trial's randomness is
+    derived solely from its index, the report is independent of chunking and
+    execution order, and two runs with the same config are byte-identical.
 
     ``on_chunk(indices, detected, mismatches, ambiguous, eve_correct,
     known_fraction)``, when given, receives each chunk's per-trial columns as
@@ -441,11 +443,9 @@ def run_experiment(config: ExperimentConfig, on_chunk=None) -> AggregateReport:
     fraction_sum = 0.0
     nonambiguous_total = 0
 
-    chunk = max(1, _CHUNK_ROUNDS // config.n_bits)
-    start = 0
-    while start < config.trials:
-        count = min(chunk, config.trials - start)
-        indices = np.arange(start, start + count)
+    chunk = _CHUNK_ROUNDS // config.n_bits
+    for start in range(0, config.trials, chunk):
+        indices = np.arange(start, min(start + chunk, config.trials))
         out = _run_batch(config, indices)
         detected_total += int(out.detected.sum())
         ambiguous_total += int(out.ambiguous.sum())
@@ -456,7 +456,6 @@ def run_experiment(config: ExperimentConfig, on_chunk=None) -> AggregateReport:
             hist[int(value)] += int(c)
         if on_chunk is not None:
             on_chunk(indices, out.detected, out.mismatches, out.ambiguous, out.eve_correct, out.known_fraction)
-        start += count
         del out  # free this chunk's arrays before the next chunk draws its own
 
     return AggregateReport(

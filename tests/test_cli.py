@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 
@@ -114,10 +115,40 @@ def test_run_csv_emits_one_row_per_trial(capsys):
     assert all(row[1] == "0" for row in rows[1:])  # never detected
 
 
+# sha256 of stdout per (attack, format, compare fraction). A change to the
+# random stream must record these again.
+RUN_DIGESTS = {
+    ("none", "json", "0.25"): "0bc4a23789568543bfc94f2ec6f8a6ecf84112f9239fc1b996ccd252771a1070",
+    ("none", "csv", "0.25"): "378d3eea0cffa784343dcfaf9ecbc2dbef6f73972cc9e0885db0ee6fcb358b40",
+    ("intercept-resend", "json", "0.25"): "0804379e9ce58b68715b48bdddc75375d2d1da0e450ec47b6ab9011146ebcfbb",
+    ("intercept-resend", "csv", "0.25"): "1c8ff4c97a68745338ce5260e4eeb29edc2f0eaaaaad6ac326a44ebd447b05ea",
+    ("cnot-ancilla", "json", "0.25"): "13963f4d375eff6f0e5a39550d48b09733b9d78469026611811d567bc4ec998f",
+    ("cnot-ancilla", "csv", "0.25"): "d34776325dd675734b68dddd9e5a5c2999905ccb7b2934e96d95d8e79cef3552",
+    ("cnot-ancilla", "csv", "1.0"): "29365e2de344f5d20f3d433e93ce90dec4bee996aa5989803c6bc5e098741af0",
+}
+
+
+@pytest.mark.parametrize("attack, fmt, fraction", list(RUN_DIGESTS))
+def test_run_output_bytes_are_pinned(capsys, attack, fmt, fraction):
+    code, out = run_cli(
+        capsys,
+        "run",
+        "--attack", attack,
+        "--format", fmt,
+        "--compare-fraction", fraction,
+        "--bits-count", "17",
+        "--trials", "300",
+        "--seed", "7",
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == RUN_DIGESTS[attack, fmt, fraction]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
         ["run", "--bits-count", "0"],
+        ["run", "--bits-count", "2097153"],
         ["run", "--trials", "0"],
         ["run", "--compare-fraction", "0"],
         ["run", "--compare-fraction", "1.2"],

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ghzqss.adversary import AttackKind
+from ghzqss.adversary import AttackKind, EveInferenceError
 from ghzqss.harness import (
     ExperimentConfig,
     _batch_randomness,
@@ -72,6 +72,7 @@ def test_fixed_bits_mode():
     "kwargs",
     [
         {"n_bits": 0},
+        {"n_bits": 2**21 + 1},
         {"n_bits": 4, "trials": 0},
         {"n_bits": 4, "compare_fraction": 0.0},
         {"n_bits": 4, "compare_fraction": 1.5},
@@ -234,6 +235,7 @@ def test_trace_snapshots_cover_every_round():
         pytest.param(5, 0.4, None, id="5-0.4"),
         pytest.param(8, 0.25, None, id="8-0.25"),
         pytest.param(17, 0.25, None, id="17-0.25"),
+        pytest.param(9, 1.0, None, id="9-1.0"),
         pytest.param(1, 1.0, "1", id="1-1.0-fixed"),
         pytest.param(5, 0.4, "10110", id="5-0.4-fixed"),
         pytest.param(17, 0.25, "01101001110010110", id="17-0.25-fixed"),
@@ -284,6 +286,22 @@ def test_batch_engine_refuses_a_branch_missing_from_the_table(monkeypatch):
     monkeypatch.setattr(harness, "_transition_table", lambda kind: holed)
     with pytest.raises(RuntimeError, match="zero-probability branch"):
         _run_batch(ExperimentConfig(n_bits=2, trials=4), np.arange(4))
+
+
+def test_batch_engine_refuses_conflicting_reveals(monkeypatch):
+    import dataclasses
+
+    import ghzqss.harness as harness
+
+    table = harness._transition_table(AttackKind.CNOT_ANCILLA)
+    # Every round reveals its own bit as the offset, so rounds sending 1 and 0 disagree.
+    conflicting = dataclasses.replace(
+        table, reveals=np.zeros_like(table.reveals) + np.arange(2, dtype=np.int8)[:, None]
+    )
+    monkeypatch.setattr(harness, "_transition_table", lambda kind: conflicting)
+    config = ExperimentConfig(n_bits=2, trials=4, attack=AttackKind.CNOT_ANCILLA, compare_fraction=1.0, bits="10")
+    with pytest.raises(EveInferenceError, match="conflicting offsets"):
+        _run_batch(config, np.arange(4))
 
 
 def test_batch_compared_subset_matches_single():
