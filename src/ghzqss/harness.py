@@ -1,13 +1,15 @@
 """Experiment orchestration: seeded trials, Monte Carlo aggregation, and the
 golden-state verifier.
 
-Determinism contract: every trial is a pure function of
-``(master_seed, trial_index)``. ``_batch_randomness`` alone draws a trial's
-randomness, from its own generator in a fixed order (data bits if random,
-then an ``(n, 3)`` matrix of measurement draws with columns
-eve/bob/charlie, then the comparison permutation), for the single-trial and
-the vectorized batch engines alike, so results are independent of execution
-order and identical between the two.
+Determinism contract (random stream v2): every trial is a pure function of
+``(master_seed mod 2^64, trial_index)``. ``seed_for_trial`` avalanches the
+pair into a trial seed ``s``; the trial's every random word is then a
+counter-based hash of ``(s, round k, column c)``, the SplitMix64 output
+``avalanche(s + (5k + c) * 0x9E3779B97F4A7C15)``, with columns 0 data bit,
+1 Eve's draw, 2 Bob's, 3 Charlie's and 4 the round's comparison key.
+``_round_randomness`` and ``_batch_randomness`` are the only readers of the
+stream, for the single-trial and the vectorized batch engines alike, so
+results are independent of execution order and identical between the two.
 
 ``run_experiment`` keeps only running totals: per-trial results leave each
 chunk through its ``on_chunk`` callback, so its memory is bounded by the
@@ -65,18 +67,48 @@ _MASK64 = (1 << 64) - 1
 #: Trial-rounds per batch-engine chunk (``_CHUNK_ROUNDS // n_bits`` trials),
 #: and the largest ``n_bits`` a config accepts, so a chunk holds one trial.
 _CHUNK_ROUNDS = 2**21
+#: The low bits of a comparison key, which hold the round index k - 1; wide
+#: enough for every ``n_bits`` up to ``2**21``.
+_KEY_ROUND_BITS = np.uint64(2**21 - 1)
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+#: Columns of the random stream, per round.
+_BIT, _EVE, _BOB, _CHARLIE, _KEY = range(5)
 
 
-def seed_for_trial(master_seed: int, trial_index: int) -> int:
+def _avalanche(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's finalizer, in place on a fresh 1-d or wider uint64 array
+    (uint64 array arithmetic wraps mod 2^64 without a warning)."""
+    z ^= z >> np.uint64(30)
+    z *= _MIX1
+    z ^= z >> np.uint64(27)
+    z *= _MIX2
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def seed_for_trial(master_seed, trial_index):
     """Per-trial seed via a SplitMix64 avalanche of (master_seed, trial_index).
 
-    The mixing is pure integer arithmetic, so reports are reproducible across
-    platforms and thread schedules.
+    Broadcasts over arrays of indices (and of uint64 masters); a scalar call
+    returns a scalar. ``master_seed`` is reduced mod 2^64 first, so -1 and
+    2^64 - 1 name the same stream. The mixing is pure integer arithmetic, so
+    reports are reproducible across platforms and thread schedules.
     """
-    z = (master_seed + (trial_index + 1) * 0x9E3779B97F4A7C15) & _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return (z ^ (z >> 31)) & _MASK64
+    master, index = np.broadcast_arrays(
+        np.asarray(master_seed & _MASK64, dtype=np.uint64), np.asarray(trial_index, dtype=np.uint64)
+    )
+    z = master.ravel() + (index.ravel() + np.uint64(1)) * _GAMMA
+    return _avalanche(z).reshape(master.shape)[()]
+
+
+def _stream(seeds: np.ndarray, k, column) -> np.ndarray:
+    """The stream's word for (trial seed, round ``k``, ``column``): output
+    5k + column of a SplitMix64 generator seeded with the trial seed.
+    Broadcasts over all three arguments."""
+    counter = np.asarray(5 * k + column, dtype=np.uint64)
+    return _avalanche(seeds + counter * _GAMMA)
 
 
 @dataclass(frozen=True)
@@ -166,33 +198,32 @@ def run_trial(config: ExperimentConfig, trial_index: int = 0, observer=None) -> 
     ``observer(round, stage, state)``, when given, is invoked at every
     protocol stage; it is the only way to watch a trial.
     """
-    bits, draws, compared = (a[0] for a in _batch_randomness(config, np.array([trial_index])))
-    bits = tuple(int(b) for b in bits)
-    subset = tuple(int(j) + 1 for j in np.flatnonzero(compared))
+    seeds, compared = _batch_randomness(config, np.array([trial_index]))
+    subset = tuple(int(j) + 1 for j in np.flatnonzero(compared[0]))
     kind = config.attack
     emit = observer or (lambda k, stage, state: None)
     carrier = init_carrier(with_adversary_ancilla=kind is AttackKind.CNOT_ANCILLA)
     emit(0, "initial carrier", carrier)
     record = EveRecord()
     transcript: list[RoundRecord] = []
+    bits: list[int] = []
 
     for k in range(1, config.n_bits + 1):
         parity = round_parity(k)
-        q = bits[k - 1]
+        q, *draws = (a[0].item() for a in _round_randomness(config, seeds, k))
+        bits.append(q)
         joint = tensor(carrier, encode_pair(q, parity))
         emit(k, "carrier+pair prepared", joint)
         joint = alice_entangle(joint, parity)
         emit(k, "after Alice CNOTs", joint)
         eve_observer = (lambda stage, state, _k=k: observer(_k, stage, state)) if observer else None
         joint, record = eve_on_transit(
-            kind, k, joint, record, draw=float(draws[k - 1, 0]), observer=eve_observer
+            kind, k, joint, record, draw=draws[0], observer=eve_observer
         )
         joint = bob_disentangle(joint)
         joint = charlie_disentangle(joint)
         emit(k, "after Bob/Charlie disentangling CNOTs", joint)
-        rec, joint = receive_and_reconstruct(
-            joint, k, q, (float(draws[k - 1, 1]), float(draws[k - 1, 2]))
-        )
+        rec, joint = receive_and_reconstruct(joint, k, q, (draws[1], draws[2]))
         transcript.append(rec)
         emit(k, "after Bob/Charlie measurements", joint)
         joint = discard_qubit(joint, "S1", rec.bob_outcome)
@@ -209,7 +240,7 @@ def run_trial(config: ExperimentConfig, trial_index: int = 0, observer=None) -> 
         correct = sum(1 for j, b in record.inferred_bits.items() if bits[j - 1] == b)
     return TrialResult(
         trial_index=trial_index,
-        bits=bits,
+        bits=tuple(bits),
         transcript=transcript,
         detection=detection,
         eve=record,
@@ -229,8 +260,8 @@ def run_trial(config: ExperimentConfig, trial_index: int = 0, observer=None) -> 
 # mismatch and Eve's inference from the reference rules. A chunk of trials
 # steps through the table by integer gathers and ``draw >= p0``, then gathers
 # every per-trial column along each trial's path. It consumes run_trial's
-# randomness, from the same _batch_randomness, so outcomes match run_trial
-# trial for trial (asserted by the test suite).
+# randomness, from the same _batch_randomness and _round_randomness, so
+# outcomes match run_trial trial for trial (asserted by the test suite).
 # ---------------------------------------------------------------------------
 
 
@@ -338,46 +369,49 @@ def _transition_table(kind: AttackKind) -> _TransitionTable:
 
 @dataclass
 class _BatchOutcome:
-    bits: np.ndarray          # (B, n) uint8 data bits
+    path: np.ndarray          # (B, n) flat [state, q, eve, bob, charlie] table index per round
     compared: np.ndarray      # (B, n) bool, comparison subset membership
-    bob: np.ndarray           # (B, n) outcomes
-    charlie: np.ndarray       # (B, n) outcomes
-    eve_readouts: np.ndarray  # (B, n) int8 r_k, -1 where absent
     mismatches: np.ndarray    # (B,) counted within the compared subset
     detected: np.ndarray      # (B,) bool
     ambiguous: np.ndarray     # (B,) bool
     eve_correct: np.ndarray   # (B,)
     known_fraction: np.ndarray  # (B,)
-    final_state: np.ndarray     # (B,) state ids; the table's carriers hold their amplitudes
 
 
 def _batch_randomness(config: ExperimentConfig, indices: np.ndarray):
-    """Pre-draw all randomness the trials at ``indices`` consume, each from
-    its own generator in the documented order: (B, n) bits, (B, n, 3)
-    eve/bob/charlie draws and the (B, n) comparison subset mask."""
+    """The trials' seeds (B,) and (B, n) comparison subset masks.
+
+    A trial compares the ``compare_count`` rounds with the smallest keys. A
+    round's key is its column-4 word with the low bits replaced by k - 1, so
+    keys are distinct and a tie of the high bits goes to the earlier round.
+    """
     n = config.n_bits
     m = config.compare_count
-    B = len(indices)
-    bits = np.empty((B, n), dtype=np.uint8)
-    draws = np.empty((B, n, 3), dtype=np.float64)
-    compared = np.zeros((B, n), dtype=bool)
-    fixed = None if config.bits is None else np.array([int(c) for c in config.bits], dtype=np.uint8)
-    for row, t in enumerate(indices):
-        rng = np.random.default_rng(seed_for_trial(config.master_seed, int(t)))
-        if fixed is None:
-            bits[row] = rng.integers(0, 2, size=n)
-        else:
-            bits[row] = fixed
-        draws[row] = rng.random((n, 3))
-        perm = rng.permutation(n)
-        compared[row, perm[:m]] = True
-    return bits, draws, compared
+    seeds = seed_for_trial(config.master_seed, indices)
+    rounds = np.arange(1, n + 1, dtype=np.uint64)
+    keys = _stream(seeds[:, None], rounds, _KEY)
+    keys &= ~_KEY_ROUND_BITS
+    keys |= rounds - np.uint64(1)
+    return seeds, keys <= np.partition(keys, m - 1, axis=1)[:, m - 1 : m]
+
+
+def _round_randomness(config: ExperimentConfig, seeds: np.ndarray, k: int):
+    """Round ``k``'s data bits (int64, top bit of column 0 unless the config
+    fixes them) and Eve's, Bob's and Charlie's measurement draws (float64 in
+    [0, 1), the top 53 bits of columns 1-3) for the trials with ``seeds``."""
+    words = _stream(seeds, k, np.arange(_BIT, _KEY)[:, None])
+    if config.bits is None:
+        q = (words[_BIT] >> np.uint64(63)).astype(np.int64)
+    else:
+        q = np.full(len(seeds), int(config.bits[k - 1]), dtype=np.int64)
+    eve, bob, charlie = (words[_EVE:_KEY] >> np.uint64(11)) * 2.0**-53
+    return q, eve, bob, charlie
 
 
 def _run_batch(config: ExperimentConfig, indices: np.ndarray) -> _BatchOutcome:
     n = config.n_bits
     B = len(indices)
-    bits, draws, compared = _batch_randomness(config, indices)
+    seeds, compared = _batch_randomness(config, indices)
     table = _transition_table(config.attack)
 
     # Trial t's flat [state, q, eve, bob, charlie] index in round k: its two
@@ -385,16 +419,15 @@ def _run_batch(config: ExperimentConfig, indices: np.ndarray) -> _BatchOutcome:
     path = np.empty((B, n), dtype=np.min_scalar_type(table.next_state.size - 1))
     state = np.zeros(B, dtype=np.int64)
     for k in range(1, n + 1):
-        q = bits[:, k - 1]
+        q, eve_draw, bob_draw, charlie_draw = _round_randomness(config, seeds, k)
         # int64, not bool: a bool array used as an index acts as a mask.
-        eve = (draws[:, k - 1, 0] >= table.eve_p0[state, q]).astype(np.int64)
-        b = (draws[:, k - 1, 1] >= table.bob_p0[state, q, eve]).astype(np.int64)
-        c = (draws[:, k - 1, 2] >= table.charlie_p0[state, q, eve, b]).astype(np.int64)
+        eve = (eve_draw >= table.eve_p0[state, q]).astype(np.int64)
+        b = (bob_draw >= table.bob_p0[state, q, eve]).astype(np.int64)
+        c = (charlie_draw >= table.charlie_p0[state, q, eve, b]).astype(np.int64)
         path[:, k - 1] = np.ravel_multi_index((state, q, eve, b, c), table.next_state.shape)
         state = table.next_state.reshape(-1)[path[:, k - 1]]
         if np.any(state < 0):
             raise RuntimeError("measurement realized a zero-probability branch")
-    del draws  # the largest array; free it before the columns are gathered
 
     transit = path >> 2
     mismatches = (table.mismatch.reshape(-1)[path] & compared).sum(axis=1)
@@ -410,17 +443,13 @@ def _run_batch(config: ExperimentConfig, indices: np.ndarray) -> _BatchOutcome:
         eve_correct = np.where(ambiguous, 0, hits.sum(axis=1))
 
     return _BatchOutcome(
-        bits=bits,
+        path=path,
         compared=compared,
-        bob=(path >> 1) & 1,
-        charlie=path & 1,
-        eve_readouts=table.readout.reshape(-1)[transit],
         mismatches=mismatches,
         detected=mismatches > 0,
         ambiguous=ambiguous,
         eve_correct=eve_correct,
         known_fraction=eve_correct / float(n),
-        final_state=state,
     )
 
 

@@ -40,7 +40,7 @@ from ghzqss.statevector import (
     tensor,
 )
 
-from _util import random_state, run_with_rows
+from _util import path_columns, random_state, run_with_rows
 from oracles import (
     all_even_subset_probability,
     intercept_resend_detection_probability,
@@ -198,7 +198,7 @@ def test_criterion_3_half_the_bits(attack_run_32):
             n_bits=n, trials=2048, attack=AttackKind.CNOT_ANCILLA,
             compare_fraction=0.25, master_seed=97 + n,
         )
-        out = _run_batch(config, np.arange(config.trials))
+        out = path_columns(_run_batch(config, np.arange(config.trials)).path, config.attack)
         for k in range(3, n + 1, 2):
             r = out.eve_readouts[:, k - 1]
             assert np.all(r >= 0)

@@ -115,15 +115,16 @@ def test_run_csv_emits_one_row_per_trial(capsys):
     assert all(row[1] == "0" for row in rows[1:])  # never detected
 
 
-# sha256 of stdout per (attack, format, compare fraction). A change to the
-# random stream must record these again.
+# sha256 of stdout per (attack, format, compare fraction), on random stream
+# v2. A change to the random stream, or to the version in the JSON, must
+# record these again.
 RUN_DIGESTS = {
-    ("none", "json", "0.25"): "0bc4a23789568543bfc94f2ec6f8a6ecf84112f9239fc1b996ccd252771a1070",
+    ("none", "json", "0.25"): "2dcd96a9f5acd3b9a25ce8ee94e1db310095e57864d7573f7e0713f731fc20c7",
     ("none", "csv", "0.25"): "378d3eea0cffa784343dcfaf9ecbc2dbef6f73972cc9e0885db0ee6fcb358b40",
-    ("intercept-resend", "json", "0.25"): "0804379e9ce58b68715b48bdddc75375d2d1da0e450ec47b6ab9011146ebcfbb",
-    ("intercept-resend", "csv", "0.25"): "1c8ff4c97a68745338ce5260e4eeb29edc2f0eaaaaad6ac326a44ebd447b05ea",
-    ("cnot-ancilla", "json", "0.25"): "13963f4d375eff6f0e5a39550d48b09733b9d78469026611811d567bc4ec998f",
-    ("cnot-ancilla", "csv", "0.25"): "d34776325dd675734b68dddd9e5a5c2999905ccb7b2934e96d95d8e79cef3552",
+    ("intercept-resend", "json", "0.25"): "86fa328a838196efad65d0cb413a6c3e7f7743654c0144ce7696a8aed557e038",
+    ("intercept-resend", "csv", "0.25"): "08b654aaba97ae6eb12ace69c1f00fc0fbdf4ee61f7a44679843edb779e45fc0",
+    ("cnot-ancilla", "json", "0.25"): "d810edafa119eedc51fc5f0e70bf941b16f891548d93010dd1108f90db68a014",
+    ("cnot-ancilla", "csv", "0.25"): "77f7af58abe0f217c53704dc8f346ab30d63bd802a19dada68a5bf2bdad4f385",
     ("cnot-ancilla", "csv", "1.0"): "29365e2de344f5d20f3d433e93ce90dec4bee996aa5989803c6bc5e098741af0",
 }
 
@@ -142,6 +143,16 @@ def test_run_output_bytes_are_pinned(capsys, attack, fmt, fraction):
     )
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == RUN_DIGESTS[attack, fmt, fraction]
+
+
+@pytest.mark.parametrize("seed, same_seed", [("-1", "18446744073709551615"), ("5", "18446744073709551621")])
+def test_run_seeds_equal_mod_2_64_give_the_same_rows(capsys, seed, same_seed):
+    outputs = []
+    for s in (seed, same_seed):
+        code, out = run_cli(capsys, "run", "--format", "csv", "--bits-count", "9", "--trials", "40", "--seed", s)
+        assert code == 0
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize(

@@ -9,6 +9,7 @@ from ghzqss.adversary import AttackKind, EveInferenceError
 from ghzqss.harness import (
     ExperimentConfig,
     _batch_randomness,
+    _round_randomness,
     _run_batch,
     _transition_table,
     aggregate_report_dict,
@@ -25,7 +26,7 @@ from ghzqss.statevector import (
     marginal_probabilities,
 )
 
-from _util import ROW_COLUMNS, run_with_rows
+from _util import ROW_COLUMNS, path_columns, run_with_rows
 
 LAB4 = ("A", "B", "C", "E")
 
@@ -44,19 +45,60 @@ def test_seed_for_trial_varies_with_index_and_master():
 
 
 def test_seed_for_trial_no_collisions_across_masters():
-    seeds = {seed_for_trial(master, 0) for master in range(1_000_000)}
+    seeds = set(seed_for_trial(np.arange(1_000_000, dtype=np.uint64), 0).tolist())
     assert len(seeds) == 1_000_000
+
+
+def _splitmix64_seed(master: int, trial_index: int) -> int:
+    """The per-trial seed in Python integers, as the reference for the vectorised one."""
+    mask = (1 << 64) - 1
+    z = (master + (trial_index + 1) * 0x9E3779B97F4A7C15) & mask
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+    return z ^ (z >> 31)
+
+
+@pytest.mark.parametrize("master", [0, 7, -1, 2**64 + 5, 2**70])
+def test_seed_for_trial_vectorised_matches_the_integer_formula(master):
+    indices = [0, 1, 2**40, 2**63]
+    expected = [_splitmix64_seed(master, t) for t in indices]
+    assert seed_for_trial(master, np.array(indices, dtype=np.uint64)).tolist() == expected
+    assert [int(seed_for_trial(master, t)) for t in indices] == expected
+
+
+def _trial_randomness(config, indices):
+    seeds, compared = _batch_randomness(config, indices)
+    rounds = [_round_randomness(config, seeds, k) for k in range(1, config.n_bits + 1)]
+    bits = np.stack([q for q, *_ in rounds], axis=1)
+    draws = np.stack([np.stack(draws, axis=1) for _, *draws in rounds], axis=1)
+    return bits, draws, compared
 
 
 def test_trial_randomness_is_stable_and_sized():
     config = ExperimentConfig(n_bits=9, trials=1, compare_fraction=0.3, master_seed=5)
-    bits, draws, compared = _batch_randomness(config, np.array([4]))
-    bits2, draws2, compared2 = _batch_randomness(config, np.array([4]))
+    bits, draws, compared = _trial_randomness(config, np.array([4]))
+    bits2, draws2, compared2 = _trial_randomness(config, np.array([4]))
     assert np.array_equal(bits, bits2) and np.array_equal(compared, compared2)
     assert np.array_equal(draws, draws2)
     assert bits.shape == (1, 9) and draws.shape == (1, 9, 3) and compared.shape == (1, 9)
     assert set(np.unique(bits)) <= {0, 1}
     assert compared.sum() == config.compare_count == 3
+
+
+@pytest.mark.parametrize("fraction", [0.1, 0.9, 1.0])  # m = 1, n - 1 and n at n = 10
+def test_every_trial_compares_exactly_compare_count_rounds(fraction):
+    config = ExperimentConfig(n_bits=10, trials=500, compare_fraction=fraction, master_seed=3)
+    _, compared = _batch_randomness(config, np.arange(config.trials))
+    assert np.all(compared.sum(axis=1) == config.compare_count)
+
+
+def test_compared_positions_are_uniform():
+    config = ExperimentConfig(n_bits=8, trials=20_000, compare_fraction=3 / 8, master_seed=11)
+    assert config.compare_count == 3
+    _, compared = _batch_randomness(config, np.arange(config.trials))
+    p = 3 / 8
+    band = 5.0 * math.sqrt(p * (1 - p) / config.trials)
+    assert np.all(np.abs(compared.mean(axis=0) - p) <= band)
 
 
 def test_fixed_bits_mode():
@@ -246,22 +288,23 @@ def test_batch_engine_matches_single_trials(attack, n_bits, fraction, bits):
         n_bits=n_bits, trials=24, attack=attack, compare_fraction=fraction, master_seed=77, bits=bits
     )
     out = _run_batch(config, np.arange(24))
+    columns = path_columns(out.path, attack)
     for t in range(24):
         single = run_trial(config, t)
-        assert tuple(out.bits[t]) == single.bits
+        assert tuple(columns.bits[t]) == single.bits
         for k, rec in enumerate(single.transcript):
-            assert out.bob[t, k] == rec.bob_outcome
-            assert out.charlie[t, k] == rec.charlie_outcome
+            assert columns.bob[t, k] == rec.bob_outcome
+            assert columns.charlie[t, k] == rec.charlie_outcome
         assert bool(out.detected[t]) == single.detection.detected
         assert int(out.mismatches[t]) == single.detection.mismatches
         assert bool(out.ambiguous[t]) == single.eve.ambiguous
         assert int(out.eve_correct[t]) == single.eve_correct_bits
         assert float(out.known_fraction[t]) == pytest.approx(single.eve_known_fraction)
-        final_carrier = _transition_table(attack).carriers[out.final_state[t]]
+        final_carrier = _transition_table(attack).carriers[columns.final_state[t]]
         assert np.max(np.abs(final_carrier - single.final_carrier.amplitudes)) <= 1e-12
         if attack is AttackKind.CNOT_ANCILLA:
             for k, r in single.eve.measured.items():
-                assert out.eve_readouts[t, k - 1] == r
+                assert columns.eve_readouts[t, k - 1] == r
 
 
 def test_transition_table_is_built_on_first_use_once_per_attack():
