@@ -57,9 +57,7 @@ from .statevector import (
     discard_qubit,
     from_terms,
     max_abs_difference,
-    measure_z,
     measurement_log,
-    probability_of_zero,
     tensor,
 )
 
@@ -185,15 +183,45 @@ class AggregateReport:
     mismatch_histogram: dict[int, int]
 
 
-def run_trial(config: ExperimentConfig, trial_index: int = 0, observer=None) -> TrialResult:
-    """Run one full protocol trial.
+def _silent(k, stage, state) -> None:
+    pass
 
-    Per round: encode the pair, Alice entangles, the adversary acts on the
-    in-transit S1, Bob and Charlie disentangle and measure, the measured pair
-    is discarded, and everyone applies their round-end Hadamard. After all
-    rounds the public comparison runs on the trial's random subset and, for
-    the CNOT-ancilla attack, Eve post-processes her readouts against the
-    announced bits.
+
+def _transit(kind: AttackKind, k: int, carrier: StateVector, q: int, record: EveRecord, draws, emit):
+    """First half of round ``k``: the pair encoding ``q`` is prepared, Alice
+    entangles, the adversary acts on the in-transit S1 (measuring with
+    ``draws[0]``, if at all), and Bob and Charlie disentangle. Returns the
+    joint state and ``record``, which ``eve_on_transit`` updates in place.
+    ``emit(k, stage, state)`` is invoked at every protocol stage."""
+    parity = round_parity(k)
+    joint = tensor(carrier, encode_pair(q, parity))
+    emit(k, "carrier+pair prepared", joint)
+    joint = alice_entangle(joint, parity)
+    emit(k, "after Alice CNOTs", joint)
+    joint, record = eve_on_transit(kind, k, joint, record, draws[0], lambda stage, state: emit(k, stage, state))
+    joint = charlie_disentangle(bob_disentangle(joint))
+    emit(k, "after Bob/Charlie disentangling CNOTs", joint)
+    return joint, record
+
+
+def _receive(kind: AttackKind, k: int, joint: StateVector, q: int, draws, emit):
+    """Second half of round ``k``: Bob and Charlie measure with ``draws``
+    and the round record is reconstructed, the pair is discarded, and
+    everyone applies their round-end Hadamard, Eve through her end-of-round
+    hook. Returns the record and the carrier the next round starts from."""
+    rec, joint = receive_and_reconstruct(joint, k, q, draws)
+    emit(k, "after Bob/Charlie measurements", joint)
+    carrier = discard_qubit(discard_qubit(joint, "S1", rec.bob_outcome), "S2", rec.charlie_outcome)
+    carrier = eve_end_round(kind, end_round_hadamards(carrier))
+    emit(k, "after round-end Hadamards", carrier)
+    return rec, carrier
+
+
+def run_trial(config: ExperimentConfig, trial_index: int = 0, observer=None) -> TrialResult:
+    """Run one full protocol trial: every round plays ``_transit`` then
+    ``_receive``. After all rounds the public comparison runs on the trial's
+    random subset and, for the CNOT-ancilla attack, Eve post-processes her
+    readouts against the announced bits.
 
     ``observer(round, stage, state)``, when given, is invoked at every
     protocol stage; it is the only way to watch a trial.
@@ -201,7 +229,7 @@ def run_trial(config: ExperimentConfig, trial_index: int = 0, observer=None) -> 
     seeds, compared = _batch_randomness(config, np.array([trial_index]))
     subset = tuple(int(j) + 1 for j in np.flatnonzero(compared[0]))
     kind = config.attack
-    emit = observer or (lambda k, stage, state: None)
+    emit = observer or _silent
     carrier = init_carrier(with_adversary_ancilla=kind is AttackKind.CNOT_ANCILLA)
     emit(0, "initial carrier", carrier)
     record = EveRecord()
@@ -209,28 +237,11 @@ def run_trial(config: ExperimentConfig, trial_index: int = 0, observer=None) -> 
     bits: list[int] = []
 
     for k in range(1, config.n_bits + 1):
-        parity = round_parity(k)
-        q, *draws = (a[0].item() for a in _round_randomness(config, seeds, k))
+        q, eve, bob, charlie = (a[0].item() for a in _round_randomness(config, seeds, k))
         bits.append(q)
-        joint = tensor(carrier, encode_pair(q, parity))
-        emit(k, "carrier+pair prepared", joint)
-        joint = alice_entangle(joint, parity)
-        emit(k, "after Alice CNOTs", joint)
-        eve_observer = (lambda stage, state, _k=k: observer(_k, stage, state)) if observer else None
-        joint, record = eve_on_transit(
-            kind, k, joint, record, draw=draws[0], observer=eve_observer
-        )
-        joint = bob_disentangle(joint)
-        joint = charlie_disentangle(joint)
-        emit(k, "after Bob/Charlie disentangling CNOTs", joint)
-        rec, joint = receive_and_reconstruct(joint, k, q, (draws[1], draws[2]))
+        joint, record = _transit(kind, k, carrier, q, record, (eve,), emit)
+        rec, carrier = _receive(kind, k, joint, q, (bob, charlie), emit)
         transcript.append(rec)
-        emit(k, "after Bob/Charlie measurements", joint)
-        joint = discard_qubit(joint, "S1", rec.bob_outcome)
-        carrier = discard_qubit(joint, "S2", rec.charlie_outcome)
-        carrier = end_round_hadamards(carrier)
-        carrier = eve_end_round(kind, carrier)
-        emit(k, "after round-end Hadamards", carrier)
 
     detection = public_comparison(transcript, bits, subset)
     if kind is AttackKind.CNOT_ANCILLA:
@@ -254,14 +265,15 @@ def run_trial(config: ExperimentConfig, trial_index: int = 0, observer=None) -> 
 # Vectorized batch engine. Every gate is Clifford and every prepared state is
 # a stabilizer state, so a run only ever visits a handful of distinct states,
 # a state being a carrier plus the phase of the round it enters.
-# _transition_table finds them by playing the reference round (the protocol,
-# adversary and statevector ops run_trial calls) from every reachable state,
-# for each data bit and each earlier outcome, and reads each transition's
-# mismatch and Eve's inference from the reference rules. A chunk of trials
-# steps through the table by integer gathers and ``draw >= p0``, then gathers
-# every per-trial column along each trial's path. It consumes run_trial's
-# randomness, from the same _batch_randomness and _round_randomness, so
-# outcomes match run_trial trial for trial (asserted by the test suite).
+# _transition_table finds them by playing the two round halves run_trial
+# plays, _transit and _receive, from every reachable state, for each data bit
+# and along every measurement branch, learning each P(0) only through
+# measurement_log; it reads each transition's mismatch and Eve's inference
+# from the reference rules. A chunk of trials steps through the table by
+# integer gathers and ``draw >= p0``, then gathers every per-trial column
+# along each trial's path. It consumes run_trial's randomness, from the same
+# _batch_randomness and _round_randomness, so outcomes match run_trial trial
+# for trial (asserted by the test suite).
 # ---------------------------------------------------------------------------
 
 
@@ -284,10 +296,33 @@ class _TransitionTable:
     carriers: np.ndarray    # (S, carrier dim) amplitudes of each state's carrier
 
 
-def _branches(p0: float):
-    """(outcome, draw realizing it) for each outcome the measurement guard
-    allows at Born P(0) = ``p0``."""
-    return [(o, d) for o, d, p in ((0, 0.0, p0), (1, p0, 1.0 - p0)) if p >= MIN_BRANCH_PROBABILITY]
+def _leaves(play, width: int) -> list:
+    """Every branch of the half round ``play(draws)``, which takes one draw
+    per measurement it makes, as (outcomes, P(0)s, result) in outcome order;
+    a measurement that is not made reads as outcome 0 at P(0) = inf.
+
+    ``play`` runs with the draws fixed so far padded by 0.5, which realizes
+    one branch of the rest, and the P(0)s come from ``measurement_log``. It
+    runs again only for each sibling outcome the measurement guard allows,
+    so every run yields one leaf."""
+
+    def played(draws):
+        draws += (0.5,) * (width - len(draws))
+        with measurement_log() as p0s:
+            result = play(draws)
+        return draws, tuple(p0s) + (math.inf,) * (width - len(p0s)), result
+
+    def expand(draws, p0s, result, i):
+        if i == width:
+            return [(tuple(int(d >= p0) for d, p0 in zip(draws, p0s)), p0s, result)]
+        leaves = []
+        for outcome, draw, p in ((0, 0.0, p0s[i]), (1, p0s[i], 1.0 - p0s[i])):
+            if p >= MIN_BRANCH_PROBABILITY:
+                branch = (draws, p0s, result) if int(draws[i] >= p0s[i]) == outcome else played(draws[:i] + (draw,))
+                leaves += expand(*branch, i + 1)
+        return leaves
+
+    return expand(*played(()), 0)
 
 
 @functools.cache
@@ -313,17 +348,12 @@ def _transition_table(kind: AttackKind) -> _TransitionTable:
 
     # The loop also visits the states state_id appends while it runs.
     for s, (start, k) in enumerate(states):
-        parity = round_parity(k)
         following = 2 if k % 2 else 3
         for q in (0, 1):
-            joint = alice_entangle(tensor(start, encode_pair(q, parity)), parity)
-            # Dry run that only reads the P(0) Eve measures with, if she
-            # measures at all; a draw of 0.5 never lands in a refused branch.
-            with measurement_log() as eve_log:
-                eve_on_transit(kind, k, joint, EveRecord(), draw=0.5)
-            eve_p0 = eve_p0s[s, q] = eve_log[0] if eve_log else math.inf
-            for e, eve_draw in _branches(eve_p0):
-                after_eve, record = eve_on_transit(kind, k, joint, EveRecord(), draw=eve_draw)
+            # Every play gets a fresh record: eve_on_transit updates it in place.
+            transit = lambda draws: _transit(kind, k, start, q, EveRecord(), draws, _silent)
+            for (e,), (eve_p0,), (joint, record) in _leaves(transit, 1):
+                eve_p0s[s, q] = eve_p0
                 readouts[s, q, e] = record.measured.get(k, -1)
                 if kind is AttackKind.CNOT_ANCILLA:
                     offset = eve_postprocess(record, {k: q}).inferred_offset
@@ -331,19 +361,12 @@ def _transition_table(kind: AttackKind) -> _TransitionTable:
                     for o in (0, 1):
                         # Announcing round 1 as o is how the reference fixes the offset to o.
                         hits[s, q, e, o] = eve_postprocess(record, {1: o}).inferred_bits.get(k) == q
-                received = charlie_disentangle(bob_disentangle(after_eve))
-                bob_p0 = bob_p0s[s, q, e] = probability_of_zero(received, "S1")
-                for b, bob_draw in _branches(bob_p0):
-                    _, after_bob, _ = measure_z(received, "S1", bob_draw)
-                    charlie_p0 = charlie_p0s[s, q, e, b] = probability_of_zero(after_bob, "S2")
-                    for c, charlie_draw in _branches(charlie_p0):
-                        _, after_charlie, _ = measure_z(after_bob, "S2", charlie_draw)
-                        mismatches[s, q, e, b, c] = public_comparison(
-                            [RoundRecord.from_outcomes(k, q, b, c)], [q], [1]
-                        ).detected
-                        carrier = discard_qubit(discard_qubit(after_charlie, "S1", b), "S2", c)
-                        carrier = eve_end_round(kind, end_round_hadamards(carrier))
-                        next_states[s, q, e, b, c] = state_id(carrier, following)
+                receive = lambda draws: _receive(kind, k, joint, q, draws, _silent)
+                for (b, c), (bob_p0, charlie_p0), (rec, carrier) in _leaves(receive, 2):
+                    bob_p0s[s, q, e] = bob_p0
+                    charlie_p0s[s, q, e, b] = charlie_p0
+                    mismatches[s, q, e, b, c] = public_comparison([rec], [q], [1]).detected
+                    next_states[s, q, e, b, c] = state_id(carrier, following)
 
     def dense(cells: dict, depth: int, fill) -> np.ndarray:
         arr = np.full((len(states),) + (2,) * depth, fill)

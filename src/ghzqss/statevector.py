@@ -95,12 +95,6 @@ class MeasurementRecord:
     probability: float
 
 
-def _check_finite(state: StateVector) -> StateVector:
-    if not np.isfinite(state.amplitudes).all():
-        raise RuntimeError("non-finite amplitude after operation")
-    return state
-
-
 def new_basis_state(labels, bits: str) -> StateVector:
     """Computational basis state |bits> over ``labels`` (msb-first)."""
     labels = tuple(labels)
@@ -153,7 +147,7 @@ def apply_h(state: StateVector, q: str) -> StateVector:
     out = np.empty_like(view)
     out[:, 0, :] = (view[:, 0, :] + view[:, 1, :]) * INV_SQRT2
     out[:, 1, :] = (view[:, 0, :] - view[:, 1, :]) * INV_SQRT2
-    return _check_finite(StateVector(state.labels, out.reshape(-1)))
+    return StateVector(state.labels, out.reshape(-1))
 
 
 def apply_x(state: StateVector, q: str) -> StateVector:
@@ -162,7 +156,7 @@ def apply_x(state: StateVector, q: str) -> StateVector:
     out = np.empty_like(view)
     out[:, 0, :] = view[:, 1, :]
     out[:, 1, :] = view[:, 0, :]
-    return _check_finite(StateVector(state.labels, out.reshape(-1)))
+    return StateVector(state.labels, out.reshape(-1))
 
 
 def apply_cnot(state: StateVector, control: str, target: str) -> StateVector:
@@ -174,7 +168,7 @@ def apply_cnot(state: StateVector, control: str, target: str) -> StateVector:
     tbit = 1 << (n - 1 - state.axis(target))
     idx = np.arange(state.dim)
     src = np.where(idx & cbit, idx ^ tbit, idx)
-    return _check_finite(StateVector(state.labels, state.amplitudes[src]))
+    return StateVector(state.labels, state.amplitudes[src])
 
 
 def probability_of_zero(state: StateVector, q: str) -> float:
@@ -204,8 +198,7 @@ def measure_z(state: StateVector, q: str, draw: float) -> tuple[int, StateVector
     view = _split_view(state, q)
     out = np.zeros_like(view)
     out[:, outcome, :] = view[:, outcome, :] / np.sqrt(p_out)
-    collapsed = StateVector(state.labels, out.reshape(-1))
-    return outcome, _check_finite(collapsed), MeasurementRecord(q, outcome, p_out)
+    return outcome, StateVector(state.labels, out.reshape(-1)), MeasurementRecord(q, outcome, p_out)
 
 
 @contextmanager

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import json
 import math
 
@@ -317,6 +319,54 @@ def test_transition_table_is_built_on_first_use_once_per_attack():
         run_experiment(config)
     info = harness._transition_table.cache_info()
     assert info.misses == info.currsize == len(AttackKind)
+
+
+# State count and sha256 of each table's integer and boolean columns plus
+# the nan/inf masks of its P(0) columns; a renumbered state changes
+# ``next_state`` and so the digest.
+TABLE_DIGESTS = {
+    AttackKind.NO_ATTACK: (3, "129e9ffe4647a2f1f5345b7f3905a4af04df19a5326a6bd8d8319207775964d1"),
+    AttackKind.INTERCEPT_RESEND: (17, "bb18d8ccd420365c1f884ad47c526f5d5a3a14f2d1c33d8c63440bd49430873f"),
+    AttackKind.CNOT_ANCILLA: (5, "919b7aa1f6c257d6531a6d131e80e9af7882b3fd466750b104fb7b48e0cf9616"),
+}
+
+
+@pytest.mark.parametrize("attack", list(AttackKind))
+def test_transition_tables_are_pinned(attack):
+    table = _transition_table(attack)
+    p0s = (table.eve_p0, table.bob_p0, table.charlie_p0)
+    columns = [table.next_state, table.readout, table.reveals, table.hits, table.mismatch]
+    columns += [mask(p0) for p0 in p0s for mask in (np.isnan, np.isinf)]
+    digest = hashlib.sha256()
+    for column in columns:
+        digest.update(f"{column.dtype.str}{column.shape}".encode())
+        digest.update(np.ascontiguousarray(column).tobytes())
+    assert (len(table.carriers), digest.hexdigest()) == TABLE_DIGESTS[attack]
+    finite = np.concatenate([p0[np.isfinite(p0)] for p0 in p0s])
+    assert np.all(np.min(np.abs(finite[:, None] - np.array([0.0, 0.5, 1.0])), axis=1) <= 1e-12)
+
+
+def test_a_changed_round_op_reaches_both_engines(monkeypatch):
+    import ghzqss.harness as harness
+
+    reference = harness.receive_and_reconstruct
+
+    def charlie_alone_on_even_rounds(joint, k, sent, draws):
+        rec, joint = reference(joint, k, sent, draws)
+        if k % 2 == 0:
+            rec = dataclasses.replace(rec, reconstructed=rec.charlie_outcome)
+        return rec, joint
+
+    harness._transition_table.cache_clear()
+    monkeypatch.setattr(harness, "receive_and_reconstruct", charlie_alone_on_even_rounds)
+    try:
+        for attack in AttackKind:
+            config = ExperimentConfig(n_bits=6, trials=40, attack=attack, compare_fraction=1.0, master_seed=13)
+            batch = _run_batch(config, np.arange(40)).mismatches.tolist()
+            assert batch == [run_trial(config, t).detection.mismatches for t in range(40)]
+            assert any(batch)
+    finally:
+        harness._transition_table.cache_clear()
 
 
 def test_batch_engine_refuses_a_branch_missing_from_the_table(monkeypatch):

@@ -90,6 +90,12 @@ def test_hadamard_unknown_label():
         apply_h(new_basis_state(("A",), "0"), "B")
 
 
+def test_an_op_whose_result_overflows_raises():
+    huge = StateVector(("A",), np.array([1e308, 1e308]))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="non-finite amplitude"):
+        apply_h(huge, "A")
+
+
 def test_x_bell_flip_identity_is_strict():
     # Flipping either qubit of (|00>+|11>)/sqrt2 gives the same vector
     # (|01>+|10>)/sqrt2 exactly, and vice versa.
