@@ -1,5 +1,6 @@
 """Experiment orchestration: seeded trials, Monte Carlo aggregation, and the
-golden-state verifier.
+golden-state verifier, which reads the states it checks from a ``run_trial``
+trace.
 
 Determinism contract (random stream v2): every trial is a pure function of
 ``(master_seed mod 2^64, trial_index)``. ``seed_for_trial`` avalanches the
@@ -37,7 +38,6 @@ from .adversary import (
 )
 from .protocol import (
     DetectionReport,
-    RoundParity,
     RoundRecord,
     alice_entangle,
     bob_disentangle,
@@ -544,9 +544,10 @@ def aggregate_report_dict(config: ExperimentConfig, report: AggregateReport) -> 
 
 
 # ---------------------------------------------------------------------------
-# Golden-state verifier: the simulator is driven through the canonical
-# CNOT-ancilla scenarios and compared strictly (componentwise, no global
-# phase allowance) against hand-coded expected states.
+# Golden-state verifier: seeded CNOT-ancilla trials are played through
+# run_trial, the round both engines play, and the states its trace reports
+# are compared strictly (componentwise, no global phase allowance) against
+# hand-coded expected states.
 # ---------------------------------------------------------------------------
 
 _LAB6 = ("A", "B", "C", "E", "S1", "S2")
@@ -602,81 +603,64 @@ def _ancilla_split_terms(q1: int, q: int) -> dict[str, float]:
 
 
 def verify_golden_states(inject_sign_fault: bool = False) -> list[GoldenCheck]:
-    """Drive the simulator through the canonical attack scenarios and compare
-    each resulting state strictly against its hand-coded form.
+    """Play seeded 3-round CNOT-ancilla trials through ``run_trial`` and
+    compare the states its trace reports strictly against their hand-coded
+    forms.
 
     Ten checks: five scenario families, each for both values of the
-    round-1 bit q1 (families that also depend on the current data bit q run
-    both q values inside one check). ``inject_sign_fault`` flips one
-    amplitude sign in the Hadamard family's computed state, which must make
-    exactly those checks fail; it exists for fault-injection tests.
+    round-1 bit q1. Each q1 plays the bits q1, 0, q for both values of the
+    round-3 bit q, and every check reports its worst error over both trials.
+    ``inject_sign_fault`` flips one amplitude sign in the round-1
+    post-Hadamard state as compared (the trial itself is untouched), which
+    must make exactly the Hadamard checks fail; it exists for fault-injection
+    tests.
     """
     checks: list[GoldenCheck] = []
 
     for q1 in (0, 1):
-        # Round-1 transit: carrier+ancilla+pair right after Eve's copying CNOT.
-        carrier = init_carrier(with_adversary_ancilla=True)
-        joint = tensor(carrier, encode_pair(q1, RoundParity.ODD))
-        joint = alice_entangle(joint, RoundParity.ODD)
-        joint, _ = eve_on_transit(AttackKind.CNOT_ANCILLA, 1, joint, EveRecord(), draw=0.0)
-        err = max_abs_difference(joint, from_terms(_LAB6, _round1_transit_terms(q1)))
-        checks.append(GoldenCheck(f"round1 transit (q1={q1})", err <= _GOLDEN_TOL, err))
-
-        # Round-1 carrier: the receivers' CNOTs detach the pair as |q1,q1>.
-        joint = charlie_disentangle(bob_disentangle(joint))
-        expected_terms = {
-            f"000{q1}{q1}{q1}": INV_SQRT2,
-            f"111{q1 ^ 1}{q1}{q1}": INV_SQRT2,
-        }
-        err = max_abs_difference(joint, from_terms(_LAB6, expected_terms))
-        carrier4 = discard_qubit(discard_qubit(joint, "S1", q1), "S2", q1)
-        err = max(err, max_abs_difference(carrier4, from_terms(_LAB4, _carrier_ancilla_odd_terms(q1))))
-        checks.append(GoldenCheck(f"round1 carrier after disentangle (q1={q1})", err <= _GOLDEN_TOL, err))
-
-        # Round-end Hadamards: odd form -> signed even-weight form -> back.
-        odd_form = from_terms(_LAB4, _carrier_ancilla_odd_terms(q1))
-        even_form = end_round_hadamards(odd_form, adversary_present=True)
-        if inject_sign_fault:
-            amps = even_form.amplitudes.copy()
-            significant = np.nonzero(np.abs(amps) > _GOLDEN_TOL)[0]
-            amps[significant[-1]] *= -1.0
-            even_form = StateVector(even_form.labels, amps)
-        err = max_abs_difference(even_form, from_terms(_LAB4, _carrier_ancilla_even_terms(q1)))
-        back = end_round_hadamards(even_form, adversary_present=True)
-        err = max(err, max_abs_difference(back, odd_form))
-        checks.append(GoldenCheck(f"carrier after round-end Hadamards (q1={q1})", err <= _GOLDEN_TOL, err))
-
-        # Odd-round entangled system: Alice's two CNOTs on the |q,q> pair.
-        err = 0.0
+        errors: dict[str, float] = {}
+        failures: list[str] = []
         for q in (0, 1):
-            joint = tensor(from_terms(_LAB4, _carrier_ancilla_odd_terms(q1)), encode_pair(q, RoundParity.ODD))
-            joint = alice_entangle(joint, RoundParity.ODD)
-            err = max(err, max_abs_difference(joint, from_terms(_LAB6, _odd_round_system_terms(q1, q))))
-        checks.append(GoldenCheck(f"odd-round entangled system (q1={q1})", err <= _GOLDEN_TOL, err))
-
-        # Ancilla readout split: Eve's CNOT detaches S1, she reads it
-        # deterministically, and her second CNOT restores the system.
-        err = 0.0
-        ok = True
-        detail = ""
-        for q in (0, 1):
-            joint = tensor(from_terms(_LAB4, _carrier_ancilla_odd_terms(q1)), encode_pair(q, RoundParity.ODD))
-            joint = alice_entangle(joint, RoundParity.ODD)
-            stages: dict[str, StateVector] = {}
-            rec = EveRecord()
-            joint_after, rec = eve_on_transit(
-                AttackKind.CNOT_ANCILLA, 3, joint, rec, draw=0.5,
-                observer=lambda stage, state: stages.__setitem__(stage, state),
-            )
-            split = stages["after Eve C(E->S1)"]
-            err = max(err, max_abs_difference(split, from_terms(_LAB6, _ancilla_split_terms(q1, q))))
-            err = max(err, max_abs_difference(joint_after, from_terms(_LAB6, _odd_round_system_terms(q1, q))))
-            if rec.measured[3] != (q ^ q1):
-                ok = False
-                detail = f"readout {rec.measured[3]} != {q ^ q1} for q={q}"
-            if abs(rec.probabilities[3] - 1.0) > _GOLDEN_TOL:
-                ok = False
-                detail = f"readout probability {rec.probabilities[3]} not deterministic"
-        checks.append(GoldenCheck(f"odd-round ancilla split (q1={q1})", ok and err <= _GOLDEN_TOL, err, detail))
+            states: dict[tuple[int, str], StateVector] = {}
+            config = ExperimentConfig(n_bits=3, attack=AttackKind.CNOT_ANCILLA, bits=f"{q1}0{q}")
+            eve = run_trial(config, observer=lambda k, stage, state: states.__setitem__((k, stage), state)).eve
+            even_form = states[1, "after round-end Hadamards"]
+            if inject_sign_fault:
+                amps = even_form.amplitudes.copy()
+                significant = np.nonzero(np.abs(amps) > _GOLDEN_TOL)[0]
+                amps[significant[-1]] *= -1.0
+                even_form = StateVector(even_form.labels, amps)
+            # The receivers' CNOTs detach the round-1 pair as |q1,q1>.
+            detached = {f"000{q1}{q1}{q1}": INV_SQRT2, f"111{q1 ^ 1}{q1}{q1}": INV_SQRT2}
+            system = _odd_round_system_terms(q1, q)
+            comparisons = {
+                "round1 transit": [(states[1, "after Eve C(S1->E)"], _LAB6, _round1_transit_terms(q1))],
+                "round1 carrier after disentangle": [
+                    (states[1, "after Bob/Charlie disentangling CNOTs"], _LAB6, detached),
+                    (states[1, "after Bob/Charlie measurements"], _LAB6, detached),
+                ],
+                # Round-end Hadamards: odd form -> signed even-weight form -> back.
+                "carrier after round-end Hadamards": [
+                    (even_form, _LAB4, _carrier_ancilla_even_terms(q1)),
+                    (states[2, "after round-end Hadamards"], _LAB4, _carrier_ancilla_odd_terms(q1)),
+                ],
+                "odd-round entangled system": [(states[3, "after Alice CNOTs"], _LAB6, system)],
+                # Eve's CNOT detaches S1, she reads it deterministically, and
+                # her second CNOT restores the system.
+                "odd-round ancilla split": [
+                    (states[3, "after Eve C(E->S1)"], _LAB6, _ancilla_split_terms(q1, q)),
+                    (states[3, "after Eve restoring C(E->S1)"], _LAB6, system),
+                ],
+            }
+            for name, pairs in comparisons.items():
+                err = max(max_abs_difference(state, from_terms(labels, terms)) for state, labels, terms in pairs)
+                errors[name] = max(errors.get(name, 0.0), err)
+            if eve.measured[3] != q ^ q1:
+                failures.append(f"readout {eve.measured[3]} != {q ^ q1} for q={q}")
+            if abs(eve.probabilities[3] - 1.0) > _GOLDEN_TOL:
+                failures.append(f"readout probability {eve.probabilities[3]} not deterministic for q={q}")
+        for name, err in errors.items():
+            detail = "; ".join(failures) if name == "odd-round ancilla split" else ""
+            checks.append(GoldenCheck(f"{name} (q1={q1})", err <= _GOLDEN_TOL and not detail, err, detail))
 
     return checks

@@ -130,17 +130,11 @@ def receive_and_reconstruct(
     return RoundRecord.from_outcomes(k, sent, bob, charlie), joint
 
 
-def end_round_hadamards(joint: StateVector, adversary_present: bool = False) -> StateVector:
-    """Round-end Hadamards on the three carrier qubits.
-
-    With ``adversary_present`` the ancilla E is included as well; in a full
-    run the adversary applies its own Hadamard through the end-round hook
-    instead.
-    """
+def end_round_hadamards(joint: StateVector) -> StateVector:
+    """Round-end Hadamards on the three carrier qubits. The adversary mirrors
+    them on its ancilla through its own end-round hook."""
     for q in ("A", "B", "C"):
         joint = apply_h(joint, q)
-    if adversary_present:
-        joint = apply_h(joint, "E")
     return joint
 
 

@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from ghzqss.adversary import AttackKind, EveRecord, eve_on_transit
+from ghzqss.adversary import AttackKind, EveRecord, eve_end_round, eve_on_transit
 from ghzqss.harness import (
     ExperimentConfig,
     _run_batch,
@@ -100,7 +100,7 @@ def test_criterion_1_golden_states():
     # Independent sign-pattern cross-check for the signed Hadamard branch:
     # the even form for q1=1 carries a minus exactly on the kets printed with
     # one, i.e. 0011, 0101, 1001, 1111 (ancilla bit set), plus on the rest.
-    even = end_round_hadamards(carrier_ancilla_odd(1), adversary_present=True)
+    even = eve_end_round(AttackKind.CNOT_ANCILLA, end_round_hadamards(carrier_ancilla_odd(1)))
     signs = {}
     for i, amp in enumerate(even.amplitudes):
         if abs(amp) > 1e-12:
@@ -271,7 +271,7 @@ def test_criterion_5_even_round_ancilla_independence():
             for bob_draw in (0.25, 0.75):
                 record, collapsed = receive_and_reconstruct(joint, 2, q, (bob_draw, 0.5))
                 states.append(reduced_density_matrix(collapsed, ("E",)))
-                ended = end_round_hadamards(collapsed, adversary_present=True)
+                ended = eve_end_round(AttackKind.CNOT_ANCILLA, end_round_hadamards(collapsed))
                 states.append(reduced_density_matrix(ended, ("E",)))
             ancilla_states[q] = states
         for rho0, rho1 in zip(ancilla_states[0], ancilla_states[1]):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ghzqss.adversary import AttackKind, EveInferenceError
+from ghzqss.adversary import AttackKind, EveInferenceError, eve_on_transit
 from ghzqss.harness import (
     ExperimentConfig,
     _batch_randomness,
@@ -20,12 +20,21 @@ from ghzqss.harness import (
     seed_for_trial,
     verify_golden_states,
 )
-from ghzqss.protocol import end_round_hadamards, init_carrier
+from ghzqss.protocol import (
+    alice_entangle,
+    bob_disentangle,
+    charlie_disentangle,
+    encode_pair,
+    end_round_hadamards,
+    init_carrier,
+    round_parity,
+)
 from ghzqss.statevector import (
     equal_up_to_global_phase,
     from_terms,
     INV_SQRT2,
     marginal_probabilities,
+    tensor,
 )
 
 from _util import ROW_COLUMNS, path_columns, run_with_rows
@@ -529,14 +538,20 @@ def test_trial_rows_align_with_aggregate():
 # --- golden-state verifier ---------------------------------------------------------
 
 
+GOLDEN_FAMILIES = (
+    "round1 transit",
+    "round1 carrier after disentangle",
+    "carrier after round-end Hadamards",
+    "odd-round entangled system",
+    "odd-round ancilla split",
+)
+
+
 def test_golden_states_all_pass():
     checks = verify_golden_states()
-    assert len(checks) == 10
+    assert [c.name for c in checks] == [f"{family} (q1={q1})" for q1 in (0, 1) for family in GOLDEN_FAMILIES]
     assert all(c.passed for c in checks)
     assert all(c.max_error <= 1e-12 for c in checks)
-    names = {c.name for c in checks}
-    assert "round1 transit (q1=0)" in names
-    assert "carrier after round-end Hadamards (q1=1)" in names
 
 
 def test_golden_states_sign_fault_is_caught():
@@ -544,3 +559,44 @@ def test_golden_states_sign_fault_is_caught():
     failing = [c for c in checks if not c.passed]
     assert failing
     assert all("Hadamards" in c.name for c in failing)
+
+
+def _eve_after_the_receivers(kind, k, carrier, q, record, draws, emit):
+    """A broken first half round: Eve acts on S1 after Bob's and Charlie's CNOTs."""
+    parity = round_parity(k)
+    joint = alice_entangle(tensor(carrier, encode_pair(q, parity)), parity)
+    emit(k, "after Alice CNOTs", joint)
+    joint = charlie_disentangle(bob_disentangle(joint))
+    joint, record = eve_on_transit(kind, k, joint, record, draws[0], lambda stage, state: emit(k, stage, state))
+    emit(k, "after Bob/Charlie disentangling CNOTs", joint)
+    return joint, record
+
+
+@pytest.mark.parametrize(
+    "name, broken",
+    [("_transit", _eve_after_the_receivers), ("eve_end_round", lambda kind, joint: joint)],
+    ids=["eve-after-the-receivers", "no-ancilla-hadamard"],
+)
+def test_golden_states_check_the_round_the_engines_play(monkeypatch, name, broken):
+    import ghzqss.harness as harness
+
+    monkeypatch.setattr(harness, name, broken)
+    assert any(not c.passed for c in verify_golden_states())
+
+
+def test_golden_states_report_every_readout_failure(monkeypatch):
+    import ghzqss.harness as harness
+
+    def misread(kind, k, joint, record, draw=None, observer=None):
+        joint, record = eve_on_transit(kind, k, joint, record, draw, observer)
+        if k in record.measured:
+            record.measured[k] ^= 1
+        return joint, record
+
+    monkeypatch.setattr(harness, "eve_on_transit", misread)
+    split = [c for c in verify_golden_states() if c.name.startswith("odd-round ancilla split")]
+    assert len(split) == 2
+    for c in split:
+        q1 = int(c.name[-2])
+        assert not c.passed
+        assert c.detail == f"readout {q1 ^ 1} != {q1} for q=0; readout {q1} != {q1 ^ 1} for q=1"

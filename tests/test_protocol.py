@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from ghzqss.adversary import AttackKind, eve_end_round
 from ghzqss.protocol import (
     DetectionReport,
     RoundParity,
@@ -223,9 +224,9 @@ def test_round_record_reconstruction_rules():
 @pytest.mark.parametrize("q1", [0, 1])
 def test_hadamards_toggle_carrier_form(q1):
     odd_form = carrier_ancilla_odd(q1)
-    even_form = end_round_hadamards(odd_form, adversary_present=True)
+    even_form = eve_end_round(AttackKind.CNOT_ANCILLA, end_round_hadamards(odd_form))
     assert max_abs_difference(even_form, carrier_ancilla_even(q1)) <= 1e-12
-    back = end_round_hadamards(even_form, adversary_present=True)
+    back = eve_end_round(AttackKind.CNOT_ANCILLA, end_round_hadamards(even_form))
     assert max_abs_difference(back, odd_form) <= 1e-12
 
 
