@@ -145,6 +145,25 @@ def _cmd_run(args, parser: argparse.ArgumentParser) -> int:
     return 0
 
 
+def _distinct_renderer(render):
+    """``render`` run once per distinct state, keyed on the exact labels and
+    amplitude bytes.
+
+    Every gate is Clifford, so a trace repeats a few states many times. The
+    key is exact, not a tolerance: states that differ only in rounding noise
+    (or in the sign of a zero) print different digits.
+    """
+    rendered = {}
+
+    def render_once(state):
+        key = (state.labels, state.amplitudes.tobytes())
+        if key not in rendered:
+            rendered[key] = render(state)
+        return rendered[key]
+
+    return render_once
+
+
 def _cmd_trace(args, parser: argparse.ArgumentParser) -> int:
     bits = args.bits
     config = _build_config(args, parser, n_bits=len(bits), bits=bits)
@@ -158,10 +177,7 @@ def _cmd_trace(args, parser: argparse.ArgumentParser) -> int:
             "bits": bits,
             "attack": config.attack.value,
             "seed": config.master_seed,
-            "snapshots": [
-                {"round": k, "stage": stage, "state": state_to_dict(state)}
-                for k, stage, state in snapshots
-            ],
+            "snapshots": None,
             "records": [
                 {
                     "round": rec.round_index,
@@ -188,9 +204,22 @@ def _cmd_trace(args, parser: argparse.ArgumentParser) -> int:
                 "ambiguous": eve.ambiguous,
             },
         }
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        # Each distinct state is dumped once; the snapshots are spliced in at
+        # the depth and key order json.dumps(payload, indent=2) gives them.
+        state_json = _distinct_renderer(
+            lambda state: json.dumps(state_to_dict(state), indent=2, sort_keys=True).replace("\n", "\n      ")
+        )
+        snapshots_json = ",\n    ".join(
+            f'{{\n      "round": {k},\n      "stage": {json.dumps(stage)},\n      "state": {state_json(state)}\n    }}'
+            for k, stage, state in snapshots
+        )
+        dump = json.dumps(payload, indent=2, sort_keys=True)
+        print(dump.replace('"snapshots": null', f'"snapshots": [\n    {snapshots_json}\n  ]', 1))
         return 0
 
+    state_text = _distinct_renderer(
+        lambda state: "\n".join(f"    {line}" for line in format_state(state).splitlines())
+    )
     print(f"bits: {bits}  attack: {config.attack.value}  seed: {config.master_seed}")
     print("ket convention: leftmost label = most significant basis bit")
     current: int | None = None
@@ -203,8 +232,7 @@ def _cmd_trace(args, parser: argparse.ArgumentParser) -> int:
                 parity = "odd" if k % 2 == 1 else "even"
                 print(f"\nround {k} ({parity}) sent={result.bits[k - 1]}")
         print(f"  {stage}  [{' '.join(state.labels)}]")
-        for line in format_state(state).splitlines():
-            print(f"    {line}")
+        print(state_text(state))
     print("\nround records")
     for rec in result.transcript:
         print(

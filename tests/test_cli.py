@@ -2,10 +2,14 @@ import csv
 import hashlib
 import io
 import json
+import random
 
+import numpy as np
 import pytest
 
+from ghzqss import cli, harness
 from ghzqss.cli import SEED_ENV_VAR, main
+from ghzqss.statevector import StateVector, format_state, state_to_dict
 
 
 def run_cli(capsys, *argv):
@@ -145,6 +149,32 @@ def test_run_output_bytes_are_pinned(capsys, attack, fmt, fraction):
     assert hashlib.sha256(out.encode()).hexdigest() == RUN_DIGESTS[attack, fmt, fraction]
 
 
+# sha256 of stdout per (command, attack, format): `trace` of TRACE_BITS at
+# seed 7, and `verify`. Recorded before `trace` began rendering each distinct
+# state once; that change must not move a byte.
+TRACE_BITS = "10110011100011010"
+TRACE_DIGESTS = {
+    ("trace", "none", "json"): "e2a7fda01732029661d6bd3a88acf2dfb01c3930298697085ea859650b8e3d24",
+    ("trace", "none", "text"): "76f3bb6f5118cdc220e46455b85ea80192c7a4cfdecd76085787ce7fe7e83d82",
+    ("trace", "intercept-resend", "json"): "b638bbdce147aac7fc52f3838e787d93d0d9a95a9aae591c8da2c8770775e122",
+    ("trace", "intercept-resend", "text"): "2403933e4bad4489c8d2d4dbb49db8c7b0262b033a0d93e95b6babae49a12f85",
+    ("trace", "cnot-ancilla", "json"): "0592070b839de1b039b0a9c4e1591c3cbadd8b8f499be63289496ead9df43674",
+    ("trace", "cnot-ancilla", "text"): "34d2bbd6b2ed3f9a2c295fd034b4bbeed177b7c4b1ea385833c3a3a57b87fb74",
+    ("verify", None, "text"): "ac29c1c357f2c849ec4d2c950058a7d5ff0a6f14efdc4f3a40d466edc5f43218",
+    ("verify", None, "json"): "70e3f70fc7294f439d3f7ae2a099d8b2bfdff9e55c6161ebade0f069d1726669",
+}
+
+
+@pytest.mark.parametrize("command, attack, fmt", list(TRACE_DIGESTS))
+def test_trace_and_verify_output_bytes_are_pinned(capsys, command, attack, fmt):
+    argv = [command, "--format", fmt]
+    if command == "trace":
+        argv += ["--bits", TRACE_BITS, "--attack", attack, "--seed", "7"]
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == TRACE_DIGESTS[command, attack, fmt]
+
+
 @pytest.mark.parametrize("seed, same_seed", [("-1", "18446744073709551615"), ("5", "18446744073709551621")])
 def test_run_seeds_equal_mod_2_64_give_the_same_rows(capsys, seed, same_seed):
     outputs = []
@@ -236,6 +266,85 @@ def test_trace_text_format_headers(capsys):
     assert code == 0
     assert "ket convention: leftmost label = most significant basis bit" in out
     assert "round 1 (odd) sent=1" in out
+
+
+def record_snapshots(monkeypatch, extra=lambda k, stage, state: ()):
+    """Patch the CLI's ``run_trial`` to record the snapshots it shows, plus any
+    ``(round, stage, state)`` that ``extra`` adds after each real one."""
+    snapshots = []
+
+    def recording_run_trial(config, trial_index, observer):
+        def observe(*snapshot):
+            for shown in (snapshot, *extra(*snapshot)):
+                snapshots.append(shown)
+                observer(*shown)
+
+        return harness.run_trial(config, trial_index, observer=observe)
+
+    monkeypatch.setattr(cli, "run_trial", recording_run_trial)
+    return snapshots
+
+
+def reference_trace_json(out, snapshots):
+    """The per-snapshot rendering: ``out``'s payload dumped again with every
+    snapshot's state converted and dumped in place."""
+    payload = json.loads(out)
+    payload["snapshots"] = [
+        {"round": k, "stage": stage, "state": state_to_dict(state)} for k, stage, state in snapshots
+    ]
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def reference_trace_text(out, snapshots, bits):
+    """The per-snapshot rendering: ``format_state`` called for every snapshot."""
+    lines = out.splitlines()[:2]
+    current = None
+    for k, stage, state in snapshots:
+        if k != current:
+            current = k
+            lines += ["", "setup"] if k == 0 else ["", f"round {k} ({'odd' if k % 2 else 'even'}) sent={bits[k - 1]}"]
+        lines.append(f"  {stage}  [{' '.join(state.labels)}]")
+        lines += [f"    {line}" for line in format_state(state).splitlines()]
+    return "\n".join(lines) + out[out.index("\n\nround records\n"):]
+
+
+def reference_trace(fmt, out, snapshots, bits):
+    if fmt == "json":
+        return reference_trace_json(out, snapshots)
+    return reference_trace_text(out, snapshots, bits)
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("n", [1, 2, 5, 64])
+@pytest.mark.parametrize("attack", ["none", "intercept-resend", "cnot-ancilla"])
+def test_trace_matches_per_snapshot_rendering(capsys, monkeypatch, attack, n, fmt):
+    # Intercept-resend at n=64 holds many states equal up to rounding noise.
+    rng = random.Random(f"{attack}/{n}")
+    bits = "".join(rng.choice("01") for _ in range(n))
+    snapshots = record_snapshots(monkeypatch)
+    code, out = run_cli(
+        capsys, "trace", "--bits", bits, "--attack", attack, "--seed", str(rng.getrandbits(32)), "--format", fmt
+    )
+    assert code == 0
+    assert out == reference_trace(fmt, out, snapshots, bits)
+
+
+@pytest.mark.parametrize("fmt, zero, negative_zero", [("json", " 0.0\n", " -0.0\n"), ("text", "+0.000000000j", "-0.000000000j")])
+def test_trace_renders_states_equal_up_to_a_zero_sign_apart(capsys, monkeypatch, fmt, zero, negative_zero):
+    def negate_zero_imaginary_parts(k, stage, state):
+        if k != 0:
+            return ()
+        amplitudes = state.amplitudes.copy()
+        amplitudes.imag[amplitudes.imag == 0.0] = -0.0
+        return [(k, f"{stage} (imaginary zeros negated)", StateVector(state.labels, amplitudes))]
+
+    snapshots = record_snapshots(monkeypatch, extra=negate_zero_imaginary_parts)
+    code, out = run_cli(capsys, "trace", "--bits", "1", "--seed", "0", "--format", fmt)
+    assert code == 0
+    first, negated = snapshots[0][2], snapshots[1][2]
+    assert np.array_equal(first.amplitudes, negated.amplitudes)  # equal under any tolerance
+    assert out == reference_trace(fmt, out, snapshots, "1")
+    assert zero in out and negative_zero in out
 
 
 def test_trace_rejects_malformed_bits(capsys):
