@@ -58,6 +58,7 @@ from .statevector import (
     from_terms,
     max_abs_difference,
     measurement_log,
+    memoized_ops,
     tensor,
 )
 
@@ -217,6 +218,7 @@ def _receive(kind: AttackKind, k: int, joint: StateVector, q: int, draws, emit):
     return rec, carrier
 
 
+@memoized_ops()
 def run_trial(config: ExperimentConfig, trial_index: int = 0, observer=None) -> TrialResult:
     """Run one full protocol trial: every round plays ``_transit`` then
     ``_receive``. After all rounds the public comparison runs on the trial's
@@ -326,6 +328,7 @@ def _leaves(play, width: int) -> list:
 
 
 @functools.cache
+@memoized_ops()
 def _transition_table(kind: AttackKind) -> _TransitionTable:
     """Closure over the states reachable from the initial carrier in round 1.
 
@@ -339,12 +342,21 @@ def _transition_table(kind: AttackKind) -> _TransitionTable:
     states = [(init_carrier(with_adversary_ancilla=kind is AttackKind.CNOT_ANCILLA), 1)]
     eve_p0s, readouts, reveals, hits, bob_p0s, charlie_p0s, mismatches, next_states = ({} for _ in range(8))
 
+    # A carrier seen before bit for bit is looked up, not scanned for again:
+    # the scan's answer for it cannot change, since states are only appended.
+    scanned: dict[tuple[int, bytes], int] = {}
+
     def state_id(carrier: StateVector, k: int) -> int:
-        for i, (known, known_k) in enumerate(states):
-            if known_k == k and max_abs_difference(known, carrier) <= EXACT_TOL:
-                return i
-        states.append((carrier, k))
-        return len(states) - 1
+        key = (k, carrier.amplitudes.tobytes())
+        if key not in scanned:
+            for i, (known, known_k) in enumerate(states):
+                if known_k == k and max_abs_difference(known, carrier) <= EXACT_TOL:
+                    break
+            else:
+                i = len(states)
+                states.append((carrier, k))
+            scanned[key] = i
+        return scanned[key]
 
     # The loop also visits the states state_id appends while it runs.
     for s, (start, k) in enumerate(states):

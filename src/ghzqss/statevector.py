@@ -6,13 +6,17 @@ Conventions used throughout the package:
 - The FIRST label owns the MOST significant bit of the basis index, so ket
   strings read left to right in label order: for labels ``("A", "B", "C")``
   the string ``"011"`` addresses basis index ``0b011``.
-- Operations are pure: they take a :class:`StateVector` and return a new one.
+- Operations are pure: they take a :class:`StateVector` and return a new one,
+  except inside a :func:`memoized_ops` block, where an op called again on an
+  identical input (same labels, same amplitude bytes, same other arguments)
+  may return the shared, read-only result of the first call.
   Measurement randomness enters only through an explicit ``draw`` argument,
   which keeps every caller a pure function of its seed.
 """
 
 from __future__ import annotations
 
+import functools
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -34,6 +38,7 @@ EXACT_TOL = 1e-12
 MIN_BRANCH_PROBABILITY = 1e-12
 
 _measurement_log: ContextVar[list[float] | None] = ContextVar("measurement_log", default=None)
+_memo: ContextVar[dict | None] = ContextVar("memo", default=None)
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,7 +47,8 @@ class StateVector:
 
     ``amplitudes`` has length ``2 ** len(labels)`` and is indexed msb-first
     by the labels, per the module conventions. Instances are treated as
-    immutable; all gate and measurement helpers return new vectors.
+    immutable; the gate and measurement helpers return new vectors, or
+    inside :func:`memoized_ops` possibly a shared read-only one.
     """
 
     labels: tuple[str, ...]
@@ -95,6 +101,48 @@ class MeasurementRecord:
     probability: float
 
 
+@contextmanager
+def memoized_ops():
+    """Memoise the pure ops on their exact input for the duration of the block.
+
+    Every gate is Clifford, so a trial or a table build asks the ops the same
+    question many times. Inside the block an op is keyed on each state
+    argument's labels and amplitude bytes, with no tolerance, plus the other
+    arguments and their types; a repeated call returns the first call's
+    result, whose amplitudes are read-only. Exceptions are not cached. Each
+    block starts an empty memo, and the memo ends with the block; as a
+    decorator, ``@memoized_ops()`` gives every call of the function its own."""
+    token = _memo.set({})
+    try:
+        yield
+    finally:
+        _memo.reset(token)
+
+
+def _memoized(op):
+    """``op``, answered from the memo of the enclosing :func:`memoized_ops`
+    block when there is one. A call with keyword arguments computes directly;
+    the engines call positionally."""
+
+    @functools.wraps(op)
+    def memoized(*args, **kwargs):
+        memo = _memo.get()
+        if memo is None or kwargs:
+            return op(*args, **kwargs)
+        key = (op, *[(a.labels, a.amplitudes.tobytes()) if isinstance(a, StateVector) else (type(a), a) for a in args])
+        try:
+            return memo[key]
+        except KeyError:
+            pass
+        result = op(*args)
+        if isinstance(result, StateVector):
+            result.amplitudes.flags.writeable = False
+        memo[key] = result
+        return result
+
+    return memoized
+
+
 def new_basis_state(labels, bits: str) -> StateVector:
     """Computational basis state |bits> over ``labels`` (msb-first)."""
     labels = tuple(labels)
@@ -126,6 +174,7 @@ def from_terms(labels, terms: dict[str, complex]) -> StateVector:
     return StateVector(labels, amps)
 
 
+@_memoized
 def tensor(left: StateVector, right: StateVector) -> StateVector:
     """Tensor product; ``right``'s qubits become the least significant bits."""
     overlap = set(left.labels) & set(right.labels)
@@ -141,6 +190,7 @@ def _split_view(state: StateVector, q: str) -> np.ndarray:
     return state.amplitudes.reshape(1 << ax, 2, 1 << (n - 1 - ax))
 
 
+@_memoized
 def apply_h(state: StateVector, q: str) -> StateVector:
     """Hadamard gate on qubit ``q``."""
     view = _split_view(state, q)
@@ -150,6 +200,7 @@ def apply_h(state: StateVector, q: str) -> StateVector:
     return StateVector(state.labels, out.reshape(-1))
 
 
+@_memoized
 def apply_x(state: StateVector, q: str) -> StateVector:
     """Bit flip (Pauli X) on qubit ``q``."""
     view = _split_view(state, q)
@@ -159,6 +210,7 @@ def apply_x(state: StateVector, q: str) -> StateVector:
     return StateVector(state.labels, out.reshape(-1))
 
 
+@_memoized
 def apply_cnot(state: StateVector, control: str, target: str) -> StateVector:
     """CNOT with the given control and target qubits."""
     if control == target:
@@ -171,6 +223,7 @@ def apply_cnot(state: StateVector, control: str, target: str) -> StateVector:
     return StateVector(state.labels, state.amplitudes[src])
 
 
+@_memoized
 def probability_of_zero(state: StateVector, q: str) -> float:
     """Born probability of outcome 0 for a Z measurement of ``q``, clamped to [0, 1]."""
     view = _split_view(state, q)
@@ -195,10 +248,16 @@ def measure_z(state: StateVector, q: str, draw: float) -> tuple[int, StateVector
     p_out = p0 if outcome == 0 else 1.0 - p0
     if p_out < MIN_BRANCH_PROBABILITY:
         raise RuntimeError(f"measurement realized a zero-probability branch on {q!r}")
+    return outcome, _collapse(state, q, outcome, p_out), MeasurementRecord(q, outcome, p_out)
+
+
+@_memoized
+def _collapse(state: StateVector, q: str, outcome: int, p_out: float) -> StateVector:
+    """``state`` projected onto ``q = outcome`` and divided by ``sqrt(p_out)``."""
     view = _split_view(state, q)
     out = np.zeros_like(view)
     out[:, outcome, :] = view[:, outcome, :] / np.sqrt(p_out)
-    return outcome, StateVector(state.labels, out.reshape(-1)), MeasurementRecord(q, outcome, p_out)
+    return StateVector(state.labels, out.reshape(-1))
 
 
 @contextmanager
@@ -214,6 +273,7 @@ def measurement_log():
         _measurement_log.reset(token)
 
 
+@_memoized
 def discard_qubit(state: StateVector, q: str, outcome: int) -> StateVector:
     """Drop a qubit that has already collapsed to ``|outcome>``.
 

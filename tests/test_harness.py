@@ -277,6 +277,27 @@ def test_trace_snapshots_cover_every_round():
     assert "after round-end Hadamards" in stages_round_1
 
 
+def _exact_trial(result, snapshots):
+    """A trial's fields and trace, with every state as its exact bytes."""
+    fields = dataclasses.asdict(dataclasses.replace(result, final_carrier=None))
+    carrier = (result.final_carrier.labels, result.final_carrier.amplitudes.tobytes())
+    return fields, carrier, [(k, stage, state.labels, state.amplitudes.tobytes()) for k, stage, state in snapshots]
+
+
+@pytest.mark.parametrize("attack", list(AttackKind))
+@pytest.mark.parametrize("seed", [0, 5, 11])
+def test_run_trial_is_identical_with_and_without_the_memo(attack, seed):
+    config = ExperimentConfig(n_bits=64, attack=attack, master_seed=seed)
+    runs = {}
+    for name, play in (("memo", run_trial), ("direct", run_trial.__wrapped__)):
+        snapshots = []
+        result = play(config, 3, observer=lambda *snapshot: snapshots.append(snapshot))
+        runs[name] = _exact_trial(result, snapshots), snapshots
+    assert runs["memo"][0] == runs["direct"][0]
+    # The memo did answer: repeated snapshots share one state object.
+    assert len({id(state) for *_, state in runs["memo"][1]}) < len({id(state) for *_, state in runs["direct"][1]})
+
+
 # --- batch engine equivalence ---------------------------------------------------
 
 

@@ -16,6 +16,7 @@ from ghzqss.statevector import (
     max_abs_difference,
     measure_z,
     measurement_log,
+    memoized_ops,
     new_basis_state,
     probability_of_zero,
     reduced_density_matrix,
@@ -376,3 +377,110 @@ def test_state_terms_order_and_cutoff():
     assert dump["labels"] == ["A", "B"]
     assert dump["msb_first"] is True
     assert len(dump["terms"]) == 2
+
+
+# --- memoised ops -------------------------------------------------------------
+
+
+def _variants(seed):
+    """A seeded six-qubit state, a copy whose zero imaginary parts are -0.0,
+    and a copy one ulp away in one amplitude: equal within any tolerance,
+    distinct as bytes."""
+    base = from_terms(LAB6, {"000000": INV_SQRT2, "111000": INV_SQRT2})
+    base = apply_h(apply_cnot(base, "A", "S1"), "S2")
+    rng = np.random.default_rng(seed)
+    noisy = random_state(LAB6, rng)
+    negzero = base.amplitudes.copy()
+    negzero.imag[negzero.imag == 0.0] = -0.0
+    ulp = noisy.amplitudes.copy()
+    i = rng.integers(ulp.size)
+    ulp[i] = complex(np.nextafter(ulp[i].real, np.inf), ulp[i].imag)
+    return [base, StateVector(LAB6, negzero), noisy, StateVector(LAB6, ulp)]
+
+
+def _memoised_calls(state):
+    """Each memoised op on ``state``, as (name, thunk); ``measure_z`` covers
+    the collapse for both outcomes, and ``discard_qubit`` acts on a state
+    collapsed outside the memo."""
+    collapsed = measure_z(state, "S1", 0.0 if probability_of_zero(state, "S1") > 0.5 else 0.999)[1]
+    outcome = int(probability_of_zero(collapsed, "S1") < 0.5)
+    return [
+        ("tensor", lambda: tensor(discard_qubit(collapsed, "S1", outcome), new_basis_state(("S1",), "1"))),
+        ("tensor right", lambda: tensor(new_basis_state(("S1",), "0"), discard_qubit(collapsed, "S1", outcome))),
+        ("apply_h", lambda: apply_h(state, "C")),
+        ("apply_x", lambda: apply_x(state, "E")),
+        ("apply_cnot", lambda: apply_cnot(state, "A", "S2")),
+        ("probability_of_zero", lambda: probability_of_zero(state, "B")),
+        ("measure_z 0", lambda: measure_z(state, "S2", 0.0)[1]),
+        ("measure_z 1", lambda: measure_z(state, "S2", 0.999999)[1]),
+        ("discard_qubit", lambda: discard_qubit(collapsed, "S1", outcome)),
+    ]
+
+
+def _exact(result):
+    if isinstance(result, StateVector):
+        return result.labels, result.amplitudes.tobytes()
+    return float(result).hex()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_memoized_ops_match_the_ops_bit_for_bit(seed):
+    states = _variants(seed)
+    direct = [[_exact(thunk()) for _, thunk in _memoised_calls(s)] for s in states]
+    assert direct[0] != direct[1] and direct[2] != direct[3]  # the variants do differ as bytes
+    with memoized_ops():
+        for _ in range(2):  # the second pass is answered from the memo
+            for state, expected in zip(states, direct):
+                for (name, thunk), want in zip(_memoised_calls(state), expected):
+                    assert _exact(thunk()) == want, name
+
+
+def test_memoized_results_are_shared_read_only_and_end_with_the_block():
+    state = _variants(0)[2]
+    with memoized_ops():
+        first = apply_h(state, "A")
+        assert apply_h(StateVector(LAB6, state.amplitudes.copy()), "A") is first
+        assert not first.amplitudes.flags.writeable
+        assert not measure_z(state, "S1", 0.5)[1].amplitudes.flags.writeable
+    after = apply_h(state, "A")
+    assert after is not apply_h(state, "A")
+    assert after.amplitudes.flags.writeable
+    with pytest.raises(KeyError):
+        with memoized_ops():
+            apply_h(state, "A")
+            raise KeyError("unwinds the block")
+    assert apply_h(state, "A").amplitudes.flags.writeable
+
+
+def test_memoized_measure_z_logs_every_call():
+    ghz = from_terms(("A", "B", "C"), {"000": INV_SQRT2, "111": INV_SQRT2})
+    with memoized_ops(), measurement_log() as log:
+        for draw in (0.7, 0.7, 0.2):
+            _, collapsed, record = measure_z(ghz, "A", draw)
+            measure_z(collapsed, "B", 0.2)
+    assert log == [probability_of_zero(ghz, "A"), 0.0, probability_of_zero(ghz, "A"), 0.0,
+                   probability_of_zero(ghz, "A"), 1.0]
+    assert record == measure_z(ghz, "A", 0.2)[2]
+
+
+def test_memoized_ops_never_cache_an_exception():
+    p1 = 1e-13  # the outcome-1 branch is below MIN_BRANCH_PROBABILITY
+    lopsided = StateVector(("A",), np.array([np.sqrt(1.0 - p1), np.sqrt(p1)]))
+    uncollapsed = apply_h(new_basis_state(("A", "B"), "00"), "A")
+    with memoized_ops():
+        assert measure_z(lopsided, "A", 0.5)[0] == 0
+        raised = []
+        for _ in range(2):
+            with pytest.raises(RuntimeError, match="zero-probability") as guard:
+                measure_z(lopsided, "A", 1.0 - p1 / 2)
+            with pytest.raises(ValueError, match="not collapsed") as residual:
+                discard_qubit(uncollapsed, "A", 0)
+            with pytest.raises(ValueError):
+                measure_z(lopsided, "A", 1.0)
+            raised += [guard.value, residual.value]
+        assert len({id(e) for e in raised}) == 4  # raised afresh by every call
+        # The key holds the argument types: a float outcome fails as it does outside.
+        collapsed = measure_z(uncollapsed, "A", 0.2)[1]
+        discard_qubit(collapsed, "A", 0)
+        with pytest.raises(IndexError):
+            discard_qubit(collapsed, "A", 0.0)
