@@ -146,8 +146,8 @@ def _cmd_run(args, parser: argparse.ArgumentParser) -> int:
 
 
 def _distinct_renderer(render):
-    """``render`` run once per distinct state, keyed on the exact labels and
-    amplitude bytes.
+    """``render`` run once per distinct state, keyed on its exact
+    ``StateVector.key`` (labels and amplitude bytes).
 
     Every gate is Clifford, so a trace repeats a few states many times. The
     key is exact, not a tolerance: states that differ only in rounding noise
@@ -156,7 +156,7 @@ def _distinct_renderer(render):
     rendered = {}
 
     def render_once(state):
-        key = (state.labels, state.amplitudes.tobytes())
+        key = state.key
         if key not in rendered:
             rendered[key] = render(state)
         return rendered[key]

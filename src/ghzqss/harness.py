@@ -8,9 +8,11 @@ pair into a trial seed ``s``; the trial's every random word is then a
 counter-based hash of ``(s, round k, column c)``, the SplitMix64 output
 ``avalanche(s + (5k + c) * 0x9E3779B97F4A7C15)``, with columns 0 data bit,
 1 Eve's draw, 2 Bob's, 3 Charlie's and 4 the round's comparison key.
-``_round_randomness`` and ``_batch_randomness`` are the only readers of the
-stream, for the single-trial and the vectorized batch engines alike, so
-results are independent of execution order and identical between the two.
+``_stream`` is the only reader of the stream and ``_bit``, ``_draw`` and
+``_compare_key`` the only readers of its words; they take Python ints, for
+the single-trial engine, and uint64 arrays, for the vectorized batch
+engine, alike, so results are independent of execution order and identical
+between the two. Only the batch engine imports numpy, and only when it runs.
 
 ``run_experiment`` keeps only running totals: per-trial results leave each
 chunk through its ``on_chunk`` callback, so its memory is bounded by the
@@ -21,11 +23,10 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from ._version import __version__
 from .adversary import (
@@ -68,46 +69,64 @@ _MASK64 = (1 << 64) - 1
 _CHUNK_ROUNDS = 2**21
 #: The low bits of a comparison key, which hold the round index k - 1; wide
 #: enough for every ``n_bits`` up to ``2**21``.
-_KEY_ROUND_BITS = np.uint64(2**21 - 1)
-_GAMMA = np.uint64(0x9E3779B97F4A7C15)
-_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX2 = np.uint64(0x94D049BB133111EB)
+_KEY_ROUND_BITS = 2**21 - 1
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 #: Columns of the random stream, per round.
 _BIT, _EVE, _BOB, _CHARLIE, _KEY = range(5)
 
 
-def _avalanche(z: np.ndarray) -> np.ndarray:
-    """SplitMix64's finalizer, in place on a fresh 1-d or wider uint64 array
-    (uint64 array arithmetic wraps mod 2^64 without a warning)."""
-    z ^= z >> np.uint64(30)
+def _avalanche(z):
+    """SplitMix64's finalizer of ``z`` mod 2^64: a Python int, or a fresh
+    uint64 array updated in place (uint64 array arithmetic wraps mod 2^64
+    without a warning, so the masks cost it nothing but a pass)."""
+    z &= _MASK64
+    z ^= z >> 30
     z *= _MIX1
-    z ^= z >> np.uint64(27)
+    z &= _MASK64
+    z ^= z >> 27
     z *= _MIX2
-    z ^= z >> np.uint64(31)
+    z &= _MASK64
+    z ^= z >> 31
     return z
 
 
 def seed_for_trial(master_seed, trial_index):
     """Per-trial seed via a SplitMix64 avalanche of (master_seed, trial_index).
 
-    Broadcasts over arrays of indices (and of uint64 masters); a scalar call
-    returns a scalar. ``master_seed`` is reduced mod 2^64 first, so -1 and
-    2^64 - 1 name the same stream. The mixing is pure integer arithmetic, so
-    reports are reproducible across platforms and thread schedules.
+    Takes Python ints, or broadcasts over uint64 arrays of indices (and of
+    masters). ``master_seed`` is reduced mod 2^64 first, so -1 and 2^64 - 1
+    name the same stream. The mixing is pure integer arithmetic, so reports
+    are reproducible across platforms and thread schedules.
     """
-    master, index = np.broadcast_arrays(
-        np.asarray(master_seed & _MASK64, dtype=np.uint64), np.asarray(trial_index, dtype=np.uint64)
-    )
-    z = master.ravel() + (index.ravel() + np.uint64(1)) * _GAMMA
-    return _avalanche(z).reshape(master.shape)[()]
+    return _avalanche((master_seed & _MASK64) + (trial_index + 1) * _GAMMA)
 
 
-def _stream(seeds: np.ndarray, k, column) -> np.ndarray:
+def _stream(seeds, k, column):
     """The stream's word for (trial seed, round ``k``, ``column``): output
-    5k + column of a SplitMix64 generator seeded with the trial seed.
-    Broadcasts over all three arguments."""
-    counter = np.asarray(5 * k + column, dtype=np.uint64)
-    return _avalanche(seeds + counter * _GAMMA)
+    5k + column of a SplitMix64 generator seeded with the trial seed. Python
+    ints, or uint64 arrays broadcast over all three arguments."""
+    return _avalanche(seeds + (5 * k + column) * _GAMMA)
+
+
+def _bit(word):
+    """A data bit: the top bit of its word."""
+    return word >> 63
+
+
+def _draw(word):
+    """A measurement draw in [0, 1): the top 53 bits of its word."""
+    return (word >> 11) * 2.0**-53
+
+
+def _compare_key(word, k):
+    """Round ``k``'s comparison key: its word (a fresh array is updated in
+    place) with the low bits replaced by k - 1, so keys are distinct and a
+    tie of the high bits goes to the earlier round."""
+    word &= _MASK64 ^ _KEY_ROUND_BITS
+    word |= k - 1
+    return word
 
 
 @dataclass(frozen=True)
@@ -228,8 +247,10 @@ def run_trial(config: ExperimentConfig, trial_index: int = 0, observer=None) -> 
     ``observer(round, stage, state)``, when given, is invoked at every
     protocol stage; it is the only way to watch a trial.
     """
-    seeds, compared = _batch_randomness(config, np.array([trial_index]))
-    subset = tuple(int(j) + 1 for j in np.flatnonzero(compared[0]))
+    seed = seed_for_trial(config.master_seed, operator.index(trial_index))
+    n = config.n_bits
+    keys = sorted(_compare_key(_stream(seed, k, _KEY), k) for k in range(1, n + 1))
+    subset = tuple(sorted((key & _KEY_ROUND_BITS) + 1 for key in keys[: config.compare_count]))
     kind = config.attack
     emit = observer or _silent
     carrier = init_carrier(with_adversary_ancilla=kind is AttackKind.CNOT_ANCILLA)
@@ -238,8 +259,9 @@ def run_trial(config: ExperimentConfig, trial_index: int = 0, observer=None) -> 
     transcript: list[RoundRecord] = []
     bits: list[int] = []
 
-    for k in range(1, config.n_bits + 1):
-        q, eve, bob, charlie = (a[0].item() for a in _round_randomness(config, seeds, k))
+    for k in range(1, n + 1):
+        q = _bit(_stream(seed, k, _BIT)) if config.bits is None else int(config.bits[k - 1])
+        eve, bob, charlie = (_draw(_stream(seed, k, c)) for c in (_EVE, _BOB, _CHARLIE))
         bits.append(q)
         joint, record = _transit(kind, k, carrier, q, record, (eve,), emit)
         rec, carrier = _receive(kind, k, joint, q, (bob, charlie), emit)
@@ -273,16 +295,17 @@ def run_trial(config: ExperimentConfig, trial_index: int = 0, observer=None) -> 
 # measurement_log; it reads each transition's mismatch and Eve's inference
 # from the reference rules. A chunk of trials steps through the table by
 # integer gathers and ``draw >= p0``, then gathers every per-trial column
-# along each trial's path. It consumes run_trial's randomness, from the same
-# _batch_randomness and _round_randomness, so outcomes match run_trial trial
-# for trial (asserted by the test suite).
+# along each trial's path. It reads run_trial's randomness through the same
+# _stream, _bit, _draw and _compare_key, so outcomes match run_trial trial
+# for trial (asserted by the test suite). Only these functions import numpy.
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class _TransitionTable:
     """Round transitions, indexed [state, q, eve, bob, charlie] (as deep as
-    each field goes). Impossible branches hold p0 = nan and next state -1;
+    each field goes). A p0 is the threshold ``measure_z`` compares its draw
+    with. Impossible branches hold p0 = nan and next state -1;
     ``eve_p0`` is inf where Eve measures nothing, so every draw takes
     branch 0. ``reveals`` and ``hits`` are read from ``eve_postprocess`` on
     the round's record, for the CNOT-ancilla attack only, as in run_trial."""
@@ -339,15 +362,17 @@ def _transition_table(kind: AttackKind) -> _TransitionTable:
     same round share its state id, so rounding noise does not grow the state
     set.
     """
+    import numpy as np
+
     states = [(init_carrier(with_adversary_ancilla=kind is AttackKind.CNOT_ANCILLA), 1)]
     eve_p0s, readouts, reveals, hits, bob_p0s, charlie_p0s, mismatches, next_states = ({} for _ in range(8))
 
     # A carrier seen before bit for bit is looked up, not scanned for again:
     # the scan's answer for it cannot change, since states are only appended.
-    scanned: dict[tuple[int, bytes], int] = {}
+    scanned: dict[tuple, int] = {}
 
     def state_id(carrier: StateVector, k: int) -> int:
-        key = (k, carrier.amplitudes.tobytes())
+        key = (k, carrier.key)
         if key not in scanned:
             for i, (known, known_k) in enumerate(states):
                 if known_k == k and max_abs_difference(known, carrier) <= EXACT_TOL:
@@ -414,19 +439,14 @@ class _BatchOutcome:
 
 
 def _batch_randomness(config: ExperimentConfig, indices: np.ndarray):
-    """The trials' seeds (B,) and (B, n) comparison subset masks.
+    """The trials' seeds (B,) and (B, n) comparison subset masks: a trial
+    compares the ``compare_count`` rounds with the smallest ``_compare_key``."""
+    import numpy as np
 
-    A trial compares the ``compare_count`` rounds with the smallest keys. A
-    round's key is its column-4 word with the low bits replaced by k - 1, so
-    keys are distinct and a tie of the high bits goes to the earlier round.
-    """
-    n = config.n_bits
     m = config.compare_count
-    seeds = seed_for_trial(config.master_seed, indices)
-    rounds = np.arange(1, n + 1, dtype=np.uint64)
-    keys = _stream(seeds[:, None], rounds, _KEY)
-    keys &= ~_KEY_ROUND_BITS
-    keys |= rounds - np.uint64(1)
+    seeds = seed_for_trial(config.master_seed, np.asarray(indices, dtype=np.uint64))
+    rounds = np.arange(1, config.n_bits + 1, dtype=np.uint64)
+    keys = _compare_key(_stream(seeds[:, None], rounds, _KEY), rounds)
     return seeds, keys <= np.partition(keys, m - 1, axis=1)[:, m - 1 : m]
 
 
@@ -434,16 +454,20 @@ def _round_randomness(config: ExperimentConfig, seeds: np.ndarray, k: int):
     """Round ``k``'s data bits (int64, top bit of column 0 unless the config
     fixes them) and Eve's, Bob's and Charlie's measurement draws (float64 in
     [0, 1), the top 53 bits of columns 1-3) for the trials with ``seeds``."""
-    words = _stream(seeds, k, np.arange(_BIT, _KEY)[:, None])
+    import numpy as np
+
+    words = _stream(seeds, k, np.arange(_BIT, _KEY, dtype=np.uint64)[:, None])
     if config.bits is None:
-        q = (words[_BIT] >> np.uint64(63)).astype(np.int64)
+        q = _bit(words[_BIT]).astype(np.int64)
     else:
         q = np.full(len(seeds), int(config.bits[k - 1]), dtype=np.int64)
-    eve, bob, charlie = (words[_EVE:_KEY] >> np.uint64(11)) * 2.0**-53
+    eve, bob, charlie = _draw(words[_EVE:_KEY])
     return q, eve, bob, charlie
 
 
 def _run_batch(config: ExperimentConfig, indices: np.ndarray) -> _BatchOutcome:
+    import numpy as np
+
     n = config.n_bits
     B = len(indices)
     seeds, compared = _batch_randomness(config, indices)
@@ -501,6 +525,8 @@ def run_experiment(config: ExperimentConfig, on_chunk=None) -> AggregateReport:
     arrays in trial order, before the chunk is released; it is the only way
     to see single trials, so nothing per trial outlives its chunk.
     """
+    import numpy as np
+
     hist: Counter[int] = Counter()
     detected_total = 0
     ambiguous_total = 0
@@ -564,7 +590,7 @@ def aggregate_report_dict(config: ExperimentConfig, report: AggregateReport) -> 
 
 _LAB6 = ("A", "B", "C", "E", "S1", "S2")
 _LAB4 = ("A", "B", "C", "E")
-_INV_2SQRT2 = float(1.0 / (2.0 * np.sqrt(2.0)))
+_INV_2SQRT2 = 1.0 / (2.0 * math.sqrt(2.0))
 _GOLDEN_TOL = 1e-12
 
 
@@ -638,9 +664,9 @@ def verify_golden_states(inject_sign_fault: bool = False) -> list[GoldenCheck]:
             eve = run_trial(config, observer=lambda k, stage, state: states.__setitem__((k, stage), state)).eve
             even_form = states[1, "after round-end Hadamards"]
             if inject_sign_fault:
-                amps = even_form.amplitudes.copy()
-                significant = np.nonzero(np.abs(amps) > _GOLDEN_TOL)[0]
-                amps[significant[-1]] *= -1.0
+                amps = list(even_form.amplitudes)
+                last = max(i for i, a in enumerate(amps) if abs(a) > _GOLDEN_TOL)
+                amps[last] = -amps[last]
                 even_form = StateVector(even_form.labels, amps)
             # The receivers' CNOTs detach the round-1 pair as |q1,q1>.
             detached = {f"000{q1}{q1}{q1}": INV_SQRT2, f"111{q1 ^ 1}{q1}{q1}": INV_SQRT2}

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from ghzqss.harness import _transition_table, run_experiment
-from ghzqss.statevector import StateVector
+from ghzqss.statevector import NORM_TOL, StateVector
 
 ROW_COLUMNS = ("trial_index", "detected", "mismatches", "ambiguous", "eve_correct_bits", "eve_known_fraction")
 
@@ -16,6 +16,51 @@ def random_state(labels, rng) -> StateVector:
     amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     amps = amps / np.linalg.norm(amps)
     return StateVector(tuple(labels), amps)
+
+
+def equal_up_to_global_phase(s1: StateVector, s2: StateVector, tol: float = NORM_TOL) -> bool:
+    """True iff ``s1 == lam * s2`` componentwise within ``tol`` for some unit ``lam``."""
+    if s1.labels != s2.labels:
+        raise ValueError(f"registers differ: {s1.labels!r} vs {s2.labels!r}")
+    a, b = np.asarray(s1.amplitudes), np.asarray(s2.amplitudes)
+    j = int(np.argmax(np.abs(a) + np.abs(b)))
+    if abs(b[j]) < 1e-12 or abs(a[j]) < 1e-12:
+        # One side is (near) zero where the other is largest: no unit phase fits
+        # unless both are negligible there, in which case compare directly.
+        return bool(np.max(np.abs(a - b)) <= tol)
+    lam = a[j] / b[j]
+    lam /= abs(lam)
+    return bool(np.max(np.abs(a - lam * b)) <= tol)
+
+
+def _subset_axes(state: StateVector, subset):
+    """``subset``'s axes first, then the rest, after checking the subset."""
+    subset = tuple(subset)
+    if not subset:
+        raise ValueError("subset must be nonempty")
+    if len(set(subset)) != len(subset):
+        raise ValueError(f"subset labels must be distinct, got {subset!r}")
+    keep = [state.axis(q) for q in subset]
+    return keep + [ax for ax in range(state.n_qubits) if ax not in keep], len(keep)
+
+
+def marginal_probabilities(state: StateVector, subset) -> dict[str, float]:
+    """Probability table over the bitstrings of ``subset`` (in subset order).
+
+    Entries below 1e-15 are omitted; the remaining entries sum to 1 within
+    ``NORM_TOL``.
+    """
+    axes, k = _subset_axes(state, subset)
+    probs = (np.abs(np.asarray(state.amplitudes)) ** 2).reshape([2] * state.n_qubits)
+    table = probs.transpose(axes).reshape(1 << k, -1).sum(axis=1)
+    return {format(i, f"0{k}b"): float(p) for i, p in enumerate(table) if p > 1e-15}
+
+
+def reduced_density_matrix(state: StateVector, subset) -> np.ndarray:
+    """Reduced density matrix of ``subset`` (partial trace over the rest)."""
+    axes, k = _subset_axes(state, subset)
+    psi = np.asarray(state.amplitudes).reshape([2] * state.n_qubits).transpose(axes).reshape(1 << k, -1)
+    return psi @ psi.conj().T
 
 
 def run_with_rows(config):

@@ -30,17 +30,21 @@ from ghzqss.statevector import (
     apply_cnot,
     apply_h,
     apply_x,
-    equal_up_to_global_phase,
     from_terms,
-    marginal_probabilities,
     max_abs_difference,
     measure_z,
     probability_of_zero,
-    reduced_density_matrix,
     tensor,
 )
 
-from _util import path_columns, random_state, run_with_rows
+from _util import (
+    equal_up_to_global_phase,
+    marginal_probabilities,
+    path_columns,
+    random_state,
+    reduced_density_matrix,
+    run_with_rows,
+)
 from oracles import (
     all_even_subset_probability,
     intercept_resend_detection_probability,

@@ -27,12 +27,12 @@ from ghzqss.protocol import (
 from ghzqss.statevector import (
     INV_SQRT2,
     from_terms,
-    marginal_probabilities,
     max_abs_difference,
     new_basis_state,
-    reduced_density_matrix,
     tensor,
 )
+
+from _util import marginal_probabilities, reduced_density_matrix
 
 LAB4 = ("A", "B", "C", "E")
 LAB6 = ("A", "B", "C", "E", "S1", "S2")

@@ -2,7 +2,11 @@ import csv
 import hashlib
 import io
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -334,8 +338,7 @@ def test_trace_renders_states_equal_up_to_a_zero_sign_apart(capsys, monkeypatch,
     def negate_zero_imaginary_parts(k, stage, state):
         if k != 0:
             return ()
-        amplitudes = state.amplitudes.copy()
-        amplitudes.imag[amplitudes.imag == 0.0] = -0.0
+        amplitudes = [complex(a.real, -0.0) if a.imag == 0.0 else a for a in state.amplitudes]
         return [(k, f"{stage} (imaginary zeros negated)", StateVector(state.labels, amplitudes))]
 
     snapshots = record_snapshots(monkeypatch, extra=negate_zero_imaginary_parts)
@@ -382,3 +385,36 @@ def test_invalid_environment_seed_is_a_usage_error(capsys, monkeypatch):
     with pytest.raises(SystemExit) as excinfo:
         main(["run", "--bits-count", "4", "--trials", "10"])
     assert excinfo.value.code == 2
+
+
+# --- start-up cost ---------------------------------------------------------------
+
+
+def _imports_numpy(*argv):
+    """Run ``python -X importtime -m ghzqss argv`` on this checkout's package
+    and say whether numpy was imported."""
+    import ghzqss
+
+    env = {**os.environ, "PYTHONPATH": str(Path(ghzqss.__file__).resolve().parents[1])}
+    child = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "ghzqss", *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert child.returncode == 0, child.stderr[-2000:]
+    modules = [line.rsplit("|", 1)[-1].strip() for line in child.stderr.splitlines() if line.startswith("import time:")]
+    assert "ghzqss.cli" in modules  # the import log was read
+    return any(module.split(".")[0] == "numpy" for module in modules)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("--version",), ("trace", "--bits", "10110", "--attack", "cnot-ancilla", "--format", "json"), ("verify",)],
+    ids=["version", "trace", "verify"],
+)
+def test_trace_verify_and_version_never_import_numpy(argv):
+    assert not _imports_numpy(*argv)
+
+
+def test_run_imports_numpy():
+    # The guard above can only fail if numpy shows up in the log when it is imported.
+    assert _imports_numpy("run", "--bits-count", "4", "--trials", "3")

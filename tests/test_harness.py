@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ghzqss import adversary, protocol
 from ghzqss.adversary import AttackKind, EveInferenceError, eve_on_transit
 from ghzqss.harness import (
     ExperimentConfig,
@@ -30,14 +31,16 @@ from ghzqss.protocol import (
     round_parity,
 )
 from ghzqss.statevector import (
-    equal_up_to_global_phase,
+    MIN_BRANCH_PROBABILITY,
     from_terms,
     INV_SQRT2,
-    marginal_probabilities,
+    measure_z,
+    measurement_log,
+    probability_of_zero,
     tensor,
 )
 
-from _util import ROW_COLUMNS, path_columns, run_with_rows
+from _util import ROW_COLUMNS, equal_up_to_global_phase, marginal_probabilities, path_columns, run_with_rows
 
 LAB4 = ("A", "B", "C", "E")
 
@@ -278,10 +281,9 @@ def test_trace_snapshots_cover_every_round():
 
 
 def _exact_trial(result, snapshots):
-    """A trial's fields and trace, with every state as its exact bytes."""
+    """A trial's fields and trace, with every state as its exact key (labels and bytes)."""
     fields = dataclasses.asdict(dataclasses.replace(result, final_carrier=None))
-    carrier = (result.final_carrier.labels, result.final_carrier.amplitudes.tobytes())
-    return fields, carrier, [(k, stage, state.labels, state.amplitudes.tobytes()) for k, stage, state in snapshots]
+    return fields, result.final_carrier.key, [(k, stage, state.key) for k, stage, state in snapshots]
 
 
 @pytest.mark.parametrize("attack", list(AttackKind))
@@ -374,6 +376,45 @@ def test_transition_tables_are_pinned(attack):
     assert (len(table.carriers), digest.hexdigest()) == TABLE_DIGESTS[attack]
     finite = np.concatenate([p0[np.isfinite(p0)] for p0 in p0s])
     assert np.all(np.min(np.abs(finite[:, None] - np.array([0.0, 0.5, 1.0])), axis=1) <= 1e-12)
+
+
+#: The largest draw the random stream can produce.
+LARGEST_DRAW = 1.0 - 2.0**-53
+
+
+@pytest.mark.parametrize("attack", list(AttackKind))
+def test_the_largest_draw_never_realizes_a_rounding_noise_branch(attack, monkeypatch):
+    # Deterministic measurements reach P(0) = 1 only up to rounding noise;
+    # the largest draw must still realize the certain outcome on each of them.
+    reached = {}
+
+    def recording(state, q, draw):
+        p0 = probability_of_zero(state, q)
+        if 1.0 - MIN_BRANCH_PROBABILITY < p0 < 1.0:
+            reached.setdefault(p0, (state, q))
+        return measure_z(state, q, draw)
+
+    monkeypatch.setattr(protocol, "measure_z", recording)
+    monkeypatch.setattr(adversary, "measure_z", recording)
+    for seed in range(3):
+        run_trial(ExperimentConfig(n_bits=64, attack=attack, master_seed=seed), 0)
+    assert reached
+    for p0, (state, q) in reached.items():
+        with measurement_log() as log:
+            outcome, _, record = measure_z(state, q, LARGEST_DRAW)
+        assert (outcome, record.probability, log) == (0, p0, [1.0])
+
+
+@pytest.mark.parametrize("attack", list(AttackKind))
+def test_extreme_draws_take_an_enumerated_branch_of_the_table(attack):
+    table = _transition_table(attack)
+    levels = ((table.eve_p0, table.bob_p0), (table.bob_p0, table.charlie_p0), (table.charlie_p0, table.next_state))
+    for draw in (0.0, LARGEST_DRAW):
+        for thresholds, following in levels:
+            for index, threshold in np.ndenumerate(thresholds):
+                if np.isfinite(threshold):
+                    branch = following[index + (int(draw >= threshold),)]
+                    assert branch >= 0 if following is table.next_state else not np.isnan(branch)
 
 
 def test_a_changed_round_op_reaches_both_engines(monkeypatch):

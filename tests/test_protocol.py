@@ -23,11 +23,12 @@ from ghzqss.statevector import (
     apply_cnot,
     apply_x,
     from_terms,
-    marginal_probabilities,
     max_abs_difference,
     new_basis_state,
     tensor,
 )
+
+from _util import marginal_probabilities
 
 INV_2SQRT2 = INV_SQRT2 / 2.0
 LAB4 = ("A", "B", "C", "E")

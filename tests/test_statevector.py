@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,22 +12,19 @@ from ghzqss.statevector import (
     apply_h,
     apply_x,
     discard_qubit,
-    equal_up_to_global_phase,
     from_terms,
-    marginal_probabilities,
     max_abs_difference,
     measure_z,
     measurement_log,
     memoized_ops,
     new_basis_state,
     probability_of_zero,
-    reduced_density_matrix,
     state_terms,
     state_to_dict,
     tensor,
 )
 
-from _util import random_state
+from _util import equal_up_to_global_phase, marginal_probabilities, random_state, reduced_density_matrix
 from oracles import brute_marginal
 
 LAB6 = ("A", "B", "C", "E", "S1", "S2")
@@ -238,6 +237,21 @@ def test_measurement_log_collects_born_p0_in_call_order():
     assert log == [probability_of_zero(ghz, "A"), 0.0]
 
 
+@pytest.mark.parametrize("improbable, certain", [(0, 1), (1, 0)])
+def test_an_outcome_below_the_minimum_is_never_realized(improbable, certain):
+    amplitudes = [0.0, 0.0]
+    amplitudes[improbable] = np.sqrt(1e-13)
+    amplitudes[certain] = np.sqrt(1.0 - 1e-13)
+    state = StateVector(("A",), amplitudes)
+    for draw in (0.0, 0.5, 1.0 - 2.0**-53):
+        with measurement_log() as log:
+            outcome, after, record = measure_z(state, "A", draw)
+        # The threshold is 0.0 when outcome 0 is improbable and 1.0 when outcome 1 is.
+        assert (outcome, log) == (certain, [float(improbable)])
+        assert record.probability >= 1.0 - 1e-12
+        assert max_abs_difference(after, new_basis_state(("A",), str(certain))) <= 1e-12
+
+
 def test_measure_rejects_draw_out_of_range():
     s = new_basis_state(("A",), "0")
     with pytest.raises(ValueError):
@@ -267,8 +281,8 @@ def test_born_frequencies_match_marginals():
 def test_equal_up_to_global_phase():
     rng = np.random.default_rng(5)
     s = random_state(("A", "B"), rng)
-    negated = StateVector(s.labels, -s.amplitudes)
-    rotated = StateVector(s.labels, np.exp(1j * np.pi / 4) * s.amplitudes)
+    negated = StateVector(s.labels, [-a for a in s.amplitudes])
+    rotated = StateVector(s.labels, np.exp(1j * np.pi / 4) * np.asarray(s.amplitudes))
     assert equal_up_to_global_phase(s, negated, tol=1e-12)
     assert equal_up_to_global_phase(s, rotated, tol=1e-12)
     assert not equal_up_to_global_phase(
@@ -390,10 +404,9 @@ def _variants(seed):
     base = apply_h(apply_cnot(base, "A", "S1"), "S2")
     rng = np.random.default_rng(seed)
     noisy = random_state(LAB6, rng)
-    negzero = base.amplitudes.copy()
-    negzero.imag[negzero.imag == 0.0] = -0.0
-    ulp = noisy.amplitudes.copy()
-    i = rng.integers(ulp.size)
+    negzero = [complex(a.real, -0.0) if a.imag == 0.0 else a for a in base.amplitudes]
+    ulp = list(noisy.amplitudes)
+    i = rng.integers(len(ulp))
     ulp[i] = complex(np.nextafter(ulp[i].real, np.inf), ulp[i].imag)
     return [base, StateVector(LAB6, negzero), noisy, StateVector(LAB6, ulp)]
 
@@ -419,7 +432,7 @@ def _memoised_calls(state):
 
 def _exact(result):
     if isinstance(result, StateVector):
-        return result.labels, result.amplitudes.tobytes()
+        return result.key
     return float(result).hex()
 
 
@@ -435,21 +448,27 @@ def test_memoized_ops_match_the_ops_bit_for_bit(seed):
                     assert _exact(thunk()) == want, name
 
 
+def _assert_immutable(state):
+    with pytest.raises(TypeError):
+        state.amplitudes[0] = 0j
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        state.amplitudes = ()
+
+
 def test_memoized_results_are_shared_read_only_and_end_with_the_block():
     state = _variants(0)[2]
     with memoized_ops():
         first = apply_h(state, "A")
-        assert apply_h(StateVector(LAB6, state.amplitudes.copy()), "A") is first
-        assert not first.amplitudes.flags.writeable
-        assert not measure_z(state, "S1", 0.5)[1].amplitudes.flags.writeable
+        assert apply_h(StateVector(LAB6, list(state.amplitudes)), "A") is first
+        _assert_immutable(first)
+        _assert_immutable(measure_z(state, "S1", 0.5)[1])
     after = apply_h(state, "A")
     assert after is not apply_h(state, "A")
-    assert after.amplitudes.flags.writeable
     with pytest.raises(KeyError):
         with memoized_ops():
             apply_h(state, "A")
             raise KeyError("unwinds the block")
-    assert apply_h(state, "A").amplitudes.flags.writeable
+    assert apply_h(state, "A") is not apply_h(state, "A")
 
 
 def test_memoized_measure_z_logs_every_call():
@@ -469,18 +488,20 @@ def test_memoized_ops_never_cache_an_exception():
     uncollapsed = apply_h(new_basis_state(("A", "B"), "00"), "A")
     with memoized_ops():
         assert measure_z(lopsided, "A", 0.5)[0] == 0
+        # A draw above P(0) still realizes outcome 0: outcome 1 is below the minimum.
+        assert measure_z(lopsided, "A", 1.0 - p1 / 2)[0] == 0
         raised = []
         for _ in range(2):
-            with pytest.raises(RuntimeError, match="zero-probability") as guard:
-                measure_z(lopsided, "A", 1.0 - p1 / 2)
             with pytest.raises(ValueError, match="not collapsed") as residual:
                 discard_qubit(uncollapsed, "A", 0)
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="draw must lie") as draw:
                 measure_z(lopsided, "A", 1.0)
-            raised += [guard.value, residual.value]
+            raised += [residual.value, draw.value]
         assert len({id(e) for e in raised}) == 4  # raised afresh by every call
         # The key holds the argument types: a float outcome fails as it does outside.
         collapsed = measure_z(uncollapsed, "A", 0.2)[1]
         discard_qubit(collapsed, "A", 0)
-        with pytest.raises(IndexError):
+        with pytest.raises(TypeError):
             discard_qubit(collapsed, "A", 0.0)
+    with pytest.raises(TypeError):
+        discard_qubit(collapsed, "A", 0.0)
