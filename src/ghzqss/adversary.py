@@ -21,7 +21,6 @@ gate and measurement she performs is routed through a guard that raises
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from enum import Enum
 
 from .statevector import StateVector, apply_cnot, apply_h, measure_z
@@ -54,7 +53,6 @@ class EveInferenceError(RuntimeError):
     """Eve's bookkeeping reached a state that is impossible in a correct run."""
 
 
-@dataclass
 class EveRecord:
     """Eve's per-trial notebook.
 
@@ -64,15 +62,42 @@ class EveRecord:
     is 1. Post-processing fills either the inferred fields or, when no odd
     index was announced, the ``ambiguous`` flag plus the two candidate
     sequences for the odd-indexed bits.
+
+    It is mutable, since ``eve_on_transit`` updates it in place; records are
+    equal when every field is.
     """
 
-    measured: dict[int, int] = field(default_factory=dict)
-    probabilities: dict[int, float] = field(default_factory=dict)
-    rounds_seen: int = 0
-    inferred_offset: int | None = None
-    inferred_bits: dict[int, int] | None = None
-    ambiguous: bool = False
-    candidates: tuple[dict[int, int], dict[int, int]] | None = None
+    def __init__(
+        self,
+        measured: dict[int, int] | None = None,
+        probabilities: dict[int, float] | None = None,
+        rounds_seen: int = 0,
+        inferred_offset: int | None = None,
+        inferred_bits: dict[int, int] | None = None,
+        ambiguous: bool = False,
+        candidates: tuple[dict[int, int], dict[int, int]] | None = None,
+    ) -> None:
+        self.measured = {} if measured is None else measured
+        self.probabilities = {} if probabilities is None else probabilities
+        self.rounds_seen = rounds_seen
+        self.inferred_offset = inferred_offset
+        self.inferred_bits = inferred_bits
+        self.ambiguous = ambiguous
+        self.candidates = candidates
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    __hash__ = None  # mutable
+
+    def __repr__(self) -> str:
+        return f"EveRecord({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
+
+    def _replace(self, **changes) -> EveRecord:
+        """A new record with ``changes`` applied; the other fields are shared."""
+        return EveRecord(**{**vars(self), **changes})
 
 
 def _guard(*qubits: str) -> None:
@@ -190,8 +215,7 @@ def eve_postprocess(record: EveRecord, announced: dict[int, int]) -> EveRecord:
                 raise ValueError(f"announced odd index {j} has no recorded readout")
             offsets.append(record.measured[j] ^ announced[j])
     if not offsets:
-        return replace(
-            record,
+        return record._replace(
             inferred_offset=None,
             inferred_bits=None,
             ambiguous=True,
@@ -203,8 +227,7 @@ def eve_postprocess(record: EveRecord, announced: dict[int, int]) -> EveRecord:
     inferred = {1: offset}
     for k, r in record.measured.items():
         inferred[k] = r ^ offset
-    return replace(
-        record,
+    return record._replace(
         inferred_offset=offset,
         inferred_bits=inferred,
         ambiguous=False,

@@ -17,7 +17,6 @@ variable is consulted before falling back to 0.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -109,6 +108,8 @@ def _build_config(args, parser: argparse.ArgumentParser, **fields) -> Experiment
 def _cmd_run(args, parser: argparse.ArgumentParser) -> int:
     config = _build_config(args, parser, n_bits=args.bits_count, trials=args.trials)
     if args.format == "csv":
+        import csv  # only CSV output needs it; every other command starts without
+
         writer = csv.writer(sys.stdout)
         writer.writerow(
             ["trial_index", "detected", "mismatches", "ambiguous", "eve_correct_bits", "eve_known_fraction"]

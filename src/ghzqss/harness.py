@@ -25,8 +25,7 @@ import functools
 import math
 import operator
 from collections import Counter
-from dataclasses import dataclass
-from fractions import Fraction
+from typing import NamedTuple
 
 from ._version import __version__
 from .adversary import (
@@ -129,9 +128,19 @@ def _compare_key(word, k):
     return word
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Parameters of a Monte Carlo experiment.
+class _ExperimentFields(NamedTuple):
+    """The fields of :class:`ExperimentConfig`, which checks them."""
+
+    n_bits: int
+    trials: int = 1
+    attack: AttackKind = AttackKind.NO_ATTACK
+    compare_fraction: float = 0.25
+    master_seed: int = 0
+    bits: str | None = None
+
+
+class ExperimentConfig(_ExperimentFields):
+    """Parameters of a Monte Carlo experiment, checked when it is made.
 
     ``bits`` fixes the transmitted sequence for every trial; ``None`` draws a
     fresh uniform sequence per trial. The comparison subset always has
@@ -141,14 +150,10 @@ class ExperimentConfig:
     product rounds up to.
     """
 
-    n_bits: int
-    trials: int = 1
-    attack: AttackKind = AttackKind.NO_ATTACK
-    compare_fraction: float = 0.25
-    master_seed: int = 0
-    bits: str | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.n_bits < 1:
             raise ValueError(f"n_bits must be >= 1, got {self.n_bits}")
         if self.n_bits > _CHUNK_ROUNDS:
@@ -164,6 +169,12 @@ class ExperimentConfig:
                 raise ValueError(
                     f"fixed bit sequence {self.bits!r} must be {self.n_bits} characters of 0/1"
                 )
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # ``_replace`` builds its copy through ``_make``, so a copy is checked too.
+        return cls(*iterable)
 
     @property
     def bits_mode(self) -> str:
@@ -171,11 +182,15 @@ class ExperimentConfig:
 
     @property
     def compare_count(self) -> int:
-        return max(1, math.ceil(Fraction(str(self.compare_fraction)) * self.n_bits))
+        # The fraction's shortest decimal form is digits x 10**exp exactly.
+        mantissa, _, exp = str(self.compare_fraction).partition("e")
+        whole, _, decimals = mantissa.partition(".")
+        scaled = int(whole + decimals) * self.n_bits
+        exp = int(exp or 0) - len(decimals)
+        return max(1, scaled * 10**exp if exp >= 0 else -(-scaled // 10**-exp))
 
 
-@dataclass
-class TrialResult:
+class TrialResult(NamedTuple):
     """Everything one trial produced."""
 
     trial_index: int
@@ -188,8 +203,7 @@ class TrialResult:
     final_carrier: StateVector
 
 
-@dataclass
-class AggregateReport:
+class AggregateReport(NamedTuple):
     """Aggregated Monte Carlo statistics.
 
     ``mean_eve_known_fraction`` averages over non-ambiguous trials only
@@ -301,8 +315,7 @@ def run_trial(config: ExperimentConfig, trial_index: int = 0, observer=None) -> 
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _TransitionTable:
+class _TransitionTable(NamedTuple):
     """Round transitions, indexed [state, q, eve, bob, charlie] (as deep as
     each field goes). A p0 is the threshold ``measure_z`` compares its draw
     with. Impossible branches hold p0 = nan and next state -1;
@@ -422,13 +435,12 @@ def _transition_table(kind: AttackKind) -> _TransitionTable:
         next_state=dense(next_states, 4, -1),
         carriers=np.array([carrier.amplitudes for carrier, _ in states]),
     )
-    for arr in vars(table).values():
+    for arr in table:
         arr.flags.writeable = False  # the cached table is shared by every caller
     return table
 
 
-@dataclass
-class _BatchOutcome:
+class _BatchOutcome(NamedTuple):
     path: np.ndarray          # (B, n) flat [state, q, eve, bob, charlie] table index per round
     compared: np.ndarray      # (B, n) bool, comparison subset membership
     mismatches: np.ndarray    # (B,) counted within the compared subset
@@ -594,8 +606,7 @@ _INV_2SQRT2 = 1.0 / (2.0 * math.sqrt(2.0))
 _GOLDEN_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class GoldenCheck:
+class GoldenCheck(NamedTuple):
     name: str
     passed: bool
     max_error: float

@@ -17,8 +17,9 @@ subsequence of the data bits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
 from enum import Enum
+from typing import NamedTuple
 
 from .statevector import (
     INV_SQRT2,
@@ -43,8 +44,7 @@ def round_parity(k: int) -> RoundParity:
     return RoundParity.ODD if k % 2 == 1 else RoundParity.EVEN
 
 
-@dataclass(frozen=True)
-class RoundRecord:
+class RoundRecord(NamedTuple):
     """Outcome of one transport round as seen by the legitimate parties."""
 
     round_index: int
@@ -63,8 +63,7 @@ class RoundRecord:
         return cls(k, sent, bob, charlie, bob ^ charlie, True)
 
 
-@dataclass(frozen=True)
-class DetectionReport:
+class DetectionReport(NamedTuple):
     """Result of the public subsequence comparison."""
 
     compared_indices: tuple[int, ...]
@@ -81,9 +80,11 @@ def init_carrier(with_adversary_ancilla: bool = False) -> StateVector:
     return from_terms(("A", "B", "C"), {"000": INV_SQRT2, "111": INV_SQRT2})
 
 
+@functools.cache
 def encode_pair(q: int, parity: RoundParity) -> StateVector:
     """Sending pair for data bit ``q``: |q,q> on odd rounds, the Bell pair
-    |q-bar> on even rounds.
+    |q-bar> on even rounds. States are immutable, so each (q, parity) is
+    built once and shared by every round and trial that sends it.
 
     The Bell convention is |0-bar> = (|00> + |11>)/sqrt2 and
     |1-bar> = (|01> + |10>)/sqrt2, the unique sign choice under which a bit
@@ -92,6 +93,7 @@ def encode_pair(q: int, parity: RoundParity) -> StateVector:
     """
     if q not in (0, 1):
         raise ValueError(f"data bit must be 0 or 1, got {q!r}")
+    q = int(q)  # True or 1.0 shares the entry of 1, so it must build the same state
     if parity is RoundParity.ODD:
         return new_basis_state(("S1", "S2"), f"{q}{q}")
     return from_terms(("S1", "S2"), {f"0{q}": INV_SQRT2, f"1{1 - q}": INV_SQRT2})

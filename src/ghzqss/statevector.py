@@ -31,9 +31,9 @@ import math
 import struct
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
 from itertools import chain
 from operator import attrgetter, itemgetter, sub
+from typing import NamedTuple
 
 #: Qubit roles known to the register layout. A, B, C are the three carrier
 #: qubits, E is the interceptor's ancilla, S1 and S2 are the per-round
@@ -55,28 +55,30 @@ _memo: ContextVar[dict | None] = ContextVar("memo", default=None)
 _real, _imag = attrgetter("real"), attrgetter("imag")
 
 
-@dataclass(frozen=True, eq=False)
 class StateVector:
     """Complex amplitudes over an ordered register of labeled qubits.
 
     ``amplitudes`` is a tuple of ``2 ** len(labels)`` complex numbers, indexed
     msb-first by the labels, per the module conventions; any iterable of
-    numbers is accepted and converted. Instances are immutable; the gate and
-    measurement helpers return new vectors, or inside :func:`memoized_ops`
-    possibly a shared one.
+    numbers is accepted and converted. Instances are immutable and compare by
+    identity; the gate and measurement helpers return new vectors, or inside
+    :func:`memoized_ops` possibly a shared one.
+
+    ``key`` is the labels and the bytes of every real part, then every
+    imaginary part: equal exactly when the states are bit for bit equal, so a
+    ``-0.0`` or a one-ulp variant has a key of its own.
     """
 
-    labels: tuple[str, ...]
-    amplitudes: tuple[complex, ...]
+    __slots__ = ("labels", "amplitudes", "key")
 
-    def __post_init__(self) -> None:
-        labels = tuple(self.labels)
+    def __init__(self, labels, amplitudes) -> None:
+        labels = tuple(labels)
         for q in labels:
             if q not in QUBIT_ROLES:
                 raise ValueError(f"unknown qubit role {q!r}; expected one of {QUBIT_ROLES}")
         if len(set(labels)) != len(labels):
             raise ValueError(f"duplicate qubit labels in {labels!r}")
-        amps = tuple(map(complex, self.amplitudes))
+        amps = tuple(map(complex, amplitudes))
         expected = 1 << len(labels)
         if len(amps) != expected:
             raise ValueError(
@@ -84,16 +86,18 @@ class StateVector:
             )
         if not all(map(cmath.isfinite, amps)):
             raise ValueError("non-finite amplitude in state vector")
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "amplitudes", amps)
+        _set = object.__setattr__
+        _set(self, "labels", labels)
+        _set(self, "amplitudes", amps)
+        _set(self, "key", (labels, struct.pack(f"<{2 * expected}d", *map(_real, amps), *map(_imag, amps))))
 
-    @functools.cached_property
-    def key(self) -> tuple[tuple[str, ...], bytes]:
-        """The labels and the bytes of every real part, then every imaginary
-        part: equal exactly when the states are bit for bit equal, so a
-        ``-0.0`` or a one-ulp variant has a key of its own."""
-        amps = self.amplitudes
-        return self.labels, struct.pack(f"<{2 * len(amps)}d", *map(_real, amps), *map(_imag, amps))
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign to or delete {name!r} of an immutable StateVector")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        return f"StateVector(labels={self.labels!r}, amplitudes={self.amplitudes!r})"
 
     @property
     def n_qubits(self) -> int:
@@ -114,8 +118,7 @@ class StateVector:
         return math.sqrt(_sum_of_squares(self.amplitudes))
 
 
-@dataclass(frozen=True)
-class MeasurementRecord:
+class MeasurementRecord(NamedTuple):
     """One Z-basis measurement: which qubit, the outcome, and its Born probability."""
 
     qubit: str

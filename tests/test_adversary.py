@@ -260,3 +260,14 @@ def test_postprocess_rejects_unknown_indices():
     rec_missing = _record({}, rounds_seen=4)
     with pytest.raises(ValueError):
         eve_postprocess(rec_missing, {3: 1})
+
+
+def test_postprocess_returns_a_new_record_and_leaves_the_notebook_as_it_was():
+    rec = _record({3: 1, 5: 0}, rounds_seen=5)
+    before = _record({3: 1, 5: 0}, rounds_seen=5)
+    assert rec == before and rec is not before
+    out = eve_postprocess(rec, {3: 0})
+    assert out is not rec and rec == before
+    assert out != rec and out.measured == rec.measured and out.rounds_seen == 5
+    assert EveRecord() != _record({}, rounds_seen=1)
+    assert EveRecord().measured is not EveRecord().measured  # a fresh dict per record

@@ -1,4 +1,5 @@
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -390,9 +391,10 @@ def test_invalid_environment_seed_is_a_usage_error(capsys, monkeypatch):
 # --- start-up cost ---------------------------------------------------------------
 
 
-def _imports_numpy(*argv):
+@functools.cache
+def _imported_packages(*argv):
     """Run ``python -X importtime -m ghzqss argv`` on this checkout's package
-    and say whether numpy was imported."""
+    and return the top-level names of the modules it imported."""
     import ghzqss
 
     env = {**os.environ, "PYTHONPATH": str(Path(ghzqss.__file__).resolve().parents[1])}
@@ -402,19 +404,31 @@ def _imports_numpy(*argv):
     )
     assert child.returncode == 0, child.stderr[-2000:]
     modules = [line.rsplit("|", 1)[-1].strip() for line in child.stderr.splitlines() if line.startswith("import time:")]
-    assert "ghzqss.cli" in modules  # the import log was read
-    return any(module.split(".")[0] == "numpy" for module in modules)
+    # The log was read: every command loads the harness, so an absence below means something.
+    assert "ghzqss.harness" in modules
+    return {module.split(".")[0] for module in modules}
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [("--version",), ("trace", "--bits", "10110", "--attack", "cnot-ancilla", "--format", "json"), ("verify",)],
-    ids=["version", "trace", "verify"],
-)
+STARTUP_ARGV = [("--version",), ("trace", "--bits", "10110", "--attack", "cnot-ancilla", "--format", "json"), ("verify",)]
+RUN_ARGV = ("run", "--bits-count", "4", "--trials", "3")
+
+
+@pytest.mark.parametrize("argv", STARTUP_ARGV, ids=["version", "trace", "verify"])
 def test_trace_verify_and_version_never_import_numpy(argv):
-    assert not _imports_numpy(*argv)
+    assert "numpy" not in _imported_packages(*argv)
 
 
 def test_run_imports_numpy():
     # The guard above can only fail if numpy shows up in the log when it is imported.
-    assert _imports_numpy("run", "--bits-count", "4", "--trials", "3")
+    assert "numpy" in _imported_packages(*RUN_ARGV)
+
+
+@pytest.mark.parametrize("argv", STARTUP_ARGV, ids=["version", "trace", "verify"])
+def test_trace_verify_and_version_import_neither_dataclasses_nor_fractions(argv):
+    assert not {"dataclasses", "fractions"} & _imported_packages(*argv)
+
+
+def test_only_csv_output_imports_csv():
+    assert "csv" not in _imported_packages(*RUN_ARGV, "--format", "json")
+    # The positive control: the same log does show csv when it is imported.
+    assert "csv" in _imported_packages(*RUN_ARGV, "--format", "csv")

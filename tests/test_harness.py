@@ -1,7 +1,7 @@
-import dataclasses
 import hashlib
 import json
 import math
+import random
 
 import numpy as np
 import pytest
@@ -139,6 +139,8 @@ def test_fixed_bits_mode():
 def test_config_validation(kwargs):
     with pytest.raises(ValueError):
         ExperimentConfig(**kwargs)
+    with pytest.raises(ValueError):  # a copy is checked as well
+        ExperimentConfig(n_bits=4)._replace(**kwargs)
 
 
 def test_compare_count_is_at_least_one():
@@ -150,6 +152,18 @@ def test_compare_count_is_at_least_one():
 def test_compare_count_is_exact_where_the_float_product_misrounds(fraction, n_bits):
     assert math.ceil(fraction * n_bits) == 8
     assert ExperimentConfig(n_bits=n_bits, compare_fraction=fraction).compare_count == 7
+
+
+def test_compare_count_is_the_exact_ceiling_of_the_decimal_fraction():
+    from fractions import Fraction
+
+    rng = random.Random(20260)
+    fractions = [0.28, 0.14, 0.07, 1.0, 0.1, 1e-05, 5e-324, 0.9999999999999999]
+    fractions += [1.0 - rng.random() for _ in range(200)]  # in (0, 1]
+    for f in fractions:
+        for n in (1, 2, 7, 25, 100, 2**21):
+            expected = math.ceil(Fraction(str(f)) * n)
+            assert ExperimentConfig(n_bits=n, compare_fraction=f).compare_count == expected, (f, n)
 
 
 # --- single trials ----------------------------------------------------------------
@@ -281,9 +295,10 @@ def test_trace_snapshots_cover_every_round():
 
 
 def _exact_trial(result, snapshots):
-    """A trial's fields and trace, with every state as its exact key (labels and bytes)."""
-    fields = dataclasses.asdict(dataclasses.replace(result, final_carrier=None))
-    return fields, result.final_carrier.key, [(k, stage, state.key) for k, stage, state in snapshots]
+    """A trial's fields, every field of its Eve record, and its trace, with
+    every state as its exact key (labels and bytes)."""
+    fields = result._replace(eve=None, final_carrier=None)
+    return fields, vars(result.eve), result.final_carrier.key, [(k, stage, state.key) for k, stage, state in snapshots]
 
 
 @pytest.mark.parametrize("attack", list(AttackKind))
@@ -425,7 +440,7 @@ def test_a_changed_round_op_reaches_both_engines(monkeypatch):
     def charlie_alone_on_even_rounds(joint, k, sent, draws):
         rec, joint = reference(joint, k, sent, draws)
         if k % 2 == 0:
-            rec = dataclasses.replace(rec, reconstructed=rec.charlie_outcome)
+            rec = rec._replace(reconstructed=rec.charlie_outcome)
         return rec, joint
 
     harness._transition_table.cache_clear()
@@ -441,26 +456,22 @@ def test_a_changed_round_op_reaches_both_engines(monkeypatch):
 
 
 def test_batch_engine_refuses_a_branch_missing_from_the_table(monkeypatch):
-    import dataclasses
-
     import ghzqss.harness as harness
 
     table = harness._transition_table(AttackKind.NO_ATTACK)
-    holed = dataclasses.replace(table, next_state=np.full_like(table.next_state, -1))
+    holed = table._replace(next_state=np.full_like(table.next_state, -1))
     monkeypatch.setattr(harness, "_transition_table", lambda kind: holed)
     with pytest.raises(RuntimeError, match="zero-probability branch"):
         _run_batch(ExperimentConfig(n_bits=2, trials=4), np.arange(4))
 
 
 def test_batch_engine_refuses_conflicting_reveals(monkeypatch):
-    import dataclasses
-
     import ghzqss.harness as harness
 
     table = harness._transition_table(AttackKind.CNOT_ANCILLA)
     # Every round reveals its own bit as the offset, so rounds sending 1 and 0 disagree.
-    conflicting = dataclasses.replace(
-        table, reveals=np.zeros_like(table.reveals) + np.arange(2, dtype=np.int8)[:, None]
+    conflicting = table._replace(
+        reveals=np.zeros_like(table.reveals) + np.arange(2, dtype=np.int8)[:, None]
     )
     monkeypatch.setattr(harness, "_transition_table", lambda kind: conflicting)
     config = ExperimentConfig(n_bits=2, trials=4, attack=AttackKind.CNOT_ANCILLA, compare_fraction=1.0, bits="10")

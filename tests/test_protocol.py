@@ -110,6 +110,19 @@ def test_encode_rejects_non_bit():
         encode_pair(2, RoundParity.ODD)
 
 
+@pytest.mark.parametrize("parity", list(RoundParity))
+def test_encode_shares_one_state_per_bit_and_parity(parity):
+    encode_pair.cache_clear()
+    for q in (0, 1):
+        # A bool first: the entry it makes is the one the int finds.
+        assert encode_pair(bool(q), parity) is encode_pair(q, parity) is encode_pair(q, parity)
+        assert encode_pair(q, parity).key == encode_pair.__wrapped__(q, parity).key
+    assert encode_pair(0, parity).key != encode_pair(1, parity).key
+    for bad in (2, -1, 2, "1"):  # raised afresh each time: an error is never cached
+        with pytest.raises(ValueError, match="data bit must be 0 or 1"):
+            encode_pair(bad, parity)
+
+
 # --- entangling and disentangling -------------------------------------------
 
 

@@ -1,4 +1,3 @@
-import dataclasses
 
 import numpy as np
 import pytest
@@ -449,10 +448,15 @@ def test_memoized_ops_match_the_ops_bit_for_bit(seed):
 
 
 def _assert_immutable(state):
+    labels, amplitudes, key = state.labels, state.amplitudes, state.key
     with pytest.raises(TypeError):
         state.amplitudes[0] = 0j
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        state.amplitudes = ()
+    for name in ("labels", "amplitudes", "key"):
+        with pytest.raises(AttributeError):
+            setattr(state, name, ())
+        with pytest.raises(AttributeError):
+            delattr(state, name)
+    assert (state.labels, state.amplitudes, state.key) == (labels, amplitudes, key)
 
 
 def test_memoized_results_are_shared_read_only_and_end_with_the_block():
