@@ -12,7 +12,8 @@ counter-based hash of ``(s, round k, column c)``, the SplitMix64 output
 ``_compare_key`` the only readers of its words; they take Python ints, for
 the single-trial engine, and uint64 arrays, for the vectorized batch
 engine, alike, so results are independent of execution order and identical
-between the two. Only the batch engine imports numpy, and only when it runs.
+between the two, up to the residual the batch engine's comment names. Only
+the batch engine imports numpy, and only when it runs.
 
 ``run_experiment`` keeps only running totals: per-trial results leave each
 chunk through its ``on_chunk`` callback, so its memory is bounded by the
@@ -22,6 +23,7 @@ chunk size whatever ``trials`` is.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from collections import Counter
@@ -52,7 +54,6 @@ from .protocol import (
 from .statevector import (
     EXACT_TOL,
     INV_SQRT2,
-    MIN_BRANCH_PROBABILITY,
     StateVector,
     discard_qubit,
     from_terms,
@@ -302,26 +303,34 @@ def run_trial(config: ExperimentConfig, trial_index: int = 0, observer=None) -> 
 # ---------------------------------------------------------------------------
 # Vectorized batch engine. Every gate is Clifford and every prepared state is
 # a stabilizer state, so a run only ever visits a handful of distinct states,
-# a state being a carrier plus the phase of the round it enters.
-# _transition_table finds them by playing the two round halves run_trial
-# plays, _transit and _receive, from every reachable state, for each data bit
-# and along every measurement branch, learning each P(0) only through
-# measurement_log; it reads each transition's mismatch and Eve's inference
-# from the reference rules. A chunk of trials steps through the table by
-# integer gathers and ``draw >= p0``, then gathers every per-trial column
-# along each trial's path. It reads run_trial's randomness through the same
-# _stream, _bit, _draw and _compare_key, so outcomes match run_trial trial
-# for trial (asserted by the test suite). Only these functions import numpy.
+# a state being a carrier plus the phase of the round it enters, and every
+# measurement is certain or fair (Aaronson & Gottesman, PRA 70, 052328).
+# _transition_table finds the states by playing the two round halves
+# run_trial plays, _transit and _receive, from every reachable state, for
+# each data bit and each round symbol: one bit per measurement, bit w played
+# as the draw (2w + 1) / 4, which takes the outcome of every draw whose top
+# bit is w. It learns each threshold only through measurement_log and reads
+# each transition's mismatch and Eve's inference from the reference rules.
+# A chunk of trials steps through the table by two integer gathers per
+# round, on the round's 4-bit symbol (data bit, then the top bits of Eve's,
+# Bob's and Charlie's words), then gathers every per-trial column along each
+# trial's path. It reads run_trial's randomness through the same _stream,
+# _bit and _compare_key, so outcomes match run_trial trial for trial
+# (asserted by the test suite), except on the at most 13 of a fair
+# measurement's 2^53 draws that its threshold's rounding noise puts between
+# it and 1/2. Only these functions import numpy.
 # ---------------------------------------------------------------------------
 
 
 class _TransitionTable(NamedTuple):
-    """Round transitions, indexed [state, q, eve, bob, charlie] (as deep as
-    each field goes). A p0 is the threshold ``measure_z`` compares its draw
-    with. Impossible branches hold p0 = nan and next state -1;
-    ``eve_p0`` is inf where Eve measures nothing, so every draw takes
-    branch 0. ``reveals`` and ``hits`` are read from ``eve_postprocess`` on
-    the round's record, for the CNOT-ancilla attack only, as in run_trial."""
+    """Round transitions, indexed [state, q, eve, bob, charlie] by outcome
+    (as deep as each field goes), plus ``by_symbol``, indexed by the round's
+    symbol bits [state, q, eve, bob, charlie]. A p0 is the threshold
+    ``measure_z`` compares its draw with. Impossible branches hold p0 = nan
+    and next state -1; ``eve_p0`` is inf where Eve measures nothing, so every
+    draw takes branch 0. ``reveals`` and ``hits`` are read from
+    ``eve_postprocess`` on the round's record, for the CNOT-ancilla attack
+    only, as in run_trial."""
 
     eve_p0: np.ndarray      # (S, 2)
     readout: np.ndarray     # (S, 2, 2) int8 Eve's recorded r_k, -1 where absent
@@ -331,36 +340,28 @@ class _TransitionTable(NamedTuple):
     charlie_p0: np.ndarray  # (S, 2, 2, 2)
     mismatch: np.ndarray    # (S, 2, 2, 2, 2) the round's bit fails the public comparison
     next_state: np.ndarray  # (S, 2, 2, 2, 2)
+    by_symbol: np.ndarray   # (S, 2, 2, 2, 2) flat outcome index each symbol reaches
     carriers: np.ndarray    # (S, carrier dim) amplitudes of each state's carrier
 
 
-def _leaves(play, width: int) -> list:
-    """Every branch of the half round ``play(draws)``, which takes one draw
-    per measurement it makes, as (outcomes, P(0)s, result) in outcome order;
+def _leaves(play, width: int):
+    """Play the half round ``play(draws)``, which takes one draw per
+    measurement it makes, once per symbol of ``width`` bits, in symbol
+    order. Bit w is played as the draw (2w + 1) / 4. Yields (symbol,
+    outcomes, P(0)s, result); the P(0)s come from ``measurement_log``, and
     a measurement that is not made reads as outcome 0 at P(0) = inf.
 
-    ``play`` runs with the draws fixed so far padded by 0.5, which realizes
-    one branch of the rest, and the P(0)s come from ``measurement_log``. It
-    runs again only for each sibling outcome the measurement guard allows,
-    so every run yields one leaf."""
-
-    def played(draws):
-        draws += (0.5,) * (width - len(draws))
+    Raises ``RuntimeError`` if a measurement is neither certain nor fair,
+    since then a symbol's bit would not name its outcome."""
+    for symbol in itertools.product((0, 1), repeat=width):
+        draws = tuple((2 * w + 1) / 4 for w in symbol)
         with measurement_log() as p0s:
             result = play(draws)
-        return draws, tuple(p0s) + (math.inf,) * (width - len(p0s)), result
-
-    def expand(draws, p0s, result, i):
-        if i == width:
-            return [(tuple(int(d >= p0) for d, p0 in zip(draws, p0s)), p0s, result)]
-        leaves = []
-        for outcome, draw, p in ((0, 0.0, p0s[i]), (1, p0s[i], 1.0 - p0s[i])):
-            if p >= MIN_BRANCH_PROBABILITY:
-                branch = (draws, p0s, result) if int(draws[i] >= p0s[i]) == outcome else played(draws[:i] + (draw,))
-                leaves += expand(*branch, i + 1)
-        return leaves
-
-    return expand(*played(()), 0)
+        p0s += [math.inf] * (width - len(p0s))
+        for p0 in p0s:
+            if p0 not in (0.0, 1.0, math.inf) and abs(p0 - 0.5) > EXACT_TOL:
+                raise RuntimeError(f"a measurement with P(0) = {p0} is neither certain nor fair")
+        yield symbol, tuple(int(d >= p0) for d, p0 in zip(draws, p0s)), tuple(p0s), result
 
 
 @functools.cache
@@ -378,7 +379,7 @@ def _transition_table(kind: AttackKind) -> _TransitionTable:
     import numpy as np
 
     states = [(init_carrier(with_adversary_ancilla=kind is AttackKind.CNOT_ANCILLA), 1)]
-    eve_p0s, readouts, reveals, hits, bob_p0s, charlie_p0s, mismatches, next_states = ({} for _ in range(8))
+    eve_p0s, readouts, reveals, hits, bob_p0s, charlie_p0s, mismatches, next_states, by_symbol = ({} for _ in range(9))
 
     # A carrier seen before bit for bit is looked up, not scanned for again:
     # the scan's answer for it cannot change, since states are only appended.
@@ -402,7 +403,7 @@ def _transition_table(kind: AttackKind) -> _TransitionTable:
         for q in (0, 1):
             # Every play gets a fresh record: eve_on_transit updates it in place.
             transit = lambda draws: _transit(kind, k, start, q, EveRecord(), draws, _silent)
-            for (e,), (eve_p0,), (joint, record) in _leaves(transit, 1):
+            for (we,), (e,), (eve_p0,), (joint, record) in _leaves(transit, 1):
                 eve_p0s[s, q] = eve_p0
                 readouts[s, q, e] = record.measured.get(k, -1)
                 if kind is AttackKind.CNOT_ANCILLA:
@@ -412,11 +413,12 @@ def _transition_table(kind: AttackKind) -> _TransitionTable:
                         # Announcing round 1 as o is how the reference fixes the offset to o.
                         hits[s, q, e, o] = eve_postprocess(record, {1: o}).inferred_bits.get(k) == q
                 receive = lambda draws: _receive(kind, k, joint, q, draws, _silent)
-                for (b, c), (bob_p0, charlie_p0), (rec, carrier) in _leaves(receive, 2):
+                for (wb, wc), (b, c), (bob_p0, charlie_p0), (rec, carrier) in _leaves(receive, 2):
                     bob_p0s[s, q, e] = bob_p0
                     charlie_p0s[s, q, e, b] = charlie_p0
                     mismatches[s, q, e, b, c] = public_comparison([rec], [q], [1]).detected
                     next_states[s, q, e, b, c] = state_id(carrier, following)
+                    by_symbol[s, q, we, wb, wc] = (((s * 2 + q) * 2 + e) * 2 + b) * 2 + c
 
     def dense(cells: dict, depth: int, fill) -> np.ndarray:
         arr = np.full((len(states),) + (2,) * depth, fill)
@@ -433,6 +435,7 @@ def _transition_table(kind: AttackKind) -> _TransitionTable:
         charlie_p0=dense(charlie_p0s, 3, np.nan),
         mismatch=dense(mismatches, 4, False),
         next_state=dense(next_states, 4, -1),
+        by_symbol=dense(by_symbol, 4, -1),
         carriers=np.array([carrier.amplitudes for carrier, _ in states]),
     )
     for arr in table:
@@ -462,19 +465,16 @@ def _batch_randomness(config: ExperimentConfig, indices: np.ndarray):
     return seeds, keys <= np.partition(keys, m - 1, axis=1)[:, m - 1 : m]
 
 
-def _round_randomness(config: ExperimentConfig, seeds: np.ndarray, k: int):
-    """Round ``k``'s data bits (int64, top bit of column 0 unless the config
-    fixes them) and Eve's, Bob's and Charlie's measurement draws (float64 in
-    [0, 1), the top 53 bits of columns 1-3) for the trials with ``seeds``."""
+def _round_symbols(config: ExperimentConfig, seeds: np.ndarray, k: int):
+    """Round ``k``'s symbols ``q<<3 | eve<<2 | bob<<1 | charlie`` (int64) for
+    the trials with ``seeds``: the top bits of columns 0-3, with the data bit
+    ``q`` fixed where the config fixes it."""
     import numpy as np
 
-    words = _stream(seeds, k, np.arange(_BIT, _KEY, dtype=np.uint64)[:, None])
-    if config.bits is None:
-        q = _bit(words[_BIT]).astype(np.int64)
-    else:
-        q = np.full(len(seeds), int(config.bits[k - 1]), dtype=np.int64)
-    eve, bob, charlie = _draw(words[_EVE:_KEY])
-    return q, eve, bob, charlie
+    bits = _bit(_stream(seeds, k, np.arange(_BIT, _KEY, dtype=np.uint64)[:, None])).astype(np.int64)
+    if config.bits is not None:
+        bits[_BIT] = int(config.bits[k - 1])
+    return bits[_BIT] << 3 | bits[_EVE] << 2 | bits[_BOB] << 1 | bits[_CHARLIE]
 
 
 def _run_batch(config: ExperimentConfig, indices: np.ndarray) -> _BatchOutcome:
@@ -484,21 +484,16 @@ def _run_batch(config: ExperimentConfig, indices: np.ndarray) -> _BatchOutcome:
     B = len(indices)
     seeds, compared = _batch_randomness(config, indices)
     table = _transition_table(config.attack)
+    by_symbol = table.by_symbol.reshape(-1)
+    next_state = table.next_state.reshape(-1)
 
     # Trial t's flat [state, q, eve, bob, charlie] index in round k: its two
     # low bits are Bob's and Charlie's outcomes, path >> 2 is [state, q, eve].
     path = np.empty((B, n), dtype=np.min_scalar_type(table.next_state.size - 1))
     state = np.zeros(B, dtype=np.int64)
     for k in range(1, n + 1):
-        q, eve_draw, bob_draw, charlie_draw = _round_randomness(config, seeds, k)
-        # int64, not bool: a bool array used as an index acts as a mask.
-        eve = (eve_draw >= table.eve_p0[state, q]).astype(np.int64)
-        b = (bob_draw >= table.bob_p0[state, q, eve]).astype(np.int64)
-        c = (charlie_draw >= table.charlie_p0[state, q, eve, b]).astype(np.int64)
-        path[:, k - 1] = np.ravel_multi_index((state, q, eve, b, c), table.next_state.shape)
-        state = table.next_state.reshape(-1)[path[:, k - 1]]
-        if np.any(state < 0):
-            raise RuntimeError("measurement realized a zero-probability branch")
+        path[:, k - 1] = by_symbol[state * 16 + _round_symbols(config, seeds, k)]
+        state = next_state[path[:, k - 1]]
 
     transit = path >> 2
     mismatches = (table.mismatch.reshape(-1)[path] & compared).sum(axis=1)

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -12,8 +13,11 @@ from ghzqss.adversary import AttackKind, EveInferenceError, eve_on_transit
 from ghzqss.harness import (
     ExperimentConfig,
     _batch_randomness,
-    _round_randomness,
+    _bit,
+    _draw,
+    _round_symbols,
     _run_batch,
+    _stream,
     _transition_table,
     aggregate_report_dict,
     run_experiment,
@@ -82,21 +86,35 @@ def test_seed_for_trial_vectorised_matches_the_integer_formula(master):
 
 def _trial_randomness(config, indices):
     seeds, compared = _batch_randomness(config, indices)
-    rounds = [_round_randomness(config, seeds, k) for k in range(1, config.n_bits + 1)]
-    bits = np.stack([q for q, *_ in rounds], axis=1)
-    draws = np.stack([np.stack(draws, axis=1) for _, *draws in rounds], axis=1)
-    return bits, draws, compared
+    symbols = np.stack([_round_symbols(config, seeds, k) for k in range(1, config.n_bits + 1)], axis=1)
+    return seeds, symbols, compared
 
 
 def test_trial_randomness_is_stable_and_sized():
-    config = ExperimentConfig(n_bits=9, trials=1, compare_fraction=0.3, master_seed=5)
-    bits, draws, compared = _trial_randomness(config, np.array([4]))
-    bits2, draws2, compared2 = _trial_randomness(config, np.array([4]))
-    assert np.array_equal(bits, bits2) and np.array_equal(compared, compared2)
-    assert np.array_equal(draws, draws2)
-    assert bits.shape == (1, 9) and draws.shape == (1, 9, 3) and compared.shape == (1, 9)
-    assert set(np.unique(bits)) <= {0, 1}
-    assert compared.sum() == config.compare_count == 3
+    random_config = ExperimentConfig(n_bits=9, master_seed=5)
+    _, symbols, _ = _trial_randomness(random_config, np.array([4]))
+    # Fixing every data bit to the complement of the drawn one shows the override.
+    complement = "".join(str(1 - (int(sym) >> 3)) for sym in symbols[0])
+    for bits in (None, complement):
+        config = ExperimentConfig(n_bits=9, trials=1, compare_fraction=0.3, master_seed=5, bits=bits)
+        seeds, symbols, compared = _trial_randomness(config, np.array([4]))
+        _, symbols2, compared2 = _trial_randomness(config, np.array([4]))
+        assert np.array_equal(symbols, symbols2) and np.array_equal(compared, compared2)
+        assert symbols.shape == (1, 9) and compared.shape == (1, 9)
+        assert symbols.dtype == np.int64 and set(np.unique(symbols)) <= set(range(16))
+        assert compared.sum() == config.compare_count == 3
+        seed = int(seeds[0])
+        for k in range(1, 10):
+            # The data bit, then the top bits of Eve's, Bob's and Charlie's words.
+            q = _bit(_stream(seed, k, 0)) if bits is None else int(bits[k - 1])
+            e, b, c = (_bit(_stream(seed, k, column)) for column in (1, 2, 3))
+            assert int(symbols[0, k - 1]) == q << 3 | e << 2 | b << 1 | c
+
+
+@pytest.mark.parametrize("word", [0, 2**63 - 2**11, 2**63 - 1, 2**63, 2**64 - 1])
+def test_a_words_top_bit_is_whether_its_draw_reaches_one_half(word):
+    assert _bit(word) == int(_draw(word) >= 0.5)
+    assert _bit(np.array([word], dtype=np.uint64))[0] == _bit(word)
 
 
 @pytest.mark.parametrize("fraction", [0.1, 0.9, 1.0])  # m = 1, n - 1 and n at n = 10
@@ -421,15 +439,36 @@ def test_the_largest_draw_never_realizes_a_rounding_noise_branch(attack, monkeyp
 
 
 @pytest.mark.parametrize("attack", list(AttackKind))
+def test_fair_thresholds_lie_within_sixteen_draws_of_one_half(attack):
+    # The residual of reading a fair measurement's outcome off its word's top
+    # bit: at most 16 of the 2^53 draws fall between the threshold and 1/2.
+    table = _transition_table(attack)
+    p0s = np.concatenate([p0.reshape(-1) for p0 in (table.eve_p0, table.bob_p0, table.charlie_p0)])
+    fair = p0s[np.isfinite(p0s) & (p0s != 0.0) & (p0s != 1.0)]
+    assert len(fair) and np.all(np.abs(fair - 0.5) <= 16 * 2.0**-53)
+
+
+@pytest.mark.parametrize("attack", list(AttackKind))
 def test_extreme_draws_take_an_enumerated_branch_of_the_table(attack):
     table = _transition_table(attack)
     levels = ((table.eve_p0, table.bob_p0), (table.bob_p0, table.charlie_p0), (table.charlie_p0, table.next_state))
-    for draw in (0.0, LARGEST_DRAW):
+    for draw in (0.0, 0.25, 0.75, LARGEST_DRAW):
         for thresholds, following in levels:
             for index, threshold in np.ndenumerate(thresholds):
                 if np.isfinite(threshold):
                     branch = following[index + (int(draw >= threshold),)]
                     assert branch >= 0 if following is table.next_state else not np.isnan(branch)
+    # A symbol's bits, played as the draws 1/4 and 3/4, reach the cell a
+    # ``draw >= threshold`` walk with those draws reaches.
+    for draws in itertools.product((0.25, 0.75), repeat=3):
+        symbol = tuple(int(d >= 0.5) for d in draws)
+        for (s, q), eve_p0 in np.ndenumerate(table.eve_p0):
+            e = int(draws[0] >= eve_p0)
+            b = int(draws[1] >= table.bob_p0[s, q, e])
+            c = int(draws[2] >= table.charlie_p0[s, q, e, b])
+            cell = np.ravel_multi_index((s, q, e, b, c), table.next_state.shape)
+            assert table.by_symbol[(s, q) + symbol] == cell
+            assert table.next_state.reshape(-1)[cell] >= 0
 
 
 def test_a_changed_round_op_reaches_both_engines(monkeypatch):
@@ -455,14 +494,24 @@ def test_a_changed_round_op_reaches_both_engines(monkeypatch):
         harness._transition_table.cache_clear()
 
 
-def test_batch_engine_refuses_a_branch_missing_from_the_table(monkeypatch):
+def test_transition_table_refuses_a_measurement_neither_certain_nor_fair(monkeypatch):
     import ghzqss.harness as harness
+    from ghzqss import statevector
 
-    table = harness._transition_table(AttackKind.NO_ATTACK)
-    holed = table._replace(next_state=np.full_like(table.next_state, -1))
-    monkeypatch.setattr(harness, "_transition_table", lambda kind: holed)
-    with pytest.raises(RuntimeError, match="zero-probability branch"):
-        _run_batch(ExperimentConfig(n_bits=2, trials=4), np.arange(4))
+    fair = statevector.probability_of_zero
+
+    def skewed(state, q):
+        p0 = fair(state, q)
+        return 0.3 if abs(p0 - 0.5) <= 1e-12 else p0
+
+    harness._transition_table.cache_clear()
+    monkeypatch.setattr(statevector, "probability_of_zero", skewed)
+    try:
+        for attack in AttackKind:
+            with pytest.raises(RuntimeError, match="neither certain nor fair"):
+                harness._transition_table(attack)
+    finally:
+        harness._transition_table.cache_clear()
 
 
 def test_batch_engine_refuses_conflicting_reveals(monkeypatch):
