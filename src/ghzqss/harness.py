@@ -209,6 +209,8 @@ class AggregateReport(NamedTuple):
 
     ``mean_eve_known_fraction`` averages over non-ambiguous trials only
     (an ambiguous interceptor holds two candidate sequences, not knowledge).
+    It is their exact count of correct bits over ``n_bits`` times their
+    number, rounded once, so it does not depend on the chunking.
     """
 
     trial_count: int
@@ -537,7 +539,7 @@ def run_experiment(config: ExperimentConfig, on_chunk=None) -> AggregateReport:
     hist: Counter[int] = Counter()
     detected_total = 0
     ambiguous_total = 0
-    fraction_sum = 0.0
+    correct_total = 0
     nonambiguous_total = 0
 
     chunk = _CHUNK_ROUNDS // config.n_bits
@@ -547,7 +549,7 @@ def run_experiment(config: ExperimentConfig, on_chunk=None) -> AggregateReport:
         detected_total += int(out.detected.sum())
         ambiguous_total += int(out.ambiguous.sum())
         nonambiguous = ~out.ambiguous
-        fraction_sum += float(out.known_fraction[nonambiguous].sum())
+        correct_total += int(out.eve_correct[nonambiguous].sum())
         nonambiguous_total += int(nonambiguous.sum())
         for value, c in zip(*np.unique(out.mismatches, return_counts=True)):
             hist[int(value)] += int(c)
@@ -558,7 +560,7 @@ def run_experiment(config: ExperimentConfig, on_chunk=None) -> AggregateReport:
     return AggregateReport(
         trial_count=config.trials,
         detection_rate=detected_total / config.trials,
-        mean_eve_known_fraction=(fraction_sum / nonambiguous_total) if nonambiguous_total else 0.0,
+        mean_eve_known_fraction=(correct_total / (config.n_bits * nonambiguous_total)) if nonambiguous_total else 0.0,
         ambiguous_rate=ambiguous_total / config.trials,
         mismatch_histogram=dict(sorted(hist.items())),
     )

@@ -549,12 +549,11 @@ def test_run_experiment_no_attack():
     assert report.trial_count == 300
 
 
-def test_run_experiment_chunking_is_invisible(monkeypatch):
+@pytest.mark.parametrize("attack", [AttackKind.INTERCEPT_RESEND, AttackKind.CNOT_ANCILLA])
+def test_run_experiment_chunking_is_invisible(monkeypatch, attack):
     import ghzqss.harness as harness
 
-    config = ExperimentConfig(
-        n_bits=5, trials=50, attack=AttackKind.INTERCEPT_RESEND, compare_fraction=0.5, master_seed=6
-    )
+    config = ExperimentConfig(n_bits=5, trials=50, attack=attack, compare_fraction=0.5, master_seed=6)
     full, full_rows = run_with_rows(config)
     monkeypatch.setattr(harness, "_CHUNK_ROUNDS", 35)  # chunks of 7 trials at n_bits=5
     chunked, chunked_rows = run_with_rows(config)
