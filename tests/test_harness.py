@@ -409,6 +409,10 @@ def test_transition_tables_are_pinned(attack):
     assert (len(table.carriers), digest.hexdigest()) == TABLE_DIGESTS[attack]
     finite = np.concatenate([p0[np.isfinite(p0)] for p0 in p0s])
     assert np.all(np.min(np.abs(finite[:, None] - np.array([0.0, 0.5, 1.0])), axis=1) <= 1e-12)
+    # Reading a fair outcome off its word's top bit differs from ``draw >= p0``
+    # on the draws between p0 and 1/2: at most 16 of the 2^53.
+    fair = finite[(finite != 0.0) & (finite != 1.0)]
+    assert len(fair) and np.all(np.abs(fair - 0.5) <= 16 * 2.0**-53)
 
 
 #: The largest draw the random stream can produce.
@@ -436,16 +440,6 @@ def test_the_largest_draw_never_realizes_a_rounding_noise_branch(attack, monkeyp
         with measurement_log() as log:
             outcome, _, record = measure_z(state, q, LARGEST_DRAW)
         assert (outcome, record.probability, log) == (0, p0, [1.0])
-
-
-@pytest.mark.parametrize("attack", list(AttackKind))
-def test_fair_thresholds_lie_within_sixteen_draws_of_one_half(attack):
-    # The residual of reading a fair measurement's outcome off its word's top
-    # bit: at most 16 of the 2^53 draws fall between the threshold and 1/2.
-    table = _transition_table(attack)
-    p0s = np.concatenate([p0.reshape(-1) for p0 in (table.eve_p0, table.bob_p0, table.charlie_p0)])
-    fair = p0s[np.isfinite(p0s) & (p0s != 0.0) & (p0s != 1.0)]
-    assert len(fair) and np.all(np.abs(fair - 0.5) <= 16 * 2.0**-53)
 
 
 @pytest.mark.parametrize("attack", list(AttackKind))
