@@ -148,11 +148,10 @@ def _cmd_run(args, parser: argparse.ArgumentParser) -> int:
 
 def _distinct_renderer(render):
     """``render`` run once per distinct state, keyed on its exact
-    ``StateVector.key`` (labels and amplitude bytes).
+    ``StateVector.key`` (labels, ``r`` and integer entries).
 
-    Every gate is Clifford, so a trace repeats a few states many times. The
-    key is exact, not a tolerance: states that differ only in rounding noise
-    (or in the sign of a zero) print different digits.
+    Every gate is Clifford, so a trace repeats a few states many times, and
+    equal states have equal keys.
     """
     rendered = {}
 

@@ -12,8 +12,7 @@ counter-based hash of ``(s, round k, column c)``, the SplitMix64 output
 ``_compare_key`` the only readers of its words; they take Python ints, for
 the single-trial engine, and uint64 arrays, for the vectorized batch
 engine, alike, so results are independent of execution order and identical
-between the two, up to the residual the batch engine's comment names. Only
-the batch engine imports numpy, and only when it runs.
+between the two. Only the batch engine imports numpy, and only when it runs.
 
 ``run_experiment`` keeps only running totals: per-trial results leave each
 chunk through its ``on_chunk`` callback, so its memory is bounded by the
@@ -52,8 +51,6 @@ from .protocol import (
     round_parity,
 )
 from .statevector import (
-    EXACT_TOL,
-    INV_SQRT2,
     StateVector,
     discard_qubit,
     from_terms,
@@ -318,21 +315,21 @@ def run_trial(config: ExperimentConfig, trial_index: int = 0, observer=None) -> 
 # Bob's and Charlie's words), then gathers every per-trial column along each
 # trial's path. It reads run_trial's randomness through the same _stream,
 # _bit and _compare_key, so outcomes match run_trial trial for trial
-# (asserted by the test suite), except on the at most 13 of a fair
-# measurement's 2^53 draws that its threshold's rounding noise puts between
-# it and 1/2. Only these functions import numpy.
+# (asserted by the test suite): the amplitudes are exact, so a fair
+# measurement's threshold is exactly 1/2, and a draw reaches it exactly when
+# its word's top bit is 1. Only these functions import numpy.
 # ---------------------------------------------------------------------------
 
 
 class _TransitionTable(NamedTuple):
     """Round transitions, indexed [state, q, eve, bob, charlie] by outcome
     (as deep as each field goes), plus ``by_symbol``, indexed by the round's
-    symbol bits [state, q, eve, bob, charlie]. A p0 is the threshold
-    ``measure_z`` compares its draw with. Impossible branches hold p0 = nan
-    and next state -1; ``eve_p0`` is inf where Eve measures nothing, so every
-    draw takes branch 0. ``reveals`` and ``hits`` are read from
-    ``eve_postprocess`` on the round's record, for the CNOT-ancilla attack
-    only, as in run_trial."""
+    symbol bits [state, q, eve, bob, charlie]. A p0 is the Born P(0)
+    ``measure_z`` compares its draw with, exactly 0.0, 0.5 or 1.0.
+    Impossible branches hold p0 = nan and next state -1; ``eve_p0`` is inf
+    where Eve measures nothing, so every draw takes branch 0. ``reveals`` and
+    ``hits`` are read from ``eve_postprocess`` on the round's record, for the
+    CNOT-ancilla attack only, as in run_trial."""
 
     eve_p0: np.ndarray      # (S, 2)
     readout: np.ndarray     # (S, 2, 2) int8 Eve's recorded r_k, -1 where absent
@@ -343,7 +340,7 @@ class _TransitionTable(NamedTuple):
     mismatch: np.ndarray    # (S, 2, 2, 2, 2) the round's bit fails the public comparison
     next_state: np.ndarray  # (S, 2, 2, 2, 2)
     by_symbol: np.ndarray   # (S, 2, 2, 2, 2) flat outcome index each symbol reaches
-    carriers: np.ndarray    # (S, carrier dim) amplitudes of each state's carrier
+    carriers: np.ndarray    # (S, carrier dim) integer entries of each state's carrier
 
 
 def _leaves(play, width: int):
@@ -353,15 +350,16 @@ def _leaves(play, width: int):
     outcomes, P(0)s, result); the P(0)s come from ``measurement_log``, and
     a measurement that is not made reads as outcome 0 at P(0) = inf.
 
-    Raises ``RuntimeError`` if a measurement is neither certain nor fair,
-    since then a symbol's bit would not name its outcome."""
+    Raises ``RuntimeError`` if a P(0) is not exactly 0, 1/2 or 1, since then
+    a symbol's bit would not name its outcome; it is the check that the
+    states played are stabilizer states."""
     for symbol in itertools.product((0, 1), repeat=width):
         draws = tuple((2 * w + 1) / 4 for w in symbol)
         with measurement_log() as p0s:
             result = play(draws)
         p0s += [math.inf] * (width - len(p0s))
         for p0 in p0s:
-            if p0 not in (0.0, 1.0, math.inf) and abs(p0 - 0.5) > EXACT_TOL:
+            if p0 not in (0.0, 0.5, 1.0, math.inf):
                 raise RuntimeError(f"a measurement with P(0) = {p0} is neither certain nor fair")
         yield symbol, tuple(int(d >= p0) for d, p0 in zip(draws, p0s)), tuple(p0s), result
 
@@ -374,34 +372,42 @@ def _transition_table(kind: AttackKind) -> _TransitionTable:
     A state is a carrier plus the representative round (1, 2 or 3) of the
     round it enters: round 1, then 2 for every even round and 3 for every
     odd round >= 3, since the protocol and the adversary act alike in every
-    round of one kind. Carriers within ``EXACT_TOL`` of a known one at the
-    same round share its state id, so rounding noise does not grow the state
-    set.
+    round of one kind. States are exact and reduced, so a carrier seen before
+    has the key it had then, and its id is a dict lookup.
     """
     import numpy as np
 
-    states = [(init_carrier(with_adversary_ancilla=kind is AttackKind.CNOT_ANCILLA), 1)]
+    states: list[tuple[StateVector, int]] = []
     eve_p0s, readouts, reveals, hits, bob_p0s, charlie_p0s, mismatches, next_states, by_symbol = ({} for _ in range(9))
-
-    # A carrier seen before bit for bit is looked up, not scanned for again:
-    # the scan's answer for it cannot change, since states are only appended.
-    scanned: dict[tuple, int] = {}
+    ids: dict[tuple, int] = {}
 
     def state_id(carrier: StateVector, k: int) -> int:
         key = (k, carrier.key)
-        if key not in scanned:
-            for i, (known, known_k) in enumerate(states):
-                if known_k == k and max_abs_difference(known, carrier) <= EXACT_TOL:
-                    break
-            else:
-                i = len(states)
-                states.append((carrier, k))
-            scanned[key] = i
-        return scanned[key]
+        if key not in ids:
+            ids[key] = len(states)
+            states.append((carrier, k))
+        return ids[key]
 
+    # The receive half's leaves for each (round, bit, state the receivers
+    # get), as (symbol bits, b, c, bob p0, charlie p0, mismatch, next state):
+    # where two cells hand the receivers one state (both of Eve's symbols give
+    # one outcome, or two carriers collapse alike), it is played once.
+    received: dict[tuple, list] = {}
+
+    def receive(k: int, joint: StateVector, q: int) -> list:
+        key = (k, q, joint.key)
+        if key not in received:
+            following = 2 if k % 2 else 3
+            received[key] = [
+                (symbol, b, c, bob_p0, charlie_p0, public_comparison([rec], [q], [1]).detected, state_id(carrier, following))
+                for symbol, (b, c), (bob_p0, charlie_p0), (rec, carrier)
+                in _leaves(lambda draws: _receive(kind, k, joint, q, draws, _silent), 2)
+            ]
+        return received[key]
+
+    state_id(init_carrier(with_adversary_ancilla=kind is AttackKind.CNOT_ANCILLA), 1)
     # The loop also visits the states state_id appends while it runs.
     for s, (start, k) in enumerate(states):
-        following = 2 if k % 2 else 3
         for q in (0, 1):
             # Every play gets a fresh record: eve_on_transit updates it in place.
             transit = lambda draws: _transit(kind, k, start, q, EveRecord(), draws, _silent)
@@ -414,12 +420,11 @@ def _transition_table(kind: AttackKind) -> _TransitionTable:
                     for o in (0, 1):
                         # Announcing round 1 as o is how the reference fixes the offset to o.
                         hits[s, q, e, o] = eve_postprocess(record, {1: o}).inferred_bits.get(k) == q
-                receive = lambda draws: _receive(kind, k, joint, q, draws, _silent)
-                for (wb, wc), (b, c), (bob_p0, charlie_p0), (rec, carrier) in _leaves(receive, 2):
+                for (wb, wc), b, c, bob_p0, charlie_p0, mismatch, next_state in receive(k, joint, q):
                     bob_p0s[s, q, e] = bob_p0
                     charlie_p0s[s, q, e, b] = charlie_p0
-                    mismatches[s, q, e, b, c] = public_comparison([rec], [q], [1]).detected
-                    next_states[s, q, e, b, c] = state_id(carrier, following)
+                    mismatches[s, q, e, b, c] = mismatch
+                    next_states[s, q, e, b, c] = next_state
                     by_symbol[s, q, we, wb, wc] = (((s * 2 + q) * 2 + e) * 2 + b) * 2 + c
 
     def dense(cells: dict, depth: int, fill) -> np.ndarray:
@@ -438,7 +443,7 @@ def _transition_table(kind: AttackKind) -> _TransitionTable:
         mismatch=dense(mismatches, 4, False),
         next_state=dense(next_states, 4, -1),
         by_symbol=dense(by_symbol, 4, -1),
-        carriers=np.array([carrier.amplitudes for carrier, _ in states]),
+        carriers=np.array([carrier.ints for carrier, _ in states]),
     )
     for arr in table:
         arr.flags.writeable = False  # the cached table is shared by every caller
@@ -599,8 +604,6 @@ def aggregate_report_dict(config: ExperimentConfig, report: AggregateReport) -> 
 
 _LAB6 = ("A", "B", "C", "E", "S1", "S2")
 _LAB4 = ("A", "B", "C", "E")
-_INV_2SQRT2 = 1.0 / (2.0 * math.sqrt(2.0))
-_GOLDEN_TOL = 1e-12
 
 
 class GoldenCheck(NamedTuple):
@@ -610,48 +613,38 @@ class GoldenCheck(NamedTuple):
     detail: str = ""
 
 
-def _round1_transit_terms(q1: int) -> dict[str, float]:
+def _round1_transit(q1: int) -> StateVector:
     flip = q1 ^ 1
-    return {
-        f"000{q1}{q1}{q1}": INV_SQRT2,
-        f"111{flip}{flip}{flip}": INV_SQRT2,
-    }
+    return from_terms(_LAB6, {f"000{q1}{q1}{q1}": 1, f"111{flip}{flip}{flip}": 1}, 1)
 
 
-def _carrier_ancilla_odd_terms(q1: int) -> dict[str, float]:
-    return {f"000{q1}": INV_SQRT2, f"111{q1 ^ 1}": INV_SQRT2}
+def _carrier_ancilla_odd(q1: int) -> StateVector:
+    return from_terms(_LAB4, {f"000{q1}": 1, f"111{q1 ^ 1}": 1}, 1)
 
 
-def _carrier_ancilla_even_terms(q1: int) -> dict[str, float]:
+def _carrier_ancilla_even(q1: int) -> StateVector:
     # All even-weight four-bit kets; for q1=1 the sign follows the ancilla bit.
     terms = {}
     for i in range(16):
         s = format(i, "04b")
         if s.count("1") % 2 == 0:
-            sign = -1.0 if q1 == 1 and s[3] == "1" else 1.0
-            terms[s] = sign * _INV_2SQRT2
-    return terms
+            terms[s] = -1 if q1 == 1 and s[3] == "1" else 1
+    return from_terms(_LAB4, terms, 3)
 
 
-def _odd_round_system_terms(q1: int, q: int) -> dict[str, float]:
-    return {
-        f"000{q1}{q}{q}": INV_SQRT2,
-        f"111{q1 ^ 1}{q ^ 1}{q ^ 1}": INV_SQRT2,
-    }
+def _odd_round_system(q1: int, q: int) -> StateVector:
+    return from_terms(_LAB6, {f"000{q1}{q}{q}": 1, f"111{q1 ^ 1}{q ^ 1}{q ^ 1}": 1}, 1)
 
 
-def _ancilla_split_terms(q1: int, q: int) -> dict[str, float]:
+def _ancilla_split(q1: int, q: int) -> StateVector:
     s1 = q ^ q1  # the readout: S1 is disentangled and definite in both terms
-    return {
-        f"000{q1}{s1}{q}": INV_SQRT2,
-        f"111{q1 ^ 1}{s1}{q ^ 1}": INV_SQRT2,
-    }
+    return from_terms(_LAB6, {f"000{q1}{s1}{q}": 1, f"111{q1 ^ 1}{s1}{q ^ 1}": 1}, 1)
 
 
 def verify_golden_states(inject_sign_fault: bool = False) -> list[GoldenCheck]:
     """Play seeded 3-round CNOT-ancilla trials through ``run_trial`` and
     compare the states its trace reports strictly against their hand-coded
-    forms.
+    forms. Both are exact, so a check passes when its error is exactly 0.0.
 
     Ten checks: five scenario families, each for both values of the
     round-1 bit q1. Each q1 plays the bits q1, 0, q for both values of the
@@ -672,41 +665,41 @@ def verify_golden_states(inject_sign_fault: bool = False) -> list[GoldenCheck]:
             eve = run_trial(config, observer=lambda k, stage, state: states.__setitem__((k, stage), state)).eve
             even_form = states[1, "after round-end Hadamards"]
             if inject_sign_fault:
-                amps = list(even_form.amplitudes)
-                last = max(i for i, a in enumerate(amps) if abs(a) > _GOLDEN_TOL)
-                amps[last] = -amps[last]
-                even_form = StateVector(even_form.labels, amps)
+                ints = list(even_form.ints)
+                last = max(i for i, a in enumerate(ints) if a)
+                ints[last] = -ints[last]
+                even_form = StateVector(even_form.labels, ints, even_form.r)
             # The receivers' CNOTs detach the round-1 pair as |q1,q1>.
-            detached = {f"000{q1}{q1}{q1}": INV_SQRT2, f"111{q1 ^ 1}{q1}{q1}": INV_SQRT2}
-            system = _odd_round_system_terms(q1, q)
+            detached = from_terms(_LAB6, {f"000{q1}{q1}{q1}": 1, f"111{q1 ^ 1}{q1}{q1}": 1}, 1)
+            system = _odd_round_system(q1, q)
             comparisons = {
-                "round1 transit": [(states[1, "after Eve C(S1->E)"], _LAB6, _round1_transit_terms(q1))],
+                "round1 transit": [(states[1, "after Eve C(S1->E)"], _round1_transit(q1))],
                 "round1 carrier after disentangle": [
-                    (states[1, "after Bob/Charlie disentangling CNOTs"], _LAB6, detached),
-                    (states[1, "after Bob/Charlie measurements"], _LAB6, detached),
+                    (states[1, "after Bob/Charlie disentangling CNOTs"], detached),
+                    (states[1, "after Bob/Charlie measurements"], detached),
                 ],
                 # Round-end Hadamards: odd form -> signed even-weight form -> back.
                 "carrier after round-end Hadamards": [
-                    (even_form, _LAB4, _carrier_ancilla_even_terms(q1)),
-                    (states[2, "after round-end Hadamards"], _LAB4, _carrier_ancilla_odd_terms(q1)),
+                    (even_form, _carrier_ancilla_even(q1)),
+                    (states[2, "after round-end Hadamards"], _carrier_ancilla_odd(q1)),
                 ],
-                "odd-round entangled system": [(states[3, "after Alice CNOTs"], _LAB6, system)],
+                "odd-round entangled system": [(states[3, "after Alice CNOTs"], system)],
                 # Eve's CNOT detaches S1, she reads it deterministically, and
                 # her second CNOT restores the system.
                 "odd-round ancilla split": [
-                    (states[3, "after Eve C(E->S1)"], _LAB6, _ancilla_split_terms(q1, q)),
-                    (states[3, "after Eve restoring C(E->S1)"], _LAB6, system),
+                    (states[3, "after Eve C(E->S1)"], _ancilla_split(q1, q)),
+                    (states[3, "after Eve restoring C(E->S1)"], system),
                 ],
             }
             for name, pairs in comparisons.items():
-                err = max(max_abs_difference(state, from_terms(labels, terms)) for state, labels, terms in pairs)
+                err = max(max_abs_difference(state, expected) for state, expected in pairs)
                 errors[name] = max(errors.get(name, 0.0), err)
             if eve.measured[3] != q ^ q1:
                 failures.append(f"readout {eve.measured[3]} != {q ^ q1} for q={q}")
-            if abs(eve.probabilities[3] - 1.0) > _GOLDEN_TOL:
+            if eve.probabilities[3] != 1.0:
                 failures.append(f"readout probability {eve.probabilities[3]} not deterministic for q={q}")
         for name, err in errors.items():
             detail = "; ".join(failures) if name == "odd-round ancilla split" else ""
-            checks.append(GoldenCheck(f"{name} (q1={q1})", err <= _GOLDEN_TOL and not detail, err, detail))
+            checks.append(GoldenCheck(f"{name} (q1={q1})", err == 0.0 and not detail, err, detail))
 
     return checks

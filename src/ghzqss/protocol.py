@@ -22,7 +22,6 @@ from enum import Enum
 from typing import NamedTuple
 
 from .statevector import (
-    INV_SQRT2,
     StateVector,
     apply_cnot,
     apply_h,
@@ -76,8 +75,8 @@ def init_carrier(with_adversary_ancilla: bool = False) -> StateVector:
     """Fresh GHZ carrier over (A, B, C), optionally tensored with the
     interceptor's |0> ancilla on E."""
     if with_adversary_ancilla:
-        return from_terms(("A", "B", "C", "E"), {"0000": INV_SQRT2, "1110": INV_SQRT2})
-    return from_terms(("A", "B", "C"), {"000": INV_SQRT2, "111": INV_SQRT2})
+        return from_terms(("A", "B", "C", "E"), {"0000": 1, "1110": 1}, 1)
+    return from_terms(("A", "B", "C"), {"000": 1, "111": 1}, 1)
 
 
 @functools.cache
@@ -96,7 +95,7 @@ def encode_pair(q: int, parity: RoundParity) -> StateVector:
     q = int(q)  # True or 1.0 shares the entry of 1, so it must build the same state
     if parity is RoundParity.ODD:
         return new_basis_state(("S1", "S2"), f"{q}{q}")
-    return from_terms(("S1", "S2"), {f"0{q}": INV_SQRT2, f"1{1 - q}": INV_SQRT2})
+    return from_terms(("S1", "S2"), {f"0{q}": 1, f"1{1 - q}": 1}, 1)
 
 
 def alice_entangle(joint: StateVector, parity: RoundParity) -> StateVector:

@@ -1,4 +1,4 @@
-"""Dense statevector engine for small registers of labeled qubits, in pure
+"""Exact statevector engine for small registers of labeled qubits, in pure
 Python.
 
 Conventions used throughout the package:
@@ -7,14 +7,20 @@ Conventions used throughout the package:
 - The FIRST label owns the MOST significant bit of the basis index, so ket
   strings read left to right in label order: for labels ``("A", "B", "C")``
   the string ``"011"`` addresses basis index ``0b011``.
-- Amplitudes are a tuple of Python ``complex``. A register holds at most six
-  qubits (64 amplitudes), a size at which an array library buys nothing, so
-  the single-trial engine, ``trace`` and ``verify`` never import one.
-- Arithmetic is complex x complex throughout (scalars are ``complex``
-  constants), every sum of squares is ``math.fsum`` over ``m * m`` with
-  ``m = abs(a)``, and a division by a real multiplies by its reciprocal,
-  as Smith's complex division does. So the digits depend neither on a
-  BLAS's summation order nor on the platform.
+- Amplitudes are exact: amplitude i is ``ints[i] * 2**(-r/2)``, for a tuple
+  of Python ints and an int ``r``. Every gate here (H, X, CNOT) is a real
+  Clifford gate, so every state the protocol reaches is a stabilizer state
+  of this form, and its every Z measurement is certain or fair (Aaronson &
+  Gottesman, PRA 70, 052328 (2004)). A register holds at most six qubits
+  (64 entries), a size at which an array library buys nothing, so the
+  single-trial engine, ``trace`` and ``verify`` never import one.
+- A state is kept reduced: not every entry is even. So equal states have
+  equal entries and equal ``r``, and the norm is exact: the squares of the
+  entries sum to ``2**r``.
+- Floats appear only where a state is rendered (:func:`state_terms`) or
+  compared (:func:`max_abs_difference`): entry ``c`` is
+  ``c * sqrt(0.5)**(r % 2) * 2**-(r // 2)``, which is correctly rounded for
+  ``c = ±1``.
 - Operations are pure: they take a :class:`StateVector` and return a new one,
   except inside a :func:`memoized_ops` block, where an op called again on an
   identical input (same :attr:`StateVector.key`, same other arguments) may
@@ -25,14 +31,13 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
-import struct
+from array import array
 from contextlib import contextmanager
 from contextvars import ContextVar
 from itertools import chain
-from operator import attrgetter, itemgetter, sub
+from operator import index, itemgetter
 from typing import NamedTuple
 
 #: Qubit roles known to the register layout. A, B, C are the three carrier
@@ -40,56 +45,49 @@ from typing import NamedTuple
 #: sending qubits.
 QUBIT_ROLES = ("A", "B", "C", "E", "S1", "S2")
 
-INV_SQRT2 = 1.0 / math.sqrt(2.0)
-_H = complex(INV_SQRT2)
-
-#: Accumulated-norm tolerance (gate chains, collapses).
-NORM_TOL = 1e-9
-#: Tolerance for exact algebraic identities at this register size.
-EXACT_TOL = 1e-12
-#: A measurement may only realize an outcome at least this probable.
-MIN_BRANCH_PROBABILITY = 1e-12
+_SQRT_HALF = math.sqrt(0.5)
 
 _measurement_log: ContextVar[list[float] | None] = ContextVar("measurement_log", default=None)
 _memo: ContextVar[dict | None] = ContextVar("memo", default=None)
-_real, _imag = attrgetter("real"), attrgetter("imag")
+_set = object.__setattr__
 
 
 class StateVector:
-    """Complex amplitudes over an ordered register of labeled qubits.
+    """Exact real amplitudes over an ordered register of labeled qubits.
 
-    ``amplitudes`` is a tuple of ``2 ** len(labels)`` complex numbers, indexed
-    msb-first by the labels, per the module conventions; any iterable of
-    numbers is accepted and converted. Instances are immutable and compare by
-    identity; the gate and measurement helpers return new vectors, or inside
-    :func:`memoized_ops` possibly a shared one.
+    Amplitude i is ``ints[i] * 2**(-r/2)``: ``ints`` holds ``2 ** len(labels)``
+    Python ints, indexed msb-first by the labels, per the module conventions.
+    The constructor checks the labels and the length, and that every entry
+    is an integer (a float or complex entry raises ``TypeError``), that the
+    squares sum to exactly ``2**r`` and that some entry is odd (the reduced
+    form); anything else raises ``ValueError``. Instances are immutable and
+    compare by identity; the gate and measurement helpers return new
+    vectors, or inside :func:`memoized_ops` possibly a shared one.
 
-    ``key`` is the labels and the bytes of every real part, then every
-    imaginary part: equal exactly when the states are bit for bit equal, so a
-    ``-0.0`` or a one-ulp variant has a key of its own.
+    ``key`` is the labels, ``r`` and the entries as 64-bit integers: equal
+    exactly when the states are, since the form is reduced.
     """
 
-    __slots__ = ("labels", "amplitudes", "key")
+    __slots__ = ("labels", "ints", "r", "key")
 
-    def __init__(self, labels, amplitudes) -> None:
+    def __init__(self, labels, ints, r: int) -> None:
         labels = tuple(labels)
         for q in labels:
             if q not in QUBIT_ROLES:
                 raise ValueError(f"unknown qubit role {q!r}; expected one of {QUBIT_ROLES}")
         if len(set(labels)) != len(labels):
             raise ValueError(f"duplicate qubit labels in {labels!r}")
-        amps = tuple(map(complex, amplitudes))
+        ints = tuple(map(index, ints))
         expected = 1 << len(labels)
-        if len(amps) != expected:
-            raise ValueError(
-                f"{len(amps)} amplitude(s) do not match {len(labels)} qubit(s); expected {expected}"
-            )
-        if not all(map(cmath.isfinite, amps)):
-            raise ValueError("non-finite amplitude in state vector")
-        _set = object.__setattr__
-        _set(self, "labels", labels)
-        _set(self, "amplitudes", amps)
-        _set(self, "key", (labels, struct.pack(f"<{2 * expected}d", *map(_real, amps), *map(_imag, amps))))
+        if len(ints) != expected:
+            raise ValueError(f"{len(ints)} entries do not match {len(labels)} qubit(s); expected {expected}")
+        r = index(r)
+        weight = sum(a * a for a in ints)
+        if r < 0 or weight != 1 << r:
+            raise ValueError(f"entries whose squares sum to {weight} do not describe a state at r = {r}")
+        if not any(a & 1 for a in ints):
+            raise ValueError("entries not reduced: every one is even")
+        _fill(self, labels, ints, r)
 
     def __setattr__(self, name, *value):
         raise AttributeError(f"cannot assign to or delete {name!r} of an immutable StateVector")
@@ -97,15 +95,11 @@ class StateVector:
     __delattr__ = __setattr__
 
     def __repr__(self) -> str:
-        return f"StateVector(labels={self.labels!r}, amplitudes={self.amplitudes!r})"
+        return f"StateVector(labels={self.labels!r}, ints={self.ints!r}, r={self.r!r})"
 
     @property
     def n_qubits(self) -> int:
         return len(self.labels)
-
-    @property
-    def dim(self) -> int:
-        return len(self.amplitudes)
 
     def axis(self, q: str) -> int:
         """Position of label ``q`` (0 = most significant bit)."""
@@ -114,8 +108,32 @@ class StateVector:
         except ValueError:
             raise ValueError(f"qubit {q!r} not in register {self.labels!r}") from None
 
-    def norm(self) -> float:
-        return math.sqrt(_sum_of_squares(self.amplitudes))
+
+def _fill(state: StateVector, labels: tuple, ints: tuple, r: int) -> StateVector:
+    _set(state, "labels", labels)
+    _set(state, "ints", ints)
+    _set(state, "r", r)
+    _set(state, "key", (labels, r, array("q", ints).tobytes()))
+    return state
+
+
+def _state(labels: tuple, ints: tuple, r: int) -> StateVector:
+    """A state from parts an op has made valid and reduced, unchecked."""
+    return _fill(object.__new__(StateVector), labels, ints, r)
+
+
+def _reduced(labels: tuple, ints: tuple, r: int) -> StateVector:
+    """The state ``ints`` at ``r``, normalised exactly but possibly all even:
+    every entry is halved, and 2 subtracted from ``r``, while all are even."""
+    while not any(a & 1 for a in ints):
+        ints = tuple(a >> 1 for a in ints)
+        r -= 2
+    return _state(labels, ints, r)
+
+
+def _scale(r: int) -> float:
+    """The amplitude of entry 1 at ``r``: ``sqrt(0.5)**(r % 2) * 2**-(r // 2)``."""
+    return _SQRT_HALF ** (r % 2) * 2.0 ** -(r // 2)
 
 
 class MeasurementRecord(NamedTuple):
@@ -126,30 +144,18 @@ class MeasurementRecord(NamedTuple):
     probability: float
 
 
-def _sum_of_squares(amps) -> float:
-    """Exact-rounded sum of ``|a|**2``, each square taken as ``m * m``."""
-    return math.fsum(m * m for m in map(abs, amps))
-
-
-def _divided(amps, d: float) -> list[complex]:
-    """``amps`` divided by the real ``d`` as Smith's complex division by
-    ``d + 0j`` does it: both parts times ``1 / d``, each after adding its zero
-    cross term, which fixes the sign of a zero part."""
-    s = 1.0 / d
-    return [complex((a.real + a.imag * 0.0) * s, (a.imag - a.real * 0.0) * s) for a in amps]
-
-
 @contextmanager
 def memoized_ops():
     """Memoise the pure ops on their exact input for the duration of the block.
 
     Every gate is Clifford, so a trial or a table build asks the ops the same
-    question many times. Inside the block an op is keyed on each state
-    argument's :attr:`StateVector.key` (labels and amplitude bytes, no
-    tolerance) plus the other arguments and their types; a repeated call
-    returns the first call's result. Exceptions are not cached. Each block
-    starts an empty memo, and the memo ends with the block; as a decorator,
-    ``@memoized_ops()`` gives every call of the function its own."""
+    question many times. Inside the block an op is keyed on its state's
+    :attr:`StateVector.key` (labels, ``r`` and entries) plus the other
+    arguments and their types, a second state argument (``tensor``'s) by
+    identity; a repeated call returns the first call's result. Exceptions
+    are not cached. Each block starts an empty memo, and the memo ends with
+    the block; as a decorator, ``@memoized_ops()`` gives every call of the
+    function its own."""
     token = _memo.set({})
     try:
         yield
@@ -163,16 +169,16 @@ def _memoized(op):
     the engines call positionally."""
 
     @functools.wraps(op)
-    def memoized(*args, **kwargs):
+    def memoized(state, *args, **kwargs):
         memo = _memo.get()
         if memo is None or kwargs:
-            return op(*args, **kwargs)
-        key = (op, *[a.key if isinstance(a, StateVector) else (type(a), a) for a in args])
+            return op(state, *args, **kwargs)
+        key = (op, state.key, *args, *map(type, args))
         try:
             return memo[key]
         except KeyError:
             pass
-        result = memo[key] = op(*args)
+        result = memo[key] = op(state, *args)
         return result
 
     return memoized
@@ -187,71 +193,72 @@ def new_basis_state(labels, bits: str) -> StateVector:
         )
     if any(b not in "01" for b in bits):
         raise ValueError(f"bitstring {bits!r} must contain only '0' and '1'")
-    amps = [0j] * (1 << len(labels))
-    amps[int(bits, 2)] = 1 + 0j
-    return StateVector(labels, amps)
+    ints = [0] * (1 << len(labels))
+    ints[int(bits, 2)] = 1
+    return StateVector(labels, ints, 0)
 
 
-def from_terms(labels, terms: dict[str, complex]) -> StateVector:
-    """State built from explicit ket terms, e.g. ``{"000": c0, "111": c1}``.
+def from_terms(labels, terms: dict[str, int], r: int) -> StateVector:
+    """State built from explicit ket terms with integer coefficients at
+    ``r``, e.g. ``{"000": 1, "111": 1}`` at ``r = 1`` for (|000> + |111>)/sqrt2.
 
-    The terms must describe a normalized state (norm within ``NORM_TOL`` of 1).
+    The terms must describe a normalized, reduced state (see
+    :class:`StateVector`).
     """
     labels = tuple(labels)
-    amps = [0j] * (1 << len(labels))
+    ints = [0] * (1 << len(labels))
     for bits, coeff in terms.items():
         if len(bits) != len(labels) or any(b not in "01" for b in bits):
             raise ValueError(f"bad ket string {bits!r} for register {labels!r}")
-        amps[int(bits, 2)] += complex(coeff)
-    nrm = math.sqrt(_sum_of_squares(amps))
-    if abs(nrm - 1.0) > NORM_TOL:
-        raise ValueError(f"terms describe a state of norm {nrm}, expected 1")
-    return StateVector(labels, amps)
+        ints[int(bits, 2)] = coeff
+    return StateVector(labels, ints, r)
 
 
 @_memoized
 def tensor(left: StateVector, right: StateVector) -> StateVector:
-    """Tensor product; ``right``'s qubits become the least significant bits."""
+    """Tensor product; ``right``'s qubits become the least significant bits.
+    An odd entry times an odd entry is odd, so the product stays reduced."""
     overlap = set(left.labels) & set(right.labels)
     if overlap:
         raise ValueError(f"registers share qubits {sorted(overlap)!r}")
-    return StateVector(left.labels + right.labels, [a * b for a in left.amplitudes for b in right.amplitudes])
+    return _state(left.labels + right.labels, tuple(a * b for a in left.ints for b in right.ints), left.r + right.r)
 
 
 def _blocks(state: StateVector, q: str) -> tuple[list[tuple], list[tuple]]:
-    """The amplitudes cut into runs of equal index bits above ``q``: the runs
+    """The entries cut into runs of equal index bits above ``q``: the runs
     where ``q`` is 0 and, pairwise aligned with them, the runs where it is 1."""
     step = 1 << (state.n_qubits - 1 - state.axis(q))
-    amps = state.amplitudes
-    runs = [amps[i : i + step] for i in range(0, len(amps), step)]
+    ints = state.ints
+    runs = [ints[i : i + step] for i in range(0, len(ints), step)]
     return runs[0::2], runs[1::2]
 
 
-def _join(zeros, ones) -> list[complex]:
+def _join(zeros, ones) -> tuple[int, ...]:
     """The inverse of :func:`_blocks`: interleave the ``q = 0`` and ``q = 1`` runs."""
-    return list(chain.from_iterable(chain.from_iterable(zip(zeros, ones))))
+    return tuple(chain.from_iterable(chain.from_iterable(zip(zeros, ones))))
 
 
 @_memoized
 def apply_h(state: StateVector, q: str) -> StateVector:
-    """Hadamard gate on qubit ``q``."""
+    """Hadamard gate on qubit ``q``: each pair (a, b) becomes (a + b, a - b)
+    at ``r + 1``, then reduced."""
     zeros, ones = _blocks(state, q)
-    return StateVector(state.labels, _join(
-        [[(a + b) * _H for a, b in zip(zero, one)] for zero, one in zip(zeros, ones)],
-        [[(a - b) * _H for a, b in zip(zero, one)] for zero, one in zip(zeros, ones)],
-    ))
+    return _reduced(state.labels, _join(
+        [[a + b for a, b in zip(zero, one)] for zero, one in zip(zeros, ones)],
+        [[a - b for a, b in zip(zero, one)] for zero, one in zip(zeros, ones)],
+    ), state.r + 1)
 
 
 @_memoized
 def apply_x(state: StateVector, q: str) -> StateVector:
     """Bit flip (Pauli X) on qubit ``q``."""
     zeros, ones = _blocks(state, q)
-    return StateVector(state.labels, _join(ones, zeros))
+    return _state(state.labels, _join(ones, zeros), state.r)
 
 
 @functools.cache
 def _cnot_gather(n: int, cbit: int, tbit: int) -> itemgetter:
-    """Picks, for every basis index, the amplitude a CNOT moves there."""
+    """Picks, for every basis index, the entry a CNOT moves there."""
     return itemgetter(*[i ^ tbit if i & cbit else i for i in range(1 << n)])
 
 
@@ -263,59 +270,57 @@ def apply_cnot(state: StateVector, control: str, target: str) -> StateVector:
     n = state.n_qubits
     cbit = 1 << (n - 1 - state.axis(control))
     tbit = 1 << (n - 1 - state.axis(target))
-    return StateVector(state.labels, _cnot_gather(n, cbit, tbit)(state.amplitudes))
+    return _state(state.labels, _cnot_gather(n, cbit, tbit)(state.ints), state.r)
 
 
 @_memoized
 def probability_of_zero(state: StateVector, q: str) -> float:
-    """Born probability of outcome 0 for a Z measurement of ``q``, clamped to [0, 1]."""
+    """Born probability of outcome 0 for a Z measurement of ``q``: the
+    squares of the entries where ``q`` is 0 over ``2**r``, one correctly
+    rounded division, so 0.0, 0.5 or 1.0 exactly on a stabilizer state."""
     zeros, _ = _blocks(state, q)
-    return min(max(_sum_of_squares(chain.from_iterable(zeros)), 0.0), 1.0)
+    return sum(a * a for a in chain.from_iterable(zeros)) / (1 << state.r)
 
 
 def measure_z(state: StateVector, q: str, draw: float) -> tuple[int, StateVector, MeasurementRecord]:
     """Z-basis measurement of ``q`` driven by an explicit uniform draw.
 
-    An outcome less probable than ``MIN_BRANCH_PROBABILITY`` is never
-    realized: the threshold is 0.0 (outcome 1) if P(0) is below it, 1.0
-    (outcome 0) if 1 - P(0) is, and P(0) otherwise, and the outcome is
-    ``draw >= threshold``. The threshold is what :func:`measurement_log`
-    records. Returns the outcome, the collapsed state renormalized by the
-    Born probability of the realized outcome, and a record carrying that
-    probability.
+    The outcome is ``draw >= P(0)``, so an outcome of probability 0 is never
+    realized; P(0) is what :func:`measurement_log` records. Returns the
+    outcome, the collapsed state and a record carrying the Born probability
+    of the realized outcome. Raises ``ValueError`` if that probability is
+    not a power of 1/2, since the collapsed state then has no exact form.
     """
     if not 0.0 <= draw < 1.0:
         raise ValueError(f"draw must lie in [0, 1), got {draw}")
     p0 = probability_of_zero(state, q)
-    if p0 < MIN_BRANCH_PROBABILITY:
-        threshold = 0.0
-    elif 1.0 - p0 < MIN_BRANCH_PROBABILITY:
-        threshold = 1.0
-    else:
-        threshold = p0
     log = _measurement_log.get()
     if log is not None:
-        log.append(threshold)
-    outcome = int(draw >= threshold)
-    p_out = 1.0 - p0 if outcome else p0
-    return outcome, _collapse(state, q, outcome, p_out), MeasurementRecord(q, outcome, p_out)
+        log.append(p0)
+    outcome = int(draw >= p0)
+    return outcome, _collapse(state, q, outcome), MeasurementRecord(q, outcome, 1.0 - p0 if outcome else p0)
 
 
 @_memoized
-def _collapse(state: StateVector, q: str, outcome: int, p_out: float) -> StateVector:
-    """``state`` projected onto ``q = outcome`` and divided by ``sqrt(p_out)``."""
-    runs = _blocks(state, q)
-    d = math.sqrt(p_out)
-    kept = [_divided(run, d) for run in runs[outcome]]
-    blank = [(0j,) * len(run) for run in kept]
-    return StateVector(state.labels, _join(*((kept, blank) if outcome == 0 else (blank, kept))))
+def _collapse(state: StateVector, q: str, outcome: int) -> StateVector:
+    """``state`` projected onto ``q = outcome`` and renormalized: the kept
+    entries, whose squares sum to ``2**r`` times the branch probability
+    ``2**-j``, stand at ``r - j``, and are then reduced."""
+    kept = _blocks(state, q)[outcome]
+    weight = sum(a * a for a in chain.from_iterable(kept))
+    if not weight or weight & (weight - 1):
+        raise ValueError(
+            f"outcome {outcome} of {q!r} has probability {weight}/2**{state.r}, not a power of 1/2"
+        )
+    blank = [(0,) * len(run) for run in kept]
+    ints = _join(kept, blank) if outcome == 0 else _join(blank, kept)
+    return _reduced(state.labels, ints, weight.bit_length() - 1)
 
 
 @contextmanager
 def measurement_log():
-    """Collect the threshold of every :func:`measure_z` call made inside the
-    block, in call order: its Born P(0), or 0.0 or 1.0 where one outcome is
-    below ``MIN_BRANCH_PROBABILITY``. The batch engine reads the adversary's
+    """Collect the Born P(0) of every :func:`measure_z` call made inside the
+    block, in call order. The batch engine reads the adversary's
     measurements this way, without knowing which qubit she measures, or when."""
     log: list[float] = []
     token = _measurement_log.set(log)
@@ -329,50 +334,45 @@ def measurement_log():
 def discard_qubit(state: StateVector, q: str, outcome: int) -> StateVector:
     """Drop a qubit that has already collapsed to ``|outcome>``.
 
-    The complementary slice must carry no amplitude (within ``NORM_TOL``).
-    The result is renormalized to remove collapse drift.
+    Every entry where ``q`` is ``1 - outcome`` must be 0. The kept entries
+    then hold the whole weight and every odd entry, so ``r`` stays and the
+    result is reduced.
     """
     runs = _blocks(state, q)
-    dead = math.sqrt(_sum_of_squares(chain.from_iterable(runs[1 - outcome])))
-    if dead > NORM_TOL:
-        raise ValueError(f"qubit {q!r} is not collapsed to {outcome} (residual norm {dead:.3e})")
-    kept = list(chain.from_iterable(runs[outcome]))
-    return StateVector(tuple(l for l in state.labels if l != q), _divided(kept, math.sqrt(_sum_of_squares(kept))))
+    if any(chain.from_iterable(runs[1 - outcome])):
+        raise ValueError(f"qubit {q!r} is not collapsed to {outcome}")
+    return _state(tuple(l for l in state.labels if l != q), tuple(chain.from_iterable(runs[outcome])), state.r)
 
 
 def max_abs_difference(s1: StateVector, s2: StateVector) -> float:
-    """Largest componentwise amplitude difference (strict, phase-sensitive)."""
+    """Largest componentwise amplitude difference (strict, phase-sensitive);
+    exactly 0.0 for equal states."""
     if s1.labels != s2.labels:
         raise ValueError(f"registers differ: {s1.labels!r} vs {s2.labels!r}")
-    return max(map(abs, map(sub, s1.amplitudes, s2.amplitudes)))
+    scale1, scale2 = _scale(s1.r), _scale(s2.r)
+    return max(abs(a * scale1 - b * scale2) for a, b in zip(s1.ints, s2.ints))
 
 
-def state_terms(state: StateVector, cutoff: float = 1e-12) -> list[tuple[str, float, float]]:
-    """Ordered (bitstring, re, im) triples for entries with ``|amp| > cutoff``."""
+def state_terms(state: StateVector) -> list[tuple[str, float, float]]:
+    """Ordered (bitstring, re, im) triples for the nonzero amplitudes; ``im``
+    is always 0.0."""
     n = state.n_qubits
-    return [
-        (format(i, f"0{n}b"), float(a.real), float(a.imag))
-        for i, a in enumerate(state.amplitudes)
-        if abs(a) > cutoff
-    ]
+    scale = _scale(state.r)
+    return [(format(i, f"0{n}b"), c * scale, 0.0) for i, c in enumerate(state.ints) if c]
 
 
-def state_to_dict(state: StateVector, cutoff: float = 1e-12) -> dict:
-    """JSON-friendly dump: label order plus significant ket terms.
+def state_to_dict(state: StateVector) -> dict:
+    """JSON-friendly dump: label order plus the nonzero ket terms.
 
     The first listed label is the most significant bit of each ket string.
     """
     return {
         "labels": list(state.labels),
         "msb_first": True,
-        "terms": [[bits, re, im] for bits, re, im in state_terms(state, cutoff)],
+        "terms": [[bits, re, im] for bits, re, im in state_terms(state)],
     }
 
 
-def format_state(state: StateVector, cutoff: float = 1e-12) -> str:
-    """Human-readable one-term-per-line rendering of the significant amplitudes."""
-    lines = [
-        f"({re:+.9f}{im:+.9f}j) |{bits}>"
-        for bits, re, im in state_terms(state, cutoff)
-    ]
-    return "\n".join(lines) if lines else "(zero state)"
+def format_state(state: StateVector) -> str:
+    """Human-readable one-term-per-line rendering of the nonzero amplitudes."""
+    return "\n".join(f"({re:+.9f}{im:+.9f}j) |{bits}>" for bits, re, im in state_terms(state))

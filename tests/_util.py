@@ -5,24 +5,40 @@ from types import SimpleNamespace
 import numpy as np
 
 from ghzqss.harness import _transition_table, run_experiment
-from ghzqss.statevector import NORM_TOL, StateVector
+from ghzqss.statevector import StateVector, apply_cnot, apply_h, apply_x, new_basis_state
 
 ROW_COLUMNS = ("trial_index", "detected", "mismatches", "ambiguous", "eve_correct_bits", "eve_known_fraction")
 
 
+def amplitudes(state: StateVector) -> np.ndarray:
+    """The state's amplitudes as floats, ``ints * 2**(-r/2)``."""
+    return np.array(state.ints) * 2.0 ** (-state.r / 2)
+
+
 def random_state(labels, rng) -> StateVector:
-    """Haar-ish random pure state over the given labels."""
-    dim = 1 << len(labels)
-    amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    amps = amps / np.linalg.norm(amps)
-    return StateVector(tuple(labels), amps)
+    """A random stabilizer state over the given labels: a random basis state
+    after a random circuit of ``6 * len(labels)`` H, X and CNOT gates, drawn
+    from ``rng``."""
+    labels = tuple(labels)
+    n = len(labels)
+    state = new_basis_state(labels, "".join(str(b) for b in rng.integers(2, size=n)))
+    for _ in range(6 * n):
+        kind = rng.integers(3 if n >= 2 else 2)
+        q = labels[rng.integers(n)]
+        if kind == 0:
+            state = apply_h(state, q)
+        elif kind == 1:
+            state = apply_x(state, q)
+        else:
+            state = apply_cnot(state, q, labels[(labels.index(q) + 1 + rng.integers(n - 1)) % n])
+    return state
 
 
-def equal_up_to_global_phase(s1: StateVector, s2: StateVector, tol: float = NORM_TOL) -> bool:
+def equal_up_to_global_phase(s1: StateVector, s2: StateVector, tol: float = 1e-9) -> bool:
     """True iff ``s1 == lam * s2`` componentwise within ``tol`` for some unit ``lam``."""
     if s1.labels != s2.labels:
         raise ValueError(f"registers differ: {s1.labels!r} vs {s2.labels!r}")
-    a, b = np.asarray(s1.amplitudes), np.asarray(s2.amplitudes)
+    a, b = amplitudes(s1).astype(complex), amplitudes(s2).astype(complex)
     j = int(np.argmax(np.abs(a) + np.abs(b)))
     if abs(b[j]) < 1e-12 or abs(a[j]) < 1e-12:
         # One side is (near) zero where the other is largest: no unit phase fits
@@ -48,10 +64,10 @@ def marginal_probabilities(state: StateVector, subset) -> dict[str, float]:
     """Probability table over the bitstrings of ``subset`` (in subset order).
 
     Entries below 1e-15 are omitted; the remaining entries sum to 1 within
-    ``NORM_TOL``.
+    rounding.
     """
     axes, k = _subset_axes(state, subset)
-    probs = (np.abs(np.asarray(state.amplitudes)) ** 2).reshape([2] * state.n_qubits)
+    probs = (amplitudes(state) ** 2).reshape([2] * state.n_qubits)
     table = probs.transpose(axes).reshape(1 << k, -1).sum(axis=1)
     return {format(i, f"0{k}b"): float(p) for i, p in enumerate(table) if p > 1e-15}
 
@@ -59,7 +75,7 @@ def marginal_probabilities(state: StateVector, subset) -> dict[str, float]:
 def reduced_density_matrix(state: StateVector, subset) -> np.ndarray:
     """Reduced density matrix of ``subset`` (partial trace over the rest)."""
     axes, k = _subset_axes(state, subset)
-    psi = np.asarray(state.amplitudes).reshape([2] * state.n_qubits).transpose(axes).reshape(1 << k, -1)
+    psi = amplitudes(state).reshape([2] * state.n_qubits).transpose(axes).reshape(1 << k, -1)
     return psi @ psi.conj().T
 
 

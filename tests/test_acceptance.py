@@ -26,7 +26,6 @@ from ghzqss.protocol import (
     receive_and_reconstruct,
 )
 from ghzqss.statevector import (
-    INV_SQRT2,
     apply_cnot,
     apply_h,
     apply_x,
@@ -51,7 +50,6 @@ from oracles import (
 )
 
 LAB4 = ("A", "B", "C", "E")
-INV_2SQRT2 = INV_SQRT2 / 2.0
 
 
 def _report(number: int, name: str, passed: bool, detail: str = "") -> None:
@@ -61,7 +59,7 @@ def _report(number: int, name: str, passed: bool, detail: str = "") -> None:
 
 
 def carrier_ancilla_odd(q1):
-    return from_terms(LAB4, {f"000{q1}": INV_SQRT2, f"111{q1 ^ 1}": INV_SQRT2})
+    return from_terms(LAB4, {f"000{q1}": 1, f"111{q1 ^ 1}": 1}, 1)
 
 
 def carrier_ancilla_even(q1):
@@ -69,8 +67,8 @@ def carrier_ancilla_even(q1):
     for i in range(16):
         s = format(i, "04b")
         if s.count("1") % 2 == 0:
-            terms[s] = (-1.0 if q1 == 1 and s[3] == "1" else 1.0) * INV_2SQRT2
-    return from_terms(LAB4, terms)
+            terms[s] = -1 if q1 == 1 and s[3] == "1" else 1
+    return from_terms(LAB4, terms, 3)
 
 
 def _tables_close(first: dict, second: dict, tol: float) -> bool:
@@ -99,26 +97,23 @@ def test_criterion_1_golden_states():
     elapsed = time.perf_counter() - start
 
     worst = max(c.max_error for c in checks)
-    ok = len(checks) == 10 and all(c.passed for c in checks) and worst <= 1e-12 and elapsed < 1.0
+    ok = len(checks) == 10 and all(c.passed for c in checks) and worst == 0.0 and elapsed < 1.0
 
     # Independent sign-pattern cross-check for the signed Hadamard branch:
     # the even form for q1=1 carries a minus exactly on the kets printed with
     # one, i.e. 0011, 0101, 1001, 1111 (ancilla bit set), plus on the rest.
     even = eve_end_round(AttackKind.CNOT_ANCILLA, end_round_hadamards(carrier_ancilla_odd(1)))
     signs = {}
-    for i, amp in enumerate(even.amplitudes):
-        if abs(amp) > 1e-12:
-            signs[format(i, "04b")] = 1 if amp.real > 0 else -1
+    for i, a in enumerate(even.ints):
+        if a:
+            signs[format(i, "04b")] = 1 if a > 0 else -1
     expected_signs = {
         "0000": 1, "0011": -1, "0101": -1, "0110": 1,
         "1001": -1, "1010": 1, "1100": 1, "1111": -1,
     }
     ok = ok and signs == expected_signs
-    ok = ok and all(
-        abs(abs(amp) - INV_2SQRT2) <= 1e-12
-        for amp in even.amplitudes
-        if abs(amp) > 1e-12
-    )
+    # Every nonzero amplitude is exactly ±1/(2 sqrt2): an entry ±1 at r = 3.
+    ok = ok and even.r == 3 and all(abs(a) == 1 for a in even.ints if a)
 
     _report(1, "golden state reproduction", ok, f"max error {worst:.2e}, {elapsed * 1e3:.0f} ms")
     assert ok
@@ -331,7 +326,7 @@ def test_criterion_7_engine_properties():
     rng = np.random.default_rng(424242)
     ok = True
 
-    # Unitarity: random gate chains preserve the norm.
+    # Unitarity: random gate chains preserve the norm, exactly.
     for _ in range(25):
         labels = ("A", "B", "C", "E", "S1", "S2")[: int(rng.integers(2, 7))]
         s = random_state(labels, rng)
@@ -345,7 +340,7 @@ def test_criterion_7_engine_properties():
             else:
                 t = labels[(labels.index(q) + 1) % len(labels)]
                 s = apply_cnot(s, q, t)
-        ok = ok and abs(s.norm() - 1.0) <= 1e-9
+        ok = ok and sum(a * a for a in s.ints) == 1 << s.r
 
     # Involutions.
     s = random_state(("A", "B", "C"), rng)

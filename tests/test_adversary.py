@@ -25,7 +25,6 @@ from ghzqss.protocol import (
     receive_and_reconstruct,
 )
 from ghzqss.statevector import (
-    INV_SQRT2,
     from_terms,
     max_abs_difference,
     new_basis_state,
@@ -36,11 +35,10 @@ from _util import marginal_probabilities, reduced_density_matrix
 
 LAB4 = ("A", "B", "C", "E")
 LAB6 = ("A", "B", "C", "E", "S1", "S2")
-INV_2SQRT2 = INV_SQRT2 / 2.0
 
 
 def carrier_ancilla_odd(q1):
-    return from_terms(LAB4, {f"000{q1}": INV_SQRT2, f"111{q1 ^ 1}": INV_SQRT2})
+    return from_terms(LAB4, {f"000{q1}": 1, f"111{q1 ^ 1}": 1}, 1)
 
 
 def carrier_ancilla_even(q1):
@@ -48,14 +46,15 @@ def carrier_ancilla_even(q1):
     for i in range(16):
         s = format(i, "04b")
         if s.count("1") % 2 == 0:
-            terms[s] = (-1.0 if q1 == 1 and s[3] == "1" else 1.0) * INV_2SQRT2
-    return from_terms(LAB4, terms)
+            terms[s] = -1 if q1 == 1 and s[3] == "1" else 1
+    return from_terms(LAB4, terms, 3)
 
 
 def odd_round_system(q1, q):
     return from_terms(
         LAB6,
-        {f"000{q1}{q}{q}": INV_SQRT2, f"111{q1 ^ 1}{q ^ 1}{q ^ 1}": INV_SQRT2},
+        {f"000{q1}{q}{q}": 1, f"111{q1 ^ 1}{q ^ 1}{q ^ 1}": 1},
+        1,
     )
 
 
@@ -85,7 +84,7 @@ def test_round1_cnot_copies_pair_bit_onto_ancilla(q1):
     joint, record = eve_on_transit(AttackKind.CNOT_ANCILLA, 1, joint, EveRecord(), draw=0.5)
     flip = q1 ^ 1
     expected = from_terms(
-        LAB6, {f"000{q1}{q1}{q1}": INV_SQRT2, f"111{flip}{flip}{flip}": INV_SQRT2}
+        LAB6, {f"000{q1}{q1}{q1}": 1, f"111{flip}{flip}{flip}": 1}, 1
     )
     assert max_abs_difference(joint, expected) <= 1e-12
     assert record.measured == {}
@@ -108,7 +107,7 @@ def test_odd_round_readout_and_restoration(q1, q):
     split = stages["after Eve C(E->S1)"]
     s1 = q ^ q1
     expected_split = from_terms(
-        LAB6, {f"000{q1}{s1}{q}": INV_SQRT2, f"111{q1 ^ 1}{s1}{q ^ 1}": INV_SQRT2}
+        LAB6, {f"000{q1}{s1}{q}": 1, f"111{q1 ^ 1}{s1}{q ^ 1}": 1}, 1
     )
     assert max_abs_difference(split, expected_split) <= 1e-12
     assert record.measured[3] == q ^ q1

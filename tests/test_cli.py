@@ -9,12 +9,11 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from ghzqss import cli, harness
 from ghzqss.cli import SEED_ENV_VAR, main
-from ghzqss.statevector import StateVector, format_state, state_to_dict
+from ghzqss.statevector import format_state, state_to_dict
 
 
 def run_cli(capsys, *argv):
@@ -274,16 +273,14 @@ def test_trace_text_format_headers(capsys):
     assert "round 1 (odd) sent=1" in out
 
 
-def record_snapshots(monkeypatch, extra=lambda k, stage, state: ()):
-    """Patch the CLI's ``run_trial`` to record the snapshots it shows, plus any
-    ``(round, stage, state)`` that ``extra`` adds after each real one."""
+def record_snapshots(monkeypatch):
+    """Patch the CLI's ``run_trial`` to record the snapshots it shows."""
     snapshots = []
 
     def recording_run_trial(config, trial_index, observer):
         def observe(*snapshot):
-            for shown in (snapshot, *extra(*snapshot)):
-                snapshots.append(shown)
-                observer(*shown)
+            snapshots.append(snapshot)
+            observer(*snapshot)
 
         return harness.run_trial(config, trial_index, observer=observe)
 
@@ -335,21 +332,17 @@ def test_trace_matches_per_snapshot_rendering(capsys, monkeypatch, attack, n, fm
     assert out == reference_trace(fmt, out, snapshots, bits)
 
 
-@pytest.mark.parametrize("fmt, zero, negative_zero", [("json", " 0.0\n", " -0.0\n"), ("text", "+0.000000000j", "-0.000000000j")])
-def test_trace_renders_states_equal_up_to_a_zero_sign_apart(capsys, monkeypatch, fmt, zero, negative_zero):
-    def negate_zero_imaginary_parts(k, stage, state):
-        if k != 0:
-            return ()
-        amplitudes = [complex(a.real, -0.0) if a.imag == 0.0 else a for a in state.amplitudes]
-        return [(k, f"{stage} (imaginary zeros negated)", StateVector(state.labels, amplitudes))]
+#: The amplitudes reachable states have, ±2^(-r/2) for r = 0..4, correctly rounded.
+EXACT_AMPLITUDES = {sign * a for sign in (1.0, -1.0) for a in (0.25, 0.3535533905932738, 0.5, 0.7071067811865476, 1.0)}
 
-    snapshots = record_snapshots(monkeypatch, extra=negate_zero_imaginary_parts)
-    code, out = run_cli(capsys, "trace", "--bits", "1", "--seed", "0", "--format", fmt)
+
+@pytest.mark.parametrize("attack", ["none", "intercept-resend", "cnot-ancilla"])
+def test_trace_renders_exact_amplitudes(capsys, attack):
+    code, out = run_cli(capsys, "trace", "--bits", TRACE_BITS, "--attack", attack, "--seed", "7", "--format", "json")
     assert code == 0
-    first, negated = snapshots[0][2], snapshots[1][2]
-    assert np.array_equal(first.amplitudes, negated.amplitudes)  # equal under any tolerance
-    assert out == reference_trace(fmt, out, snapshots, "1")
-    assert zero in out and negative_zero in out
+    terms = [term for snapshot in json.loads(out)["snapshots"] for term in snapshot["state"]["terms"]]
+    assert {re for _, re, _ in terms} <= EXACT_AMPLITUDES
+    assert {str(im) for _, _, im in terms} == {"0.0"}
 
 
 def test_trace_rejects_malformed_bits(capsys):

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -35,9 +36,7 @@ from ghzqss.protocol import (
     round_parity,
 )
 from ghzqss.statevector import (
-    MIN_BRANCH_PROBABILITY,
     from_terms,
-    INV_SQRT2,
     measure_z,
     measurement_log,
     probability_of_zero,
@@ -50,7 +49,7 @@ LAB4 = ("A", "B", "C", "E")
 
 
 def carrier_ancilla_odd(q1):
-    return from_terms(LAB4, {f"000{q1}": INV_SQRT2, f"111{q1 ^ 1}": INV_SQRT2})
+    return from_terms(LAB4, {f"000{q1}": 1, f"111{q1 ^ 1}": 1}, 1)
 
 
 # --- seeding ---------------------------------------------------------------
@@ -368,7 +367,7 @@ def test_batch_engine_matches_single_trials(attack, n_bits, fraction, bits):
         assert int(out.eve_correct[t]) == single.eve_correct_bits
         assert float(out.known_fraction[t]) == pytest.approx(single.eve_known_fraction)
         final_carrier = _transition_table(attack).carriers[columns.final_state[t]]
-        assert np.max(np.abs(final_carrier - single.final_carrier.amplitudes)) <= 1e-12
+        assert tuple(final_carrier) == single.final_carrier.ints
         if attack is AttackKind.CNOT_ANCILLA:
             for k, r in single.eve.measured.items():
                 assert columns.eve_readouts[t, k - 1] == r
@@ -407,39 +406,85 @@ def test_transition_tables_are_pinned(attack):
         digest.update(f"{column.dtype.str}{column.shape}".encode())
         digest.update(np.ascontiguousarray(column).tobytes())
     assert (len(table.carriers), digest.hexdigest()) == TABLE_DIGESTS[attack]
+    # Every measurement is certain or fair, exactly.
     finite = np.concatenate([p0[np.isfinite(p0)] for p0 in p0s])
-    assert np.all(np.min(np.abs(finite[:, None] - np.array([0.0, 0.5, 1.0])), axis=1) <= 1e-12)
-    # Reading a fair outcome off its word's top bit differs from ``draw >= p0``
-    # on the draws between p0 and 1/2: at most 16 of the 2^53.
-    fair = finite[(finite != 0.0) & (finite != 1.0)]
-    assert len(fair) and np.all(np.abs(fair - 0.5) <= 16 * 2.0**-53)
+    assert set(finite.tolist()) <= {0.0, 0.5, 1.0} and 0.5 in finite
 
 
 #: The largest draw the random stream can produce.
 LARGEST_DRAW = 1.0 - 2.0**-53
 
 
-@pytest.mark.parametrize("attack", list(AttackKind))
-def test_the_largest_draw_never_realizes_a_rounding_noise_branch(attack, monkeypatch):
-    # Deterministic measurements reach P(0) = 1 only up to rounding noise;
-    # the largest draw must still realize the certain outcome on each of them.
-    reached = {}
+def _record_measurements(monkeypatch, reached):
+    """Make every measurement of the protocol and the adversary add its
+    (state, qubit) to ``reached``, keyed on P(0) and the state's key."""
 
     def recording(state, q, draw):
-        p0 = probability_of_zero(state, q)
-        if 1.0 - MIN_BRANCH_PROBABILITY < p0 < 1.0:
-            reached.setdefault(p0, (state, q))
+        reached.setdefault((probability_of_zero(state, q), state.key, q), (state, q))
         return measure_z(state, q, draw)
 
     monkeypatch.setattr(protocol, "measure_z", recording)
     monkeypatch.setattr(adversary, "measure_z", recording)
+
+
+@pytest.mark.parametrize("attack", list(AttackKind))
+def test_the_largest_draw_never_realizes_a_rounding_noise_branch(attack, monkeypatch):
+    # P(0) is exact, so no measurement has a rounding-noise branch: every P(0)
+    # is 0, 1/2 or 1, and the largest draw realizes the certain outcome of
+    # every P(0) = 1.
+    reached = {}
+    _record_measurements(monkeypatch, reached)
     for seed in range(3):
         run_trial(ExperimentConfig(n_bits=64, attack=attack, master_seed=seed), 0)
-    assert reached
-    for p0, (state, q) in reached.items():
-        with measurement_log() as log:
-            outcome, _, record = measure_z(state, q, LARGEST_DRAW)
-        assert (outcome, record.probability, log) == (0, p0, [1.0])
+    p0s = {p0 for p0, _, _ in reached}
+    assert p0s <= {0.0, 0.5, 1.0} and 1.0 in p0s
+    for (p0, _, _), (state, q) in reached.items():
+        if p0 == 1.0:
+            with measurement_log() as log:
+                outcome, _, record = measure_z(state, q, LARGEST_DRAW)
+            assert (outcome, record.probability, log) == (0, 1.0, [1.0])
+
+
+@pytest.mark.parametrize("attack", list(AttackKind))
+def test_every_fair_measurement_of_the_tables_splits_the_draws_at_one_half(attack, monkeypatch):
+    # A fair threshold is exactly 1/2, so ``draw >= P(0)`` is the top bit of
+    # the draw's word, as the batch engine reads it, on every draw.
+    import ghzqss.harness as harness
+
+    reached = {}
+    _record_measurements(monkeypatch, reached)
+    harness._transition_table.cache_clear()
+    try:
+        harness._transition_table(attack)
+    finally:
+        harness._transition_table.cache_clear()
+    fair = [(state, q) for (p0, _, _), (state, q) in reached.items() if 0.0 < p0 < 1.0]
+    assert fair
+    for state, q in fair:
+        assert [measure_z(state, q, draw)[0] for draw in (0.5 - 2.0**-53, 0.5)] == [0, 1]
+
+
+def test_the_table_build_plays_each_receive_half_once_per_cell(monkeypatch):
+    # A (state, q, Eve's outcome) cell's receive half is played once per
+    # symbol of Bob's and Charlie's bits, even where both of Eve's symbols
+    # reach the cell.
+    import ghzqss.harness as harness
+
+    receive = harness._receive
+    played = Counter()
+
+    def counting(kind, k, joint, q, draws, emit):
+        played[kind, k, joint.key, q, draws] += 1
+        return receive(kind, k, joint, q, draws, emit)
+
+    monkeypatch.setattr(harness, "_receive", counting)
+    harness._transition_table.cache_clear()
+    try:
+        for attack in AttackKind:
+            harness._transition_table(attack)
+    finally:
+        harness._transition_table.cache_clear()
+    assert played and set(played.values()) == {1}
 
 
 @pytest.mark.parametrize("attack", list(AttackKind))

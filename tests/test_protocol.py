@@ -19,7 +19,6 @@ from ghzqss.protocol import (
     round_parity,
 )
 from ghzqss.statevector import (
-    INV_SQRT2,
     apply_cnot,
     apply_x,
     from_terms,
@@ -30,13 +29,12 @@ from ghzqss.statevector import (
 
 from _util import marginal_probabilities
 
-INV_2SQRT2 = INV_SQRT2 / 2.0
 LAB4 = ("A", "B", "C", "E")
 LAB6 = ("A", "B", "C", "E", "S1", "S2")
 
 
 def carrier_ancilla_odd(q1: int):
-    return from_terms(LAB4, {f"000{q1}": INV_SQRT2, f"111{q1 ^ 1}": INV_SQRT2})
+    return from_terms(LAB4, {f"000{q1}": 1, f"111{q1 ^ 1}": 1}, 1)
 
 
 def carrier_ancilla_even(q1: int):
@@ -44,14 +42,13 @@ def carrier_ancilla_even(q1: int):
     for i in range(16):
         s = format(i, "04b")
         if s.count("1") % 2 == 0:
-            sign = -1.0 if q1 == 1 and s[3] == "1" else 1.0
-            terms[s] = sign * INV_2SQRT2
-    return from_terms(LAB4, terms)
+            terms[s] = -1 if q1 == 1 and s[3] == "1" else 1
+    return from_terms(LAB4, terms, 3)
 
 
 def honest_even_carrier():
     # The even-round form of the GHZ carrier: uniform over even-weight kets.
-    return from_terms(("A", "B", "C"), {s: 0.5 for s in ("000", "011", "101", "110")})
+    return from_terms(("A", "B", "C"), {s: 1 for s in ("000", "011", "101", "110")}, 2)
 
 
 # --- setup ---------------------------------------------------------------
@@ -59,14 +56,14 @@ def honest_even_carrier():
 
 def test_init_carrier_without_ancilla():
     carrier = init_carrier()
-    expected = from_terms(("A", "B", "C"), {"000": INV_SQRT2, "111": INV_SQRT2})
+    expected = from_terms(("A", "B", "C"), {"000": 1, "111": 1}, 1)
     assert max_abs_difference(carrier, expected) <= 1e-12
     assert marginal_probabilities(carrier, ("A",)) == pytest.approx({"0": 0.5, "1": 0.5})
 
 
 def test_init_carrier_with_ancilla():
     carrier = init_carrier(with_adversary_ancilla=True)
-    expected = from_terms(LAB4, {"0000": INV_SQRT2, "1110": INV_SQRT2})
+    expected = from_terms(LAB4, {"0000": 1, "1110": 1}, 1)
     assert max_abs_difference(carrier, expected) <= 1e-12
     assert marginal_probabilities(carrier, ("A",)) == pytest.approx({"0": 0.5, "1": 0.5})
 
@@ -90,7 +87,7 @@ def test_encode_odd_is_basis_pair(q, expected):
 
 def test_encode_even_zero_is_even_parity_bell():
     pair = encode_pair(0, RoundParity.EVEN)
-    expected = from_terms(("S1", "S2"), {"00": INV_SQRT2, "11": INV_SQRT2})
+    expected = from_terms(("S1", "S2"), {"00": 1, "11": 1}, 1)
     assert max_abs_difference(pair, expected) <= 1e-12
 
 
@@ -101,7 +98,7 @@ def test_encode_even_one_is_the_flip_of_even_zero():
     one = encode_pair(1, RoundParity.EVEN)
     assert max_abs_difference(one, apply_x(zero, "S1")) <= 1e-12
     assert max_abs_difference(one, apply_x(zero, "S2")) <= 1e-12
-    expected = from_terms(("S1", "S2"), {"01": INV_SQRT2, "10": INV_SQRT2})
+    expected = from_terms(("S1", "S2"), {"01": 1, "10": 1}, 1)
     assert max_abs_difference(one, expected) <= 1e-12
 
 
@@ -134,9 +131,10 @@ def test_alice_entangle_odd_builds_two_branch_system(q1, q):
     expected = from_terms(
         LAB6,
         {
-            f"000{q1}{q}{q}": INV_SQRT2,
-            f"111{q1 ^ 1}{q ^ 1}{q ^ 1}": INV_SQRT2,
+            f"000{q1}{q}{q}": 1,
+            f"111{q1 ^ 1}{q ^ 1}{q ^ 1}": 1,
         },
+        1,
     )
     assert max_abs_difference(joint, expected) <= 1e-12
 
@@ -173,11 +171,11 @@ def test_even_round_cnots_change_nothing_honest(q):
 def test_disentangle_after_round1_interception(q1):
     flip = q1 ^ 1
     transit = from_terms(
-        LAB6, {f"000{q1}{q1}{q1}": INV_SQRT2, f"111{flip}{flip}{flip}": INV_SQRT2}
+        LAB6, {f"000{q1}{q1}{q1}": 1, f"111{flip}{flip}{flip}": 1}, 1
     )
     joint = charlie_disentangle(bob_disentangle(transit))
     expected = from_terms(
-        LAB6, {f"000{q1}{q1}{q1}": INV_SQRT2, f"111{flip}{q1}{q1}": INV_SQRT2}
+        LAB6, {f"000{q1}{q1}{q1}": 1, f"111{flip}{q1}{q1}": 1}, 1
     )
     assert max_abs_difference(joint, expected) <= 1e-12
 
@@ -189,10 +187,11 @@ def test_disentangle_honest_round1(q):
     labels = ("A", "B", "C", "S1", "S2")
     joint = from_terms(
         labels,
-        {f"000{q}{q}": INV_SQRT2, f"111{q ^ 1}{q ^ 1}": INV_SQRT2},
+        {f"000{q}{q}": 1, f"111{q ^ 1}{q ^ 1}": 1},
+        1,
     )
     joint = charlie_disentangle(bob_disentangle(joint))
-    expected = from_terms(labels, {f"000{q}{q}": INV_SQRT2, f"111{q}{q}": INV_SQRT2})
+    expected = from_terms(labels, {f"000{q}{q}": 1, f"111{q}{q}": 1}, 1)
     assert max_abs_difference(joint, expected) <= 1e-12
 
 

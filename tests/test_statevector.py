@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ghzqss.statevector import (
-    INV_SQRT2,
     QUBIT_ROLES,
     StateVector,
     apply_cnot,
@@ -23,7 +22,7 @@ from ghzqss.statevector import (
     tensor,
 )
 
-from _util import equal_up_to_global_phase, marginal_probabilities, random_state, reduced_density_matrix
+from _util import amplitudes, equal_up_to_global_phase, marginal_probabilities, random_state, reduced_density_matrix
 from oracles import brute_marginal
 
 LAB6 = ("A", "B", "C", "E", "S1", "S2")
@@ -31,7 +30,7 @@ LAB6 = ("A", "B", "C", "E", "S1", "S2")
 
 def bell(q: int) -> StateVector:
     """(|0,q> + |1,1-q>)/sqrt2 over (S1, S2)."""
-    return from_terms(("S1", "S2"), {f"0{q}": INV_SQRT2, f"1{1 - q}": INV_SQRT2})
+    return from_terms(("S1", "S2"), {f"0{q}": 1, f"1{1 - q}": 1}, 1)
 
 
 # --- basis construction -----------------------------------------------------
@@ -39,20 +38,20 @@ def bell(q: int) -> StateVector:
 
 def test_basis_state_all_zeros():
     s = new_basis_state(("A", "B", "C"), "000")
-    assert s.amplitudes[0] == 1.0
-    assert np.count_nonzero(s.amplitudes) == 1
+    assert (s.ints[0], s.r) == (1, 0)
+    assert np.count_nonzero(s.ints) == 1
 
 
 def test_basis_state_msb_first_convention():
     # The first label is the most significant bit: "000111" lands on 0b000111.
     s = new_basis_state(LAB6, "000111")
-    assert s.amplitudes[0b000111] == 1.0
-    assert np.count_nonzero(s.amplitudes) == 1
+    assert s.ints[0b000111] == 1
+    assert np.count_nonzero(s.ints) == 1
 
 
 def test_basis_state_single_qubit():
     s = new_basis_state(("S1",), "1")
-    assert list(s.amplitudes) == [0.0, 1.0]
+    assert (s.ints, s.r) == ((0, 1), 0)
 
 
 @pytest.mark.parametrize(
@@ -73,7 +72,7 @@ def test_register_rejects_unknown_role_and_duplicates():
 
 def test_from_terms_rejects_unnormalized():
     with pytest.raises(ValueError):
-        from_terms(("A",), {"0": 0.5})
+        from_terms(("A",), {"0": 1}, 2)
 
 
 # --- gates ------------------------------------------------------------------
@@ -81,7 +80,8 @@ def test_from_terms_rejects_unnormalized():
 
 def test_hadamard_on_zero():
     s = apply_h(new_basis_state(("A",), "0"), "A")
-    assert np.allclose(s.amplitudes, [INV_SQRT2, INV_SQRT2], atol=1e-15)
+    assert (s.ints, s.r) == ((1, 1), 1)
+    assert state_terms(s) == [("0", 0.7071067811865476, 0.0), ("1", 0.7071067811865476, 0.0)]
 
 
 def test_hadamard_unknown_label():
@@ -89,10 +89,22 @@ def test_hadamard_unknown_label():
         apply_h(new_basis_state(("A",), "0"), "B")
 
 
-def test_an_op_whose_result_overflows_raises():
-    huge = StateVector(("A",), np.array([1e308, 1e308]))
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="non-finite amplitude"):
-        apply_h(huge, "A")
+def test_state_vectors_are_exact_reduced_and_normalised():
+    rng = np.random.default_rng(3)
+    for n in range(1, 7):
+        s = random_state(QUBIT_ROLES[:n], rng)
+        for q in s.labels:
+            # H twice is the identity: the sums are halved back to the input's form.
+            assert apply_h(apply_h(s, q), q).key == s.key
+    assert StateVector(("A",), [True, -1], 1).ints == (1, -1)
+    for ints, r in (([2, 2], 3), ([2, 0], 2), ([1, 1], 2), ([1, 1], 0), ([1, 0], -1), ([1, 0, 0, 0], 0), ([0, 0], 0)):
+        with pytest.raises(ValueError):  # not reduced, not normalised, or the wrong length
+            StateVector(("A",), ints, r)
+    for ints in ([1.0, 0], [1, 0.0], [1j, 0], [np.float64(1.0), 0]):
+        with pytest.raises(TypeError):
+            StateVector(("A",), ints, 0)
+    with pytest.raises(TypeError):
+        StateVector(("A",), [1, 0], 0.0)
 
 
 def test_x_bell_flip_identity_is_strict():
@@ -125,9 +137,9 @@ def test_even_x_count_fixes_bell_pair_odd_count_flips_it(seed, count):
 def test_cnot_produces_round1_transit_state():
     # (|000,00> + |111,11>) over (A,B,C,S1,S2) tensored with |0> on E,
     # reordered to (A,B,C,E,S1,S2); CNOT S1->E copies the pair bit onto E.
-    before = from_terms(LAB6, {"000000": INV_SQRT2, "111011": INV_SQRT2})
+    before = from_terms(LAB6, {"000000": 1, "111011": 1}, 1)
     after = apply_cnot(before, "S1", "E")
-    expected = from_terms(LAB6, {"000000": INV_SQRT2, "111111": INV_SQRT2})
+    expected = from_terms(LAB6, {"000000": 1, "111111": 1}, 1)
     assert max_abs_difference(after, expected) <= 1e-12
 
 
@@ -135,12 +147,14 @@ def test_cnot_detaches_s1_from_entangled_system():
     for q in (0, 1):
         system = from_terms(
             LAB6,
-            {f"0000{q}{q}": INV_SQRT2, f"1111{q ^ 1}{q ^ 1}": INV_SQRT2},
+            {f"0000{q}{q}": 1, f"1111{q ^ 1}{q ^ 1}": 1},
+            1,
         )
         split = apply_cnot(system, "E", "S1")
         expected = from_terms(
             LAB6,
-            {f"0000{q}{q}": INV_SQRT2, f"1111{q}{q ^ 1}": INV_SQRT2},
+            {f"0000{q}{q}": 1, f"1111{q}{q ^ 1}": 1},
+            1,
         )
         assert max_abs_difference(split, expected) <= 1e-12
         # S1 is now definite: its marginal is a point mass.
@@ -187,7 +201,8 @@ def test_norm_preserved_by_random_gate_sequences(n, seed, length):
         else:
             t = labels[(labels.index(q) + 1 + rng.integers(n - 1)) % n]
             s = apply_cnot(s, q, t)
-    assert abs(s.norm() - 1.0) <= 1e-9
+    assert sum(a * a for a in s.ints) == 1 << s.r
+    assert any(a & 1 for a in s.ints)
 
 
 # --- measurement ------------------------------------------------------------
@@ -218,9 +233,10 @@ def test_measure_detached_s1_is_deterministic():
             split = from_terms(
                 LAB6,
                 {
-                    f"000{q1}{s1_bit}{q}": INV_SQRT2,
-                    f"111{q1 ^ 1}{s1_bit}{q ^ 1}": INV_SQRT2,
+                    f"000{q1}{s1_bit}{q}": 1,
+                    f"111{q1 ^ 1}{s1_bit}{q ^ 1}": 1,
                 },
+                1,
             )
             outcome, _, record = measure_z(split, "S1", 0.999)
             assert outcome == s1_bit
@@ -228,7 +244,7 @@ def test_measure_detached_s1_is_deterministic():
 
 
 def test_measurement_log_collects_born_p0_in_call_order():
-    ghz = from_terms(("A", "B", "C"), {"000": INV_SQRT2, "111": INV_SQRT2})
+    ghz = from_terms(("A", "B", "C"), {"000": 1, "111": 1}, 1)
     with measurement_log() as log:
         _, collapsed, _ = measure_z(ghz, "A", 0.7)
         measure_z(collapsed, "B", 0.2)
@@ -238,17 +254,26 @@ def test_measurement_log_collects_born_p0_in_call_order():
 
 @pytest.mark.parametrize("improbable, certain", [(0, 1), (1, 0)])
 def test_an_outcome_below_the_minimum_is_never_realized(improbable, certain):
-    amplitudes = [0.0, 0.0]
-    amplitudes[improbable] = np.sqrt(1e-13)
-    amplitudes[certain] = np.sqrt(1.0 - 1e-13)
-    state = StateVector(("A",), amplitudes)
+    # P(0) is exact, so the minimum is 0: an outcome of probability 0 is never
+    # realized, whatever the draw.
+    state = tensor(new_basis_state(("A",), str(certain)), apply_h(new_basis_state(("B",), "0"), "B"))
     for draw in (0.0, 0.5, 1.0 - 2.0**-53):
         with measurement_log() as log:
             outcome, after, record = measure_z(state, "A", draw)
         # The threshold is 0.0 when outcome 0 is improbable and 1.0 when outcome 1 is.
         assert (outcome, log) == (certain, [float(improbable)])
-        assert record.probability >= 1.0 - 1e-12
-        assert max_abs_difference(after, new_basis_state(("A",), str(certain))) <= 1e-12
+        assert record.probability == 1.0
+        assert after.key == state.key
+
+
+def test_a_branch_of_probability_other_than_a_power_of_one_half_raises():
+    # Not a stabilizer state: A reads 0 with probability 12/16 and 1 with 4/16.
+    state = StateVector(("A", "B", "C"), [3, 1, 1, 1, 1, 1, 1, 1], 4)
+    assert probability_of_zero(state, "A") == 0.75
+    outcome, after, record = measure_z(state, "A", 0.75)
+    assert (outcome, after.ints, after.r, record.probability) == (1, (0, 0, 0, 0, 1, 1, 1, 1), 2, 0.25)
+    with pytest.raises(ValueError, match="not a power of 1/2"):
+        measure_z(state, "A", 0.5)
 
 
 def test_measure_rejects_draw_out_of_range():
@@ -263,15 +288,16 @@ def test_born_frequencies_match_marginals():
         apply_h(new_basis_state(("A",), "0"), "A"),
         random_state(("A", "B", "C"), rng),
     ]
+    # P(0) is exact and the outcome is 0 exactly on the draws below it, so
+    # equispaced draws give P(0) times their number of zeros, exactly.
+    draws = (np.arange(10_000) + 0.5) / 10_000
     for s in states:
         for q in s.labels:
             p0 = probability_of_zero(s, q)
             table = marginal_probabilities(s, (q,))
             assert table.get("0", 0.0) == pytest.approx(p0, abs=1e-12)
-            draws = rng.random(10_000)
             zeros = sum(measure_z(s, q, d)[0] == 0 for d in draws)
-            band = 3.0 * np.sqrt(max(p0 * (1 - p0), 1e-12) / draws.size)
-            assert abs(zeros / draws.size - p0) <= max(band, 1e-9)
+            assert zeros == p0 * draws.size
 
 
 # --- comparison and diagnostics ----------------------------------------------
@@ -280,10 +306,8 @@ def test_born_frequencies_match_marginals():
 def test_equal_up_to_global_phase():
     rng = np.random.default_rng(5)
     s = random_state(("A", "B"), rng)
-    negated = StateVector(s.labels, [-a for a in s.amplitudes])
-    rotated = StateVector(s.labels, np.exp(1j * np.pi / 4) * np.asarray(s.amplitudes))
+    negated = StateVector(s.labels, [-a for a in s.ints], s.r)
     assert equal_up_to_global_phase(s, negated, tol=1e-12)
-    assert equal_up_to_global_phase(s, rotated, tol=1e-12)
     assert not equal_up_to_global_phase(
         new_basis_state(("A",), "0"), new_basis_state(("A",), "1"), tol=1e-9
     )
@@ -304,14 +328,14 @@ def test_marginal_of_full_basis_state_is_point_mass():
 def test_marginal_of_sending_pair_before_interception():
     # (|000,q,q> + |111,q+1,q+1>)/sqrt2 over (A,B,C,S1,S2) with q=0.
     labels = ("A", "B", "C", "S1", "S2")
-    s = from_terms(labels, {"00000": INV_SQRT2, "11111": INV_SQRT2})
+    s = from_terms(labels, {"00000": 1, "11111": 1}, 1)
     table = marginal_probabilities(s, ("S1", "S2"))
     assert table == pytest.approx({"00": 0.5, "11": 0.5})
-    assert table == pytest.approx(brute_marginal(labels, s.amplitudes, ("S1", "S2")))
+    assert table == pytest.approx(brute_marginal(labels, amplitudes(s), ("S1", "S2")))
 
 
 def test_marginal_of_single_carrier_qubit():
-    ghz = from_terms(("A", "B", "C"), {"000": INV_SQRT2, "111": INV_SQRT2})
+    ghz = from_terms(("A", "B", "C"), {"000": 1, "111": 1}, 1)
     assert marginal_probabilities(ghz, ("A",)) == pytest.approx({"0": 0.5, "1": 0.5})
 
 
@@ -324,7 +348,7 @@ def test_marginal_matches_brute_force_and_sums_to_one(n, seed):
     k = int(rng.integers(1, n + 1))
     subset = tuple(rng.permutation(labels)[:k])
     table = marginal_probabilities(s, subset)
-    expected = brute_marginal(labels, s.amplitudes, subset)
+    expected = brute_marginal(labels, amplitudes(s), subset)
     assert table == pytest.approx(expected, abs=1e-12)
     assert sum(table.values()) == pytest.approx(1.0, abs=1e-9)
 
@@ -340,7 +364,7 @@ def test_marginal_rejects_bad_subsets():
 
 
 def test_reduced_density_matrix_of_ghz_qubit_is_maximally_mixed():
-    ghz = from_terms(("A", "B", "C"), {"000": INV_SQRT2, "111": INV_SQRT2})
+    ghz = from_terms(("A", "B", "C"), {"000": 1, "111": 1}, 1)
     rho = reduced_density_matrix(ghz, ("A",))
     assert np.allclose(rho, np.eye(2) / 2, atol=1e-12)
 
@@ -362,15 +386,15 @@ def test_tensor_orders_and_rejects_overlap():
     right = new_basis_state(("S1",), "1")
     joined = tensor(left, right)
     assert joined.labels == ("A", "B", "S1")
-    assert joined.amplitudes[0b101] == 1.0
+    assert joined.ints[0b101] == 1
     with pytest.raises(ValueError):
         tensor(left, new_basis_state(("A",), "0"))
 
 
 def test_discard_collapsed_qubit():
-    s = from_terms(("A", "B", "S1"), {"001": INV_SQRT2, "111": INV_SQRT2})
+    s = from_terms(("A", "B", "S1"), {"001": 1, "111": 1}, 1)
     reduced = discard_qubit(s, "S1", 1)
-    expected = from_terms(("A", "B"), {"00": INV_SQRT2, "11": INV_SQRT2})
+    expected = from_terms(("A", "B"), {"00": 1, "11": 1}, 1)
     assert max_abs_difference(reduced, expected) <= 1e-12
 
 
@@ -381,11 +405,9 @@ def test_discard_rejects_uncollapsed_qubit():
 
 
 def test_state_terms_order_and_cutoff():
-    s = from_terms(("A", "B"), {"01": INV_SQRT2, "10": -INV_SQRT2})
-    terms = state_terms(s)
-    assert [t[0] for t in terms] == ["01", "10"]
-    assert terms[0][1] == pytest.approx(INV_SQRT2)
-    assert terms[1][1] == pytest.approx(-INV_SQRT2)
+    s = from_terms(("A", "B"), {"01": 1, "10": -1}, 1)
+    # Exact zeros are left out; the rest render correctly rounded.
+    assert state_terms(s) == [("01", 0.7071067811865476, 0.0), ("10", -0.7071067811865476, 0.0)]
     dump = state_to_dict(s)
     assert dump["labels"] == ["A", "B"]
     assert dump["msb_first"] is True
@@ -396,18 +418,13 @@ def test_state_terms_order_and_cutoff():
 
 
 def _variants(seed):
-    """A seeded six-qubit state, a copy whose zero imaginary parts are -0.0,
-    and a copy one ulp away in one amplitude: equal within any tolerance,
-    distinct as bytes."""
-    base = from_terms(LAB6, {"000000": INV_SQRT2, "111000": INV_SQRT2})
+    """A six-qubit state, a copy of it built apart from it, and a seeded
+    random stabilizer state with its negation: the copy has the same key,
+    the negation a key of its own."""
+    base = from_terms(LAB6, {"000000": 1, "111000": 1}, 1)
     base = apply_h(apply_cnot(base, "A", "S1"), "S2")
-    rng = np.random.default_rng(seed)
-    noisy = random_state(LAB6, rng)
-    negzero = [complex(a.real, -0.0) if a.imag == 0.0 else a for a in base.amplitudes]
-    ulp = list(noisy.amplitudes)
-    i = rng.integers(len(ulp))
-    ulp[i] = complex(np.nextafter(ulp[i].real, np.inf), ulp[i].imag)
-    return [base, StateVector(LAB6, negzero), noisy, StateVector(LAB6, ulp)]
+    state = random_state(LAB6, np.random.default_rng(seed))
+    return [base, StateVector(LAB6, base.ints, base.r), state, StateVector(LAB6, [-a for a in state.ints], state.r)]
 
 
 def _memoised_calls(state):
@@ -439,7 +456,7 @@ def _exact(result):
 def test_memoized_ops_match_the_ops_bit_for_bit(seed):
     states = _variants(seed)
     direct = [[_exact(thunk()) for _, thunk in _memoised_calls(s)] for s in states]
-    assert direct[0] != direct[1] and direct[2] != direct[3]  # the variants do differ as bytes
+    assert direct[0] == direct[1] and direct[2] != direct[3]  # equal states, and states a sign apart
     with memoized_ops():
         for _ in range(2):  # the second pass is answered from the memo
             for state, expected in zip(states, direct):
@@ -448,22 +465,22 @@ def test_memoized_ops_match_the_ops_bit_for_bit(seed):
 
 
 def _assert_immutable(state):
-    labels, amplitudes, key = state.labels, state.amplitudes, state.key
+    labels, ints, r, key = state.labels, state.ints, state.r, state.key
     with pytest.raises(TypeError):
-        state.amplitudes[0] = 0j
-    for name in ("labels", "amplitudes", "key"):
+        state.ints[0] = 0
+    for name in ("labels", "ints", "r", "key"):
         with pytest.raises(AttributeError):
             setattr(state, name, ())
         with pytest.raises(AttributeError):
             delattr(state, name)
-    assert (state.labels, state.amplitudes, state.key) == (labels, amplitudes, key)
+    assert (state.labels, state.ints, state.r, state.key) == (labels, ints, r, key)
 
 
 def test_memoized_results_are_shared_read_only_and_end_with_the_block():
     state = _variants(0)[2]
     with memoized_ops():
         first = apply_h(state, "A")
-        assert apply_h(StateVector(LAB6, list(state.amplitudes)), "A") is first
+        assert apply_h(StateVector(LAB6, list(state.ints), state.r), "A") is first
         _assert_immutable(first)
         _assert_immutable(measure_z(state, "S1", 0.5)[1])
     after = apply_h(state, "A")
@@ -476,7 +493,7 @@ def test_memoized_results_are_shared_read_only_and_end_with_the_block():
 
 
 def test_memoized_measure_z_logs_every_call():
-    ghz = from_terms(("A", "B", "C"), {"000": INV_SQRT2, "111": INV_SQRT2})
+    ghz = from_terms(("A", "B", "C"), {"000": 1, "111": 1}, 1)
     with memoized_ops(), measurement_log() as log:
         for draw in (0.7, 0.7, 0.2):
             _, collapsed, record = measure_z(ghz, "A", draw)
@@ -487,21 +504,21 @@ def test_memoized_measure_z_logs_every_call():
 
 
 def test_memoized_ops_never_cache_an_exception():
-    p1 = 1e-13  # the outcome-1 branch is below MIN_BRANCH_PROBABILITY
-    lopsided = StateVector(("A",), np.array([np.sqrt(1.0 - p1), np.sqrt(p1)]))
+    # Not a stabilizer state: A reads 0 with probability 3/4, which has no exact collapse.
+    skewed = StateVector(("A", "B", "C"), [3, 1, 1, 1, 1, 1, 1, 1], 4)
     uncollapsed = apply_h(new_basis_state(("A", "B"), "00"), "A")
     with memoized_ops():
-        assert measure_z(lopsided, "A", 0.5)[0] == 0
-        # A draw above P(0) still realizes outcome 0: outcome 1 is below the minimum.
-        assert measure_z(lopsided, "A", 1.0 - p1 / 2)[0] == 0
+        assert measure_z(skewed, "A", 0.75)[0] == 1
         raised = []
         for _ in range(2):
             with pytest.raises(ValueError, match="not collapsed") as residual:
                 discard_qubit(uncollapsed, "A", 0)
+            with pytest.raises(ValueError, match="not a power of 1/2") as branch:
+                measure_z(skewed, "A", 0.5)
             with pytest.raises(ValueError, match="draw must lie") as draw:
-                measure_z(lopsided, "A", 1.0)
-            raised += [residual.value, draw.value]
-        assert len({id(e) for e in raised}) == 4  # raised afresh by every call
+                measure_z(skewed, "A", 1.0)
+            raised += [residual.value, branch.value, draw.value]
+        assert len({id(e) for e in raised}) == 6  # raised afresh by every call
         # The key holds the argument types: a float outcome fails as it does outside.
         collapsed = measure_z(uncollapsed, "A", 0.2)[1]
         discard_qubit(collapsed, "A", 0)
