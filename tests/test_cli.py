@@ -155,18 +155,18 @@ def test_run_output_bytes_are_pinned(capsys, attack, fmt, fraction):
 
 
 # sha256 of stdout per (command, attack, format): `trace` of TRACE_BITS at
-# seed 7, and `verify`. Recorded before `trace` began rendering each distinct
-# state once; that change must not move a byte.
+# seed 7, and `verify`. The JSON traces and `verify` were re-recorded when
+# amplitudes became exact; the text traces, printed to 9 decimals, did not move.
 TRACE_BITS = "10110011100011010"
 TRACE_DIGESTS = {
-    ("trace", "none", "json"): "e2a7fda01732029661d6bd3a88acf2dfb01c3930298697085ea859650b8e3d24",
+    ("trace", "none", "json"): "60b1dd16ffd4c0e6cd1673559adb0d9df73f4d51b4bb58c60b1b9c9af476f9f4",
     ("trace", "none", "text"): "76f3bb6f5118cdc220e46455b85ea80192c7a4cfdecd76085787ce7fe7e83d82",
-    ("trace", "intercept-resend", "json"): "b638bbdce147aac7fc52f3838e787d93d0d9a95a9aae591c8da2c8770775e122",
+    ("trace", "intercept-resend", "json"): "9112c220f74c7f48fbad112dbcdb4709c1d286fa5b4728c7646829868ea3a55a",
     ("trace", "intercept-resend", "text"): "2403933e4bad4489c8d2d4dbb49db8c7b0262b033a0d93e95b6babae49a12f85",
-    ("trace", "cnot-ancilla", "json"): "0592070b839de1b039b0a9c4e1591c3cbadd8b8f499be63289496ead9df43674",
+    ("trace", "cnot-ancilla", "json"): "63eb44f87a6d2fc6c484f20694ccba556048c7e8137d76aa762e37969d325c49",
     ("trace", "cnot-ancilla", "text"): "34d2bbd6b2ed3f9a2c295fd034b4bbeed177b7c4b1ea385833c3a3a57b87fb74",
-    ("verify", None, "text"): "ac29c1c357f2c849ec4d2c950058a7d5ff0a6f14efdc4f3a40d466edc5f43218",
-    ("verify", None, "json"): "70e3f70fc7294f439d3f7ae2a099d8b2bfdff9e55c6161ebade0f069d1726669",
+    ("verify", None, "text"): "7e462b3354e975cfac6fc5dbab814a2813af20f69d6820b09efe70b24d358b21",
+    ("verify", None, "json"): "077f014a168c3f5be5d5684dbb33edb82cfaa3c38c52949e2a85f29f948b2ef8",
 }
 
 
