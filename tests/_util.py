@@ -38,7 +38,7 @@ def equal_up_to_global_phase(s1: StateVector, s2: StateVector, tol: float = 1e-9
     """True iff ``s1 == lam * s2`` componentwise within ``tol`` for some unit ``lam``."""
     if s1.labels != s2.labels:
         raise ValueError(f"registers differ: {s1.labels!r} vs {s2.labels!r}")
-    a, b = amplitudes(s1).astype(complex), amplitudes(s2).astype(complex)
+    a, b = amplitudes(s1), amplitudes(s2)
     j = int(np.argmax(np.abs(a) + np.abs(b)))
     if abs(b[j]) < 1e-12 or abs(a[j]) < 1e-12:
         # One side is (near) zero where the other is largest: no unit phase fits
