@@ -324,31 +324,25 @@ def run_trial(config: ExperimentConfig, trial_index: int = 0, observer=None) -> 
 class _TransitionTable(NamedTuple):
     """Round transitions, indexed [state, q, eve, bob, charlie] by outcome
     (as deep as each field goes), plus ``by_symbol``, indexed by the round's
-    symbol bits [state, q, eve, bob, charlie]. A p0 is the Born P(0)
-    ``measure_z`` compares its draw with, exactly 0.0, 0.5 or 1.0.
-    Impossible branches hold p0 = nan and next state -1; ``eve_p0`` is inf
-    where Eve measures nothing, so every draw takes branch 0. ``reveals`` and
-    ``hits`` are read from ``eve_postprocess`` on the round's record, for the
-    CNOT-ancilla attack only, as in run_trial."""
+    symbol bits [state, q, eve, bob, charlie]: the columns ``_run_batch``
+    gathers, and no more. Impossible branches hold next state -1.
+    ``reveals`` and ``hits`` are read from ``eve_postprocess`` on the round's
+    record, for the CNOT-ancilla attack only, as in run_trial."""
 
-    eve_p0: np.ndarray      # (S, 2)
-    readout: np.ndarray     # (S, 2, 2) int8 Eve's recorded r_k, -1 where absent
     reveals: np.ndarray     # (S, 2, 2) int8 offset announcing the round reveals, -1 for none
     hits: np.ndarray        # (S, 2, 2, 2) offset o decodes the round's bit right
-    bob_p0: np.ndarray      # (S, 2, 2)
-    charlie_p0: np.ndarray  # (S, 2, 2, 2)
     mismatch: np.ndarray    # (S, 2, 2, 2, 2) the round's bit fails the public comparison
     next_state: np.ndarray  # (S, 2, 2, 2, 2)
     by_symbol: np.ndarray   # (S, 2, 2, 2, 2) flat outcome index each symbol reaches
-    carriers: np.ndarray    # (S, carrier dim) integer entries of each state's carrier
 
 
 def _leaves(play, width: int):
     """Play the half round ``play(draws)``, which takes one draw per
     measurement it makes, once per symbol of ``width`` bits, in symbol
     order. Bit w is played as the draw (2w + 1) / 4. Yields (symbol,
-    outcomes, P(0)s, result); the P(0)s come from ``measurement_log``, and
-    a measurement that is not made reads as outcome 0 at P(0) = inf.
+    outcomes, result); each outcome is its draw against the P(0) that
+    ``measurement_log`` records, and a measurement that is not made reads
+    as outcome 0.
 
     Raises ``RuntimeError`` if a P(0) is not exactly 0, 1/2 or 1, since then
     a symbol's bit would not name its outcome; it is the check that the
@@ -361,7 +355,7 @@ def _leaves(play, width: int):
         for p0 in p0s:
             if p0 not in (0.0, 0.5, 1.0, math.inf):
                 raise RuntimeError(f"a measurement with P(0) = {p0} is neither certain nor fair")
-        yield symbol, tuple(int(d >= p0) for d, p0 in zip(draws, p0s)), tuple(p0s), result
+        yield symbol, tuple(int(d >= p0) for d, p0 in zip(draws, p0s)), result
 
 
 @functools.cache
@@ -378,7 +372,7 @@ def _transition_table(kind: AttackKind) -> _TransitionTable:
     import numpy as np
 
     states: list[tuple[StateVector, int]] = []
-    eve_p0s, readouts, reveals, hits, bob_p0s, charlie_p0s, mismatches, next_states, by_symbol = ({} for _ in range(9))
+    reveals, hits, mismatches, next_states, by_symbol = ({} for _ in range(5))
     ids: dict[tuple, int] = {}
 
     def state_id(carrier: StateVector, k: int) -> int:
@@ -389,7 +383,7 @@ def _transition_table(kind: AttackKind) -> _TransitionTable:
         return ids[key]
 
     # The receive half's leaves for each (round, bit, state the receivers
-    # get), as (symbol bits, b, c, bob p0, charlie p0, mismatch, next state):
+    # get), as (symbol bits, b, c, mismatch, next state):
     # where two cells hand the receivers one state (both of Eve's symbols give
     # one outcome, or two carriers collapse alike), it is played once.
     received: dict[tuple, list] = {}
@@ -399,8 +393,8 @@ def _transition_table(kind: AttackKind) -> _TransitionTable:
         if key not in received:
             following = 2 if k % 2 else 3
             received[key] = [
-                (symbol, b, c, bob_p0, charlie_p0, public_comparison([rec], [q], [1]).detected, state_id(carrier, following))
-                for symbol, (b, c), (bob_p0, charlie_p0), (rec, carrier)
+                (symbol, b, c, public_comparison([rec], [q], [1]).detected, state_id(carrier, following))
+                for symbol, (b, c), (rec, carrier)
                 in _leaves(lambda draws: _receive(kind, k, joint, q, draws, _silent), 2)
             ]
         return received[key]
@@ -411,18 +405,14 @@ def _transition_table(kind: AttackKind) -> _TransitionTable:
         for q in (0, 1):
             # Every play gets a fresh record: eve_on_transit updates it in place.
             transit = lambda draws: _transit(kind, k, start, q, EveRecord(), draws, _silent)
-            for (we,), (e,), (eve_p0,), (joint, record) in _leaves(transit, 1):
-                eve_p0s[s, q] = eve_p0
-                readouts[s, q, e] = record.measured.get(k, -1)
+            for (we,), (e,), (joint, record) in _leaves(transit, 1):
                 if kind is AttackKind.CNOT_ANCILLA:
                     offset = eve_postprocess(record, {k: q}).inferred_offset
                     reveals[s, q, e] = -1 if offset is None else offset
                     for o in (0, 1):
                         # Announcing round 1 as o is how the reference fixes the offset to o.
                         hits[s, q, e, o] = eve_postprocess(record, {1: o}).inferred_bits.get(k) == q
-                for (wb, wc), b, c, bob_p0, charlie_p0, mismatch, next_state in receive(k, joint, q):
-                    bob_p0s[s, q, e] = bob_p0
-                    charlie_p0s[s, q, e, b] = charlie_p0
+                for (wb, wc), b, c, mismatch, next_state in receive(k, joint, q):
                     mismatches[s, q, e, b, c] = mismatch
                     next_states[s, q, e, b, c] = next_state
                     by_symbol[s, q, we, wb, wc] = (((s * 2 + q) * 2 + e) * 2 + b) * 2 + c
@@ -434,16 +424,11 @@ def _transition_table(kind: AttackKind) -> _TransitionTable:
         return arr
 
     table = _TransitionTable(
-        eve_p0=dense(eve_p0s, 1, np.nan),
-        readout=dense(readouts, 2, np.int8(-1)),
         reveals=dense(reveals, 2, np.int8(-1)),
         hits=dense(hits, 3, False),
-        bob_p0=dense(bob_p0s, 2, np.nan),
-        charlie_p0=dense(charlie_p0s, 3, np.nan),
         mismatch=dense(mismatches, 4, False),
         next_state=dense(next_states, 4, -1),
         by_symbol=dense(by_symbol, 4, -1),
-        carriers=np.array([carrier.ints for carrier, _ in states]),
     )
     for arr in table:
         arr.flags.writeable = False  # the cached table is shared by every caller

@@ -90,14 +90,23 @@ def run_with_rows(config):
 def path_columns(path, attack):
     """The per-round columns of a batch outcome, derived from its (B, n)
     ``path`` of flat [state, q, eve, bob, charlie] table indices: data bits,
-    Bob's and Charlie's outcomes, Eve's readouts (-1 where absent) and each
-    trial's final state id."""
+    Bob's and Charlie's outcomes, Eve's readouts and each trial's final
+    state id.
+
+    A readout is derived from the table's ``hits``: Eve's inferred bit is
+    her readout XOR the offset, so where exactly one offset o decodes the
+    round's bit q right, she read q XOR o. Round 1, whose inferred bit is
+    the offset itself, and rounds no offset decodes read -1."""
     table = _transition_table(attack)
     path = path.astype(np.int64)
+    bits = (path >> 3) & 1
+    hits = table.hits.reshape(-1, 2)[path >> 2]
+    readouts = np.where(hits[..., 0] != hits[..., 1], bits ^ hits[..., 1], -1)
+    readouts[:, 0] = -1
     return SimpleNamespace(
-        bits=(path >> 3) & 1,
+        bits=bits,
         bob=(path >> 1) & 1,
         charlie=path & 1,
-        eve_readouts=table.readout.reshape(-1)[path >> 2],
+        eve_readouts=readouts,
         final_state=table.next_state.reshape(-1)[path[:, -1]],
     )

@@ -1,5 +1,4 @@
 import hashlib
-import itertools
 import json
 import math
 import random
@@ -355,6 +354,7 @@ def test_batch_engine_matches_single_trials(attack, n_bits, fraction, bits):
     )
     out = _run_batch(config, np.arange(24))
     columns = path_columns(out.path, attack)
+    final_carriers = {}
     for t in range(24):
         single = run_trial(config, t)
         assert tuple(columns.bits[t]) == single.bits
@@ -366,11 +366,13 @@ def test_batch_engine_matches_single_trials(attack, n_bits, fraction, bits):
         assert bool(out.ambiguous[t]) == single.eve.ambiguous
         assert int(out.eve_correct[t]) == single.eve_correct_bits
         assert float(out.known_fraction[t]) == pytest.approx(single.eve_known_fraction)
-        final_carrier = _transition_table(attack).carriers[columns.final_state[t]]
-        assert tuple(final_carrier) == single.final_carrier.ints
+        # Trials ending in one table state end in one carrier, and vice versa.
+        key = final_carriers.setdefault(int(columns.final_state[t]), single.final_carrier.key)
+        assert key == single.final_carrier.key
         if attack is AttackKind.CNOT_ANCILLA:
             for k, r in single.eve.measured.items():
                 assert columns.eve_readouts[t, k - 1] == r
+    assert len(set(final_carriers.values())) == len(final_carriers)
 
 
 def test_transition_table_is_built_on_first_use_once_per_attack():
@@ -385,30 +387,24 @@ def test_transition_table_is_built_on_first_use_once_per_attack():
     assert info.misses == info.currsize == len(AttackKind)
 
 
-# State count and sha256 of each table's integer and boolean columns plus
-# the nan/inf masks of its P(0) columns; a renumbered state changes
-# ``next_state`` and so the digest.
+# State count and sha256 of each table's columns, in field order; a
+# renumbered state changes ``next_state`` and so the digest.
 TABLE_DIGESTS = {
-    AttackKind.NO_ATTACK: (3, "129e9ffe4647a2f1f5345b7f3905a4af04df19a5326a6bd8d8319207775964d1"),
-    AttackKind.INTERCEPT_RESEND: (17, "bb18d8ccd420365c1f884ad47c526f5d5a3a14f2d1c33d8c63440bd49430873f"),
-    AttackKind.CNOT_ANCILLA: (5, "919b7aa1f6c257d6531a6d131e80e9af7882b3fd466750b104fb7b48e0cf9616"),
+    AttackKind.NO_ATTACK: (3, "d7c31c80ef7ab23265d1ac8176aec1acbf84a95de66ecbb5e6ec05ba0c4efc66"),
+    AttackKind.INTERCEPT_RESEND: (17, "f7a0659f9052d0d40e1e86a35b168d3b2bfb770382a6ce4e328d5c5bb39bde5f"),
+    AttackKind.CNOT_ANCILLA: (5, "b11ca0a4ec2ded9ee31cac18a55fb77c7a26a6b0ebfd5b0e35e3b015bddeb4c1"),
 }
 
 
 @pytest.mark.parametrize("attack", list(AttackKind))
 def test_transition_tables_are_pinned(attack):
     table = _transition_table(attack)
-    p0s = (table.eve_p0, table.bob_p0, table.charlie_p0)
-    columns = [table.next_state, table.readout, table.reveals, table.hits, table.mismatch]
-    columns += [mask(p0) for p0 in p0s for mask in (np.isnan, np.isinf)]
+    assert table._fields == ("reveals", "hits", "mismatch", "next_state", "by_symbol")
     digest = hashlib.sha256()
-    for column in columns:
+    for column in table:
         digest.update(f"{column.dtype.str}{column.shape}".encode())
         digest.update(np.ascontiguousarray(column).tobytes())
-    assert (len(table.carriers), digest.hexdigest()) == TABLE_DIGESTS[attack]
-    # Every measurement is certain or fair, exactly.
-    finite = np.concatenate([p0[np.isfinite(p0)] for p0 in p0s])
-    assert set(finite.tolist()) <= {0.0, 0.5, 1.0} and 0.5 in finite
+    assert (len(table.next_state), digest.hexdigest()) == TABLE_DIGESTS[attack]
 
 
 #: The largest draw the random stream can produce.
@@ -425,6 +421,20 @@ def _record_measurements(monkeypatch, reached):
 
     monkeypatch.setattr(protocol, "measure_z", recording)
     monkeypatch.setattr(adversary, "measure_z", recording)
+
+
+def _build_recording_measurements(monkeypatch, attack):
+    """A fresh table build for ``attack``, and every measurement it makes,
+    recorded as :func:`_record_measurements` records them."""
+    import ghzqss.harness as harness
+
+    reached = {}
+    _record_measurements(monkeypatch, reached)
+    harness._transition_table.cache_clear()
+    try:
+        return harness._transition_table(attack), reached
+    finally:
+        harness._transition_table.cache_clear()
 
 
 @pytest.mark.parametrize("attack", list(AttackKind))
@@ -449,17 +459,11 @@ def test_the_largest_draw_never_realizes_a_rounding_noise_branch(attack, monkeyp
 def test_every_fair_measurement_of_the_tables_splits_the_draws_at_one_half(attack, monkeypatch):
     # A fair threshold is exactly 1/2, so ``draw >= P(0)`` is the top bit of
     # the draw's word, as the batch engine reads it, on every draw.
-    import ghzqss.harness as harness
-
-    reached = {}
-    _record_measurements(monkeypatch, reached)
-    harness._transition_table.cache_clear()
-    try:
-        harness._transition_table(attack)
-    finally:
-        harness._transition_table.cache_clear()
-    fair = [(state, q) for (p0, _, _), (state, q) in reached.items() if 0.0 < p0 < 1.0]
-    assert fair
+    _, reached = _build_recording_measurements(monkeypatch, attack)
+    # Every measurement is certain or fair, exactly, and some are fair.
+    p0s = {p0 for p0, _, _ in reached}
+    assert p0s <= {0.0, 0.5, 1.0} and 0.5 in p0s
+    fair = [(state, q) for (p0, _, _), (state, q) in reached.items() if p0 == 0.5]
     for state, q in fair:
         assert [measure_z(state, q, draw)[0] for draw in (0.5 - 2.0**-53, 0.5)] == [0, 1]
 
@@ -488,26 +492,17 @@ def test_the_table_build_plays_each_receive_half_once_per_cell(monkeypatch):
 
 
 @pytest.mark.parametrize("attack", list(AttackKind))
-def test_extreme_draws_take_an_enumerated_branch_of_the_table(attack):
-    table = _transition_table(attack)
-    levels = ((table.eve_p0, table.bob_p0), (table.bob_p0, table.charlie_p0), (table.charlie_p0, table.next_state))
-    for draw in (0.0, 0.25, 0.75, LARGEST_DRAW):
-        for thresholds, following in levels:
-            for index, threshold in np.ndenumerate(thresholds):
-                if np.isfinite(threshold):
-                    branch = following[index + (int(draw >= threshold),)]
-                    assert branch >= 0 if following is table.next_state else not np.isnan(branch)
-    # A symbol's bits, played as the draws 1/4 and 3/4, reach the cell a
-    # ``draw >= threshold`` walk with those draws reaches.
-    for draws in itertools.product((0.25, 0.75), repeat=3):
-        symbol = tuple(int(d >= 0.5) for d in draws)
-        for (s, q), eve_p0 in np.ndenumerate(table.eve_p0):
-            e = int(draws[0] >= eve_p0)
-            b = int(draws[1] >= table.bob_p0[s, q, e])
-            c = int(draws[2] >= table.charlie_p0[s, q, e, b])
-            cell = np.ravel_multi_index((s, q, e, b, c), table.next_state.shape)
-            assert table.by_symbol[(s, q) + symbol] == cell
-            assert table.next_state.reshape(-1)[cell] >= 0
+def test_extreme_draws_take_an_enumerated_branch_of_the_table(attack, monkeypatch):
+    table, reached = _build_recording_measurements(monkeypatch, attack)
+    # Every measurement the build makes takes a branch of nonzero
+    # probability at every extreme draw (a zero-probability branch raises).
+    assert reached
+    for state, q in reached.values():
+        for draw in (0.0, 0.25, 0.75, LARGEST_DRAW):
+            assert measure_z(state, q, draw)[2].probability > 0.0
+    # Every symbol of every (state, q) reaches a cell with a next state.
+    assert np.all(table.by_symbol >= 0)
+    assert np.all(table.next_state.reshape(-1)[table.by_symbol] >= 0)
 
 
 def test_a_changed_round_op_reaches_both_engines(monkeypatch):
