@@ -9,14 +9,16 @@ Subcommands:
 - ``verify``: golden-state checks of the simulator against the hand-coded
   attack scenario states.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error. Results go to
-stdout only. When ``--seed`` is omitted, the ``GHZQSS_SEED`` environment
-variable is consulted before falling back to 0.
+Exit codes: 0 success, 1 verification failure, 2 usage error, 141 stdout
+closed by its reader (128 + SIGPIPE). Results go to stdout only. When
+``--seed`` is omitted, the ``GHZQSS_SEED`` environment variable is consulted
+before falling back to 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -204,17 +206,24 @@ def _cmd_trace(args, parser: argparse.ArgumentParser) -> int:
                 "ambiguous": eve.ambiguous,
             },
         }
-        # Each distinct state is dumped once; the snapshots are spliced in at
-        # the depth and key order json.dumps(payload, indent=2) gives them.
+        # Each distinct state is dumped once, and the snapshots are rendered
+        # at the depth and key order json.dumps(payload, indent=2) gives them
+        # and written as they are rendered, so the output is never held whole.
         state_json = _distinct_renderer(
             lambda state: json.dumps(state_to_dict(state), indent=2, sort_keys=True).replace("\n", "\n      ")
         )
-        snapshots_json = ",\n    ".join(
-            f'{{\n      "round": {k},\n      "stage": {json.dumps(stage)},\n      "state": {state_json(state)}\n    }}'
-            for k, stage, state in snapshots
+        texts = (
+            f'{"," if i else ""}\n    {{\n      "round": {k},\n      "stage": {json.dumps(stage)},\n'
+            f'      "state": {state_json(state)}\n    }}'
+            for i, (k, stage, state) in enumerate(snapshots)
         )
-        dump = json.dumps(payload, indent=2, sort_keys=True)
-        print(dump.replace('"snapshots": null', f'"snapshots": [\n    {snapshots_json}\n  ]', 1))
+        head, tail = json.dumps(payload, indent=2, sort_keys=True).split('"snapshots": null', 1)
+        sys.stdout.write(f'{head}"snapshots": [')
+        # A few hundred snapshots per write, so a pipe's reader gets large
+        # reads, not one per 8 KiB that stdout buffers.
+        while batch := "".join(itertools.islice(texts, 256)):
+            sys.stdout.write(batch)
+        sys.stdout.write(f"\n  ]{tail}\n")
         return 0
 
     state_text = _distinct_renderer(
@@ -284,11 +293,13 @@ def _cmd_verify(args, parser: argparse.ArgumentParser) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "run":
-        return _cmd_run(args, parser)
-    if args.command == "trace":
-        return _cmd_trace(args, parser)
-    return _cmd_verify(args, parser)
+    try:
+        return {"run": _cmd_run, "trace": _cmd_trace, "verify": _cmd_verify}[args.command](args, parser)
+    except BrokenPipeError:
+        # The reader closed stdout. Point it at /dev/null so the flush at exit
+        # stays quiet, and exit as a process killed by SIGPIPE reports.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

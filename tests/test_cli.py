@@ -385,16 +385,20 @@ def test_invalid_environment_seed_is_a_usage_error(capsys, monkeypatch):
 # --- start-up cost ---------------------------------------------------------------
 
 
+def _checkout_env():
+    """The environment, with this checkout's package first on the path."""
+    import ghzqss
+
+    return {**os.environ, "PYTHONPATH": str(Path(ghzqss.__file__).resolve().parents[1])}
+
+
 @functools.cache
 def _imported_packages(*argv):
     """Run ``python -X importtime -m ghzqss argv`` on this checkout's package
     and return the top-level names of the modules it imported."""
-    import ghzqss
-
-    env = {**os.environ, "PYTHONPATH": str(Path(ghzqss.__file__).resolve().parents[1])}
     child = subprocess.run(
         [sys.executable, "-X", "importtime", "-m", "ghzqss", *argv],
-        env=env, capture_output=True, text=True, timeout=120,
+        env=_checkout_env(), capture_output=True, text=True, timeout=120,
     )
     assert child.returncode == 0, child.stderr[-2000:]
     modules = [line.rsplit("|", 1)[-1].strip() for line in child.stderr.splitlines() if line.startswith("import time:")]
@@ -426,3 +430,48 @@ def test_only_csv_output_imports_csv():
     assert "csv" not in _imported_packages(*RUN_ARGV, "--format", "json")
     # The positive control: the same log does show csv when it is imported.
     assert "csv" in _imported_packages(*RUN_ARGV, "--format", "csv")
+
+
+# --- output streams -------------------------------------------------------------
+
+
+def test_a_reader_closing_stdout_ends_the_run_with_141_and_no_traceback():
+    # 200000 CSV rows are megabytes, far more than a pipe buffers.
+    child = subprocess.Popen(
+        [sys.executable, "-m", "ghzqss", "run", "--format", "csv", "--trials", "200000"],
+        env=_checkout_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert child.stdout.readline().startswith(b"trial_index,")
+    child.stdout.close()
+    stderr = child.stderr.read()
+    assert (child.wait(timeout=120), stderr) == (141, b"")
+
+
+class _CountingSink:
+    """A stdout that counts what is written to it and keeps none of it."""
+
+    size = 0
+
+    def write(self, text):
+        self.size += len(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("attack", ["none", "intercept-resend", "cnot-ancilla"])
+def test_json_trace_peak_memory_is_below_its_output_size(monkeypatch, attack):
+    import tracemalloc
+
+    rng = random.Random(4096)
+    bits = "".join(rng.choice("01") for _ in range(4096))
+    sink = _CountingSink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        assert main(["trace", "--bits", bits, "--attack", attack, "--format", "json"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0 < peak < sink.size
