@@ -119,9 +119,9 @@ def _guarded_h(state: StateVector, q: str) -> StateVector:
     return apply_h(state, q)
 
 
-def _guarded_measure(state: StateVector, q: str, draw: float):
+def _guarded_measure(state: StateVector, q: str, bit: int):
     _guard(q)
-    return measure_z(state, q, draw)
+    return measure_z(state, q, bit)
 
 
 def eve_on_transit(
@@ -129,13 +129,13 @@ def eve_on_transit(
     k: int,
     joint: StateVector,
     record: EveRecord,
-    draw: float | None = None,
+    bit: int | None = None,
     observer=None,
 ):
     """Eve's action on the in-transit qubit S1 during round ``k``.
 
     Called exactly once per round, after Alice's entangling CNOTs and before
-    Bob's receiving CNOT. ``draw`` feeds any measurement Eve performs;
+    Bob's receiving CNOT. ``bit`` feeds any measurement Eve performs;
     ``observer(stage, state)`` reports her intermediate states when tracing.
     Returns the (possibly transformed) joint state and the updated record.
     """
@@ -144,7 +144,7 @@ def eve_on_transit(
         return joint, record
 
     if kind is AttackKind.INTERCEPT_RESEND:
-        _, joint, _ = _guarded_measure(joint, "S1", draw)
+        _, joint, _ = _guarded_measure(joint, "S1", bit)
         if observer is not None:
             observer("after Eve measure-and-resend of S1", joint)
         return joint, record
@@ -166,7 +166,7 @@ def eve_on_transit(
     joint = _guarded_cnot(joint, "E", "S1")
     if observer is not None:
         observer("after Eve C(E->S1)", joint)
-    outcome, joint, mrec = _guarded_measure(joint, "S1", draw)
+    outcome, joint, mrec = _guarded_measure(joint, "S1", bit)
     record.measured[k] = outcome
     record.probabilities[k] = mrec.probability
     if observer is not None:

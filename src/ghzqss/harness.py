@@ -7,8 +7,8 @@ Determinism contract (random stream v2): every trial is a pure function of
 pair into a trial seed ``s``; the trial's every random word is then a
 counter-based hash of ``(s, round k, column c)``, the SplitMix64 output
 ``avalanche(s + (5k + c) * 0x9E3779B97F4A7C15)``, with columns 0 data bit,
-1 Eve's draw, 2 Bob's, 3 Charlie's and 4 the round's comparison key.
-``_stream`` is the only reader of the stream and ``_bit``, ``_draw`` and
+1 Eve's measurement bit, 2 Bob's, 3 Charlie's and 4 the round's comparison
+key. ``_stream`` is the only reader of the stream and ``_bit`` and
 ``_compare_key`` the only readers of its words; they take Python ints, for
 the single-trial engine, and uint64 arrays, for the vectorized batch
 engine, alike, so results are independent of execution order and identical
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 import operator
 from collections import Counter
 from typing import NamedTuple
@@ -55,7 +54,6 @@ from .statevector import (
     discard_qubit,
     from_terms,
     max_abs_difference,
-    measurement_log,
     memoized_ops,
     tensor,
 )
@@ -108,13 +106,8 @@ def _stream(seeds, k, column):
 
 
 def _bit(word):
-    """A data bit: the top bit of its word."""
+    """A data or measurement bit: the top bit of its word."""
     return word >> 63
-
-
-def _draw(word):
-    """A measurement draw in [0, 1): the top 53 bits of its word."""
-    return (word >> 11) * 2.0**-53
 
 
 def _compare_key(word, k):
@@ -221,10 +214,10 @@ def _silent(k, stage, state) -> None:
     pass
 
 
-def _transit(kind: AttackKind, k: int, carrier: StateVector, q: int, record: EveRecord, draws, emit):
+def _transit(kind: AttackKind, k: int, carrier: StateVector, q: int, record: EveRecord, eve: int, emit):
     """First half of round ``k``: the pair encoding ``q`` is prepared, Alice
-    entangles, the adversary acts on the in-transit S1 (measuring with
-    ``draws[0]``, if at all), and Bob and Charlie disentangle. Returns the
+    entangles, the adversary acts on the in-transit S1 (measuring with the
+    bit ``eve``, if at all), and Bob and Charlie disentangle. Returns the
     joint state and ``record``, which ``eve_on_transit`` updates in place.
     ``emit(k, stage, state)`` is invoked at every protocol stage."""
     parity = round_parity(k)
@@ -232,18 +225,18 @@ def _transit(kind: AttackKind, k: int, carrier: StateVector, q: int, record: Eve
     emit(k, "carrier+pair prepared", joint)
     joint = alice_entangle(joint, parity)
     emit(k, "after Alice CNOTs", joint)
-    joint, record = eve_on_transit(kind, k, joint, record, draws[0], lambda stage, state: emit(k, stage, state))
+    joint, record = eve_on_transit(kind, k, joint, record, eve, lambda stage, state: emit(k, stage, state))
     joint = charlie_disentangle(bob_disentangle(joint))
     emit(k, "after Bob/Charlie disentangling CNOTs", joint)
     return joint, record
 
 
-def _receive(kind: AttackKind, k: int, joint: StateVector, q: int, draws, emit):
-    """Second half of round ``k``: Bob and Charlie measure with ``draws``
+def _receive(kind: AttackKind, k: int, joint: StateVector, q: int, bits, emit):
+    """Second half of round ``k``: Bob and Charlie measure with ``bits``
     and the round record is reconstructed, the pair is discarded, and
     everyone applies their round-end Hadamard, Eve through her end-of-round
     hook. Returns the record and the carrier the next round starts from."""
-    rec, joint = receive_and_reconstruct(joint, k, q, draws)
+    rec, joint = receive_and_reconstruct(joint, k, q, bits)
     emit(k, "after Bob/Charlie measurements", joint)
     carrier = discard_qubit(discard_qubit(joint, "S1", rec.bob_outcome), "S2", rec.charlie_outcome)
     carrier = eve_end_round(kind, end_round_hadamards(carrier))
@@ -275,9 +268,9 @@ def run_trial(config: ExperimentConfig, trial_index: int = 0, observer=None) -> 
 
     for k in range(1, n + 1):
         q = _bit(_stream(seed, k, _BIT)) if config.bits is None else int(config.bits[k - 1])
-        eve, bob, charlie = (_draw(_stream(seed, k, c)) for c in (_EVE, _BOB, _CHARLIE))
+        eve, bob, charlie = (_bit(_stream(seed, k, c)) for c in (_EVE, _BOB, _CHARLIE))
         bits.append(q)
-        joint, record = _transit(kind, k, carrier, q, record, (eve,), emit)
+        joint, record = _transit(kind, k, carrier, q, record, eve, emit)
         rec, carrier = _receive(kind, k, joint, q, (bob, charlie), emit)
         transcript.append(rec)
 
@@ -303,59 +296,31 @@ def run_trial(config: ExperimentConfig, trial_index: int = 0, observer=None) -> 
 # Vectorized batch engine. Every gate is Clifford and every prepared state is
 # a stabilizer state, so a run only ever visits a handful of distinct states,
 # a state being a carrier plus the phase of the round it enters, and every
-# measurement is certain or fair (Aaronson & Gottesman, PRA 70, 052328).
-# _transition_table finds the states by playing the two round halves
-# run_trial plays, _transit and _receive, from every reachable state, for
-# each data bit and each round symbol: one bit per measurement, bit w played
-# as the draw (2w + 1) / 4, which takes the outcome of every draw whose top
-# bit is w. It learns each threshold only through measurement_log and reads
+# measurement is certain or fair (Aaronson & Gottesman, PRA 70, 052328), so
+# measure_z takes one random bit. _transition_table finds the states by
+# playing the two round halves run_trial plays, _transit and _receive, from
+# every reachable state, for each data bit and each round symbol, and reads
 # each transition's mismatch and Eve's inference from the reference rules.
-# A chunk of trials steps through the table by two integer gathers per
-# round, on the round's 4-bit symbol (data bit, then the top bits of Eve's,
-# Bob's and Charlie's words), then gathers every per-trial column along each
-# trial's path. It reads run_trial's randomness through the same _stream,
-# _bit and _compare_key, so outcomes match run_trial trial for trial
-# (asserted by the test suite): the amplitudes are exact, so a fair
-# measurement's threshold is exactly 1/2, and a draw reaches it exactly when
-# its word's top bit is 1. Only these functions import numpy.
+# A chunk of trials steps through the table by one integer gather per round,
+# on the round's 4-bit symbol (data bit, then Eve's, Bob's and Charlie's
+# bits), then gathers every per-trial column along each trial's path. It
+# reads run_trial's randomness through the same _stream, _bit and
+# _compare_key, so outcomes match run_trial trial for trial (asserted by the
+# test suite). Only these functions import numpy.
 # ---------------------------------------------------------------------------
 
 
 class _TransitionTable(NamedTuple):
-    """Round transitions, indexed [state, q, eve, bob, charlie] by outcome
-    (as deep as each field goes), plus ``by_symbol``, indexed by the round's
-    symbol bits [state, q, eve, bob, charlie]: the columns ``_run_batch``
-    gathers, and no more. Impossible branches hold next state -1.
-    ``reveals`` and ``hits`` are read from ``eve_postprocess`` on the round's
-    record, for the CNOT-ancilla attack only, as in run_trial."""
+    """Round transitions, indexed [state, q, eve, bob, charlie] by the bits
+    of the round's symbol (as deep as each field goes): the columns
+    ``_run_batch`` gathers, and no more. ``reveals`` and ``hits`` are read
+    from ``eve_postprocess`` on the round's record, for the CNOT-ancilla
+    attack only, as in run_trial."""
 
     reveals: np.ndarray     # (S, 2, 2) int8 offset announcing the round reveals, -1 for none
     hits: np.ndarray        # (S, 2, 2, 2) offset o decodes the round's bit right
     mismatch: np.ndarray    # (S, 2, 2, 2, 2) the round's bit fails the public comparison
     next_state: np.ndarray  # (S, 2, 2, 2, 2)
-    by_symbol: np.ndarray   # (S, 2, 2, 2, 2) flat outcome index each symbol reaches
-
-
-def _leaves(play, width: int):
-    """Play the half round ``play(draws)``, which takes one draw per
-    measurement it makes, once per symbol of ``width`` bits, in symbol
-    order. Bit w is played as the draw (2w + 1) / 4. Yields (symbol,
-    outcomes, result); each outcome is its draw against the P(0) that
-    ``measurement_log`` records, and a measurement that is not made reads
-    as outcome 0.
-
-    Raises ``RuntimeError`` if a P(0) is not exactly 0, 1/2 or 1, since then
-    a symbol's bit would not name its outcome; it is the check that the
-    states played are stabilizer states."""
-    for symbol in itertools.product((0, 1), repeat=width):
-        draws = tuple((2 * w + 1) / 4 for w in symbol)
-        with measurement_log() as p0s:
-            result = play(draws)
-        p0s += [math.inf] * (width - len(p0s))
-        for p0 in p0s:
-            if p0 not in (0.0, 0.5, 1.0, math.inf):
-                raise RuntimeError(f"a measurement with P(0) = {p0} is neither certain nor fair")
-        yield symbol, tuple(int(d >= p0) for d, p0 in zip(draws, p0s)), result
 
 
 @functools.cache
@@ -372,7 +337,7 @@ def _transition_table(kind: AttackKind) -> _TransitionTable:
     import numpy as np
 
     states: list[tuple[StateVector, int]] = []
-    reveals, hits, mismatches, next_states, by_symbol = ({} for _ in range(5))
+    reveals, hits, mismatches, next_states = ({} for _ in range(4))
     ids: dict[tuple, int] = {}
 
     def state_id(carrier: StateVector, k: int) -> int:
@@ -382,40 +347,37 @@ def _transition_table(kind: AttackKind) -> _TransitionTable:
             states.append((carrier, k))
         return ids[key]
 
-    # The receive half's leaves for each (round, bit, state the receivers
-    # get), as (symbol bits, b, c, mismatch, next state):
-    # where two cells hand the receivers one state (both of Eve's symbols give
-    # one outcome, or two carriers collapse alike), it is played once.
+    # The receive half's ((bob, charlie) bits, mismatch, next state) for each
+    # pair of bits, per (round, bit, state the receivers get): where two
+    # cells hand the receivers one state (both of Eve's bits give one
+    # outcome, or two carriers collapse alike), it is played once.
     received: dict[tuple, list] = {}
 
     def receive(k: int, joint: StateVector, q: int) -> list:
         key = (k, q, joint.key)
         if key not in received:
             following = 2 if k % 2 else 3
-            received[key] = [
-                (symbol, b, c, public_comparison([rec], [q], [1]).detected, state_id(carrier, following))
-                for symbol, (b, c), (rec, carrier)
-                in _leaves(lambda draws: _receive(kind, k, joint, q, draws, _silent), 2)
-            ]
+            received[key] = []
+            for bits in itertools.product((0, 1), repeat=2):
+                rec, carrier = _receive(kind, k, joint, q, bits, _silent)
+                received[key].append((bits, public_comparison([rec], [q], [1]).detected, state_id(carrier, following)))
         return received[key]
 
     state_id(init_carrier(with_adversary_ancilla=kind is AttackKind.CNOT_ANCILLA), 1)
     # The loop also visits the states state_id appends while it runs.
     for s, (start, k) in enumerate(states):
-        for q in (0, 1):
+        for q, e in itertools.product((0, 1), repeat=2):
             # Every play gets a fresh record: eve_on_transit updates it in place.
-            transit = lambda draws: _transit(kind, k, start, q, EveRecord(), draws, _silent)
-            for (we,), (e,), (joint, record) in _leaves(transit, 1):
-                if kind is AttackKind.CNOT_ANCILLA:
-                    offset = eve_postprocess(record, {k: q}).inferred_offset
-                    reveals[s, q, e] = -1 if offset is None else offset
-                    for o in (0, 1):
-                        # Announcing round 1 as o is how the reference fixes the offset to o.
-                        hits[s, q, e, o] = eve_postprocess(record, {1: o}).inferred_bits.get(k) == q
-                for (wb, wc), b, c, mismatch, next_state in receive(k, joint, q):
-                    mismatches[s, q, e, b, c] = mismatch
-                    next_states[s, q, e, b, c] = next_state
-                    by_symbol[s, q, we, wb, wc] = (((s * 2 + q) * 2 + e) * 2 + b) * 2 + c
+            joint, record = _transit(kind, k, start, q, EveRecord(), e, _silent)
+            if kind is AttackKind.CNOT_ANCILLA:
+                offset = eve_postprocess(record, {k: q}).inferred_offset
+                reveals[s, q, e] = -1 if offset is None else offset
+                for o in (0, 1):
+                    # Announcing round 1 as o is how the reference fixes the offset to o.
+                    hits[s, q, e, o] = eve_postprocess(record, {1: o}).inferred_bits.get(k) == q
+            for (b, c), mismatch, next_state in receive(k, joint, q):
+                mismatches[s, q, e, b, c] = mismatch
+                next_states[s, q, e, b, c] = next_state
 
     def dense(cells: dict, depth: int, fill) -> np.ndarray:
         arr = np.full((len(states),) + (2,) * depth, fill)
@@ -428,7 +390,6 @@ def _transition_table(kind: AttackKind) -> _TransitionTable:
         hits=dense(hits, 3, False),
         mismatch=dense(mismatches, 4, False),
         next_state=dense(next_states, 4, -1),
-        by_symbol=dense(by_symbol, 4, -1),
     )
     for arr in table:
         arr.flags.writeable = False  # the cached table is shared by every caller
@@ -436,7 +397,7 @@ def _transition_table(kind: AttackKind) -> _TransitionTable:
 
 
 class _BatchOutcome(NamedTuple):
-    path: np.ndarray          # (B, n) flat [state, q, eve, bob, charlie] table index per round
+    path: np.ndarray          # (B, n) flat [state, symbol] table index per round
     compared: np.ndarray      # (B, n) bool, comparison subset membership
     mismatches: np.ndarray    # (B,) counted within the compared subset
     detected: np.ndarray      # (B,) bool
@@ -476,15 +437,14 @@ def _run_batch(config: ExperimentConfig, indices: np.ndarray) -> _BatchOutcome:
     B = len(indices)
     seeds, compared = _batch_randomness(config, indices)
     table = _transition_table(config.attack)
-    by_symbol = table.by_symbol.reshape(-1)
     next_state = table.next_state.reshape(-1)
 
-    # Trial t's flat [state, q, eve, bob, charlie] index in round k: its two
-    # low bits are Bob's and Charlie's outcomes, path >> 2 is [state, q, eve].
+    # Trial t's flat [state, q, eve, bob, charlie] index in round k, state
+    # times 16 plus the round's symbol: path >> 2 is [state, q, eve].
     path = np.empty((B, n), dtype=np.min_scalar_type(table.next_state.size - 1))
     state = np.zeros(B, dtype=np.int64)
     for k in range(1, n + 1):
-        path[:, k - 1] = by_symbol[state * 16 + _round_symbols(config, seeds, k)]
+        path[:, k - 1] = state * 16 + _round_symbols(config, seeds, k)
         state = next_state[path[:, k - 1]]
 
     transit = path >> 2

@@ -118,16 +118,16 @@ def charlie_disentangle(joint: StateVector) -> StateVector:
 
 
 def receive_and_reconstruct(
-    joint: StateVector, k: int, sent: int, draws: tuple[float, float]
+    joint: StateVector, k: int, sent: int, bits: tuple[int, int]
 ) -> tuple[RoundRecord, StateVector]:
     """Bob measures S1 and Charlie measures S2 (in that order), then the
     round record is built under the reconstruction rule.
 
-    ``draws`` supplies the two uniform measurement draws (bob, charlie).
+    ``bits`` supplies the two random measurement bits (bob, charlie).
     """
-    bob_draw, charlie_draw = draws
-    bob, joint, _ = measure_z(joint, "S1", bob_draw)
-    charlie, joint, _ = measure_z(joint, "S2", charlie_draw)
+    bob_bit, charlie_bit = bits
+    bob, joint, _ = measure_z(joint, "S1", bob_bit)
+    charlie, joint, _ = measure_z(joint, "S2", charlie_bit)
     return RoundRecord.from_outcomes(k, sent, bob, charlie), joint
 
 

@@ -21,12 +21,15 @@ Conventions used throughout the package:
   compared (:func:`max_abs_difference`): entry ``c`` is
   ``c * sqrt(0.5)**(r % 2) * 2**-(r // 2)``, which is correctly rounded for
   ``c = ±1``.
-- Operations are pure: they take a :class:`StateVector` and return a new one,
-  except inside a :func:`memoized_ops` block, where an op called again on an
-  identical input (same :attr:`StateVector.key`, same other arguments) may
-  return the shared result of the first call.
-  Measurement randomness enters only through an explicit ``draw`` argument,
-  which keeps every caller a pure function of its seed.
+- Operations are pure: they take a :class:`StateVector` and return a new one
+  (or, for a certain measurement, the input), except inside a
+  :func:`memoized_ops` block, where an op called again on an identical input
+  (same :attr:`StateVector.key`, same other arguments) may return the shared
+  result of the first call.
+- Measurement randomness enters only through an explicit ``bit`` argument,
+  which keeps every caller a pure function of its seed: a measurement is
+  certain or fair, so one random bit names a fair one's outcome, and
+  :func:`measure_z` refuses any other P(0).
 """
 
 from __future__ import annotations
@@ -47,7 +50,6 @@ QUBIT_ROLES = ("A", "B", "C", "E", "S1", "S2")
 
 _SQRT_HALF = math.sqrt(0.5)
 
-_measurement_log: ContextVar[list[float] | None] = ContextVar("measurement_log", default=None)
 _memo: ContextVar[dict | None] = ContextVar("memo", default=None)
 _set = object.__setattr__
 
@@ -282,52 +284,37 @@ def probability_of_zero(state: StateVector, q: str) -> float:
     return sum(a * a for a in chain.from_iterable(zeros)) / (1 << state.r)
 
 
-def measure_z(state: StateVector, q: str, draw: float) -> tuple[int, StateVector, MeasurementRecord]:
-    """Z-basis measurement of ``q`` driven by an explicit uniform draw.
+def measure_z(state: StateVector, q: str, bit: int) -> tuple[int, StateVector, MeasurementRecord]:
+    """Z-basis measurement of ``q`` driven by one random ``bit``.
 
-    The outcome is ``draw >= P(0)``, so an outcome of probability 0 is never
-    realized; P(0) is what :func:`measurement_log` records. Returns the
-    outcome, the collapsed state and a record carrying the Born probability
-    of the realized outcome. Raises ``ValueError`` if that probability is
-    not a power of 1/2, since the collapsed state then has no exact form.
+    Every state the protocol reaches is a stabilizer state, so every
+    measurement is certain or fair: a fair one's outcome is ``bit``, and a
+    certain one's is forced, whatever ``bit``. Returns the outcome, the
+    collapsed state and a record carrying the Born probability of the
+    outcome. Raises ``ValueError`` if ``bit`` is not 0 or 1, or if P(0) is
+    not exactly 0, 1/2 or 1, since then no one bit names the outcome.
     """
-    if not 0.0 <= draw < 1.0:
-        raise ValueError(f"draw must lie in [0, 1), got {draw}")
+    if bit not in (0, 1):
+        raise ValueError(f"bit must be 0 or 1, got {bit!r}")
     p0 = probability_of_zero(state, q)
-    log = _measurement_log.get()
-    if log is not None:
-        log.append(p0)
-    outcome = int(draw >= p0)
-    return outcome, _collapse(state, q, outcome), MeasurementRecord(q, outcome, 1.0 - p0 if outcome else p0)
+    if p0 == 0.5:
+        outcome = int(bit)
+        return outcome, _collapse(state, q, outcome), MeasurementRecord(q, outcome, 0.5)
+    if p0 not in (0.0, 1.0):
+        raise ValueError(f"a measurement of {q!r} with P(0) = {p0} is neither certain nor fair")
+    outcome = int(p0 == 0.0)
+    return outcome, state, MeasurementRecord(q, outcome, 1.0)
 
 
 @_memoized
 def _collapse(state: StateVector, q: str, outcome: int) -> StateVector:
-    """``state`` projected onto ``q = outcome`` and renormalized: the kept
-    entries, whose squares sum to ``2**r`` times the branch probability
-    ``2**-j``, stand at ``r - j``, and are then reduced."""
+    """``state`` projected onto ``q = outcome`` of a fair measurement: the
+    kept entries hold half the weight, so they stand at ``r - 1``, and are
+    then reduced."""
     kept = _blocks(state, q)[outcome]
-    weight = sum(a * a for a in chain.from_iterable(kept))
-    if not weight or weight & (weight - 1):
-        raise ValueError(
-            f"outcome {outcome} of {q!r} has probability {weight}/2**{state.r}, not a power of 1/2"
-        )
     blank = [(0,) * len(run) for run in kept]
     ints = _join(kept, blank) if outcome == 0 else _join(blank, kept)
-    return _reduced(state.labels, ints, weight.bit_length() - 1)
-
-
-@contextmanager
-def measurement_log():
-    """Collect the Born P(0) of every :func:`measure_z` call made inside the
-    block, in call order. The batch engine reads the adversary's
-    measurements this way, without knowing which qubit she measures, or when."""
-    log: list[float] = []
-    token = _measurement_log.set(log)
-    try:
-        yield log
-    finally:
-        _measurement_log.reset(token)
+    return _reduced(state.labels, ints, state.r - 1)
 
 
 @_memoized

@@ -89,9 +89,8 @@ def run_with_rows(config):
 
 def path_columns(path, attack):
     """The per-round columns of a batch outcome, derived from its (B, n)
-    ``path`` of flat [state, q, eve, bob, charlie] table indices: data bits,
-    Bob's and Charlie's outcomes, Eve's readouts and each trial's final
-    state id.
+    ``path`` of flat [state, q, eve, bob, charlie] table indices, indexed
+    by the round's symbol bits: data bits and Eve's readouts.
 
     A readout is derived from the table's ``hits``: Eve's inferred bit is
     her readout XOR the offset, so where exactly one offset o decodes the
@@ -103,10 +102,4 @@ def path_columns(path, attack):
     hits = table.hits.reshape(-1, 2)[path >> 2]
     readouts = np.where(hits[..., 0] != hits[..., 1], bits ^ hits[..., 1], -1)
     readouts[:, 0] = -1
-    return SimpleNamespace(
-        bits=bits,
-        bob=(path >> 1) & 1,
-        charlie=path & 1,
-        eve_readouts=readouts,
-        final_state=table.next_state.reshape(-1)[path[:, -1]],
-    )
+    return SimpleNamespace(bits=bits, eve_readouts=readouts)

@@ -142,7 +142,7 @@ def test_criterion_2_zero_detection(attack_run_32):
         for k, attack_carrier, honest_carrier, parity in cases:
             for q in (0, 1):
                 attacked = alice_entangle(tensor(attack_carrier, encode_pair(q, parity)), parity)
-                attacked, _ = eve_on_transit(AttackKind.CNOT_ANCILLA, k, attacked, EveRecord(), draw=0.5)
+                attacked, _ = eve_on_transit(AttackKind.CNOT_ANCILLA, k, attacked, EveRecord(), bit=1)
                 attacked = charlie_disentangle(bob_disentangle(attacked))
                 honest = alice_entangle(tensor(honest_carrier, encode_pair(q, parity)), parity)
                 honest = charlie_disentangle(bob_disentangle(honest))
@@ -262,13 +262,13 @@ def test_criterion_5_even_round_ancilla_independence():
         for q in (0, 1):
             joint = tensor(carrier_ancilla_even(q1), encode_pair(q, RoundParity.EVEN))
             joint = alice_entangle(joint, RoundParity.EVEN)
-            joint, _ = eve_on_transit(AttackKind.CNOT_ANCILLA, 2, joint, EveRecord(), draw=0.5)
+            joint, _ = eve_on_transit(AttackKind.CNOT_ANCILLA, 2, joint, EveRecord(), bit=1)
             joint = charlie_disentangle(bob_disentangle(joint))
             states = [reduced_density_matrix(joint, ("E",))]
             # Also through both receiver measurement branches and the
             # round-end Hadamards: still independent of q.
-            for bob_draw in (0.25, 0.75):
-                record, collapsed = receive_and_reconstruct(joint, 2, q, (bob_draw, 0.5))
+            for bob_bit in (0, 1):
+                record, collapsed = receive_and_reconstruct(joint, 2, q, (bob_bit, 1))
                 states.append(reduced_density_matrix(collapsed, ("E",)))
                 ended = eve_end_round(AttackKind.CNOT_ANCILLA, end_round_hadamards(collapsed))
                 states.append(reduced_density_matrix(ended, ("E",)))
@@ -368,8 +368,9 @@ def test_criterion_7_engine_properties():
     # Born consistency on a random three-qubit state.
     s = random_state(("A", "B", "C"), rng)
     p0 = probability_of_zero(s, "B")
+    # A fair outcome is its bit: the draw's top bit, 1 when it reaches 1/2.
     draws = rng.random(10_000)
-    zeros = sum(measure_z(s, "B", d)[0] == 0 for d in draws)
+    zeros = sum(measure_z(s, "B", int(d >= 0.5))[0] == 0 for d in draws)
     band = 3.0 * math.sqrt(p0 * (1 - p0) / draws.size)
     ok = ok and abs(zeros / draws.size - p0) <= band
 

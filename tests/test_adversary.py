@@ -81,7 +81,7 @@ def test_attack_kind_names_round_trip():
 def test_round1_cnot_copies_pair_bit_onto_ancilla(q1):
     carrier = init_carrier(with_adversary_ancilla=True)
     joint = alice_entangle(tensor(carrier, encode_pair(q1, RoundParity.ODD)), RoundParity.ODD)
-    joint, record = eve_on_transit(AttackKind.CNOT_ANCILLA, 1, joint, EveRecord(), draw=0.5)
+    joint, record = eve_on_transit(AttackKind.CNOT_ANCILLA, 1, joint, EveRecord(), bit=1)
     flip = q1 ^ 1
     expected = from_terms(
         LAB6, {f"000{q1}{q1}{q1}": 1, f"111{flip}{flip}{flip}": 1}, 1
@@ -100,7 +100,7 @@ def test_odd_round_readout_and_restoration(q1, q):
     joint = odd_round_system(q1, q)
     stages = {}
     joint_after, record = eve_on_transit(
-        AttackKind.CNOT_ANCILLA, 3, joint, EveRecord(), draw=0.5,
+        AttackKind.CNOT_ANCILLA, 3, joint, EveRecord(), bit=1,
         observer=lambda stage, state: stages.__setitem__(stage, state),
     )
     # After the first CNOT the in-transit qubit is detached and definite.
@@ -120,10 +120,10 @@ def test_odd_round_readout_and_restoration(q1, q):
 def test_odd_round_introduces_no_error(q1):
     q = q1 ^ 1  # arbitrary data bit, distinct from the offset for variety
     joint, record = eve_on_transit(
-        AttackKind.CNOT_ANCILLA, 3, odd_round_system(q1, q), EveRecord(), draw=0.5
+        AttackKind.CNOT_ANCILLA, 3, odd_round_system(q1, q), EveRecord(), bit=1
     )
     joint = charlie_disentangle(bob_disentangle(joint))
-    rec, _ = receive_and_reconstruct(joint, 3, q, (0.4, 0.6))
+    rec, _ = receive_and_reconstruct(joint, 3, q, (0, 1))
     assert rec.bob_outcome == q
     assert rec.charlie_outcome == q
     assert rec.consistent
@@ -138,7 +138,7 @@ def test_even_round_changes_nothing_and_leaks_nothing(q1):
     ancilla_states = {}
     for q in (0, 1):
         joint = transit_state(q1, q, RoundParity.EVEN)
-        joint, _ = eve_on_transit(AttackKind.CNOT_ANCILLA, 2, joint, EveRecord(), draw=0.5)
+        joint, _ = eve_on_transit(AttackKind.CNOT_ANCILLA, 2, joint, EveRecord(), bit=1)
         joint = charlie_disentangle(bob_disentangle(joint))
         # Carrier+ancilla part is exactly the even form it started in.
         expected = tensor(carrier_ancilla_even(q1), encode_pair(q, RoundParity.EVEN))
@@ -173,7 +173,7 @@ def test_eve_end_round_identity_for_passive_kinds():
 def test_intercept_resend_collapses_and_forwards():
     carrier = init_carrier()
     joint = alice_entangle(tensor(carrier, encode_pair(0, RoundParity.ODD)), RoundParity.ODD)
-    joint, record = eve_on_transit(AttackKind.INTERCEPT_RESEND, 1, joint, EveRecord(), draw=0.3)
+    joint, record = eve_on_transit(AttackKind.INTERCEPT_RESEND, 1, joint, EveRecord(), bit=0)
     # Measuring S1 collapses the whole branch structure: S1 is definite now.
     table = marginal_probabilities(joint, ("S1",))
     assert len(table) == 1
@@ -183,7 +183,7 @@ def test_intercept_resend_collapses_and_forwards():
 def test_no_attack_leaves_state_untouched():
     carrier = init_carrier()
     joint = alice_entangle(tensor(carrier, encode_pair(1, RoundParity.ODD)), RoundParity.ODD)
-    out, _ = eve_on_transit(AttackKind.NO_ATTACK, 1, joint, EveRecord(), draw=0.5)
+    out, _ = eve_on_transit(AttackKind.NO_ATTACK, 1, joint, EveRecord(), bit=1)
     assert out is joint
 
 

@@ -465,7 +465,7 @@ def test_json_trace_peak_memory_is_below_its_output_size(monkeypatch, attack):
     import tracemalloc
 
     rng = random.Random(4096)
-    bits = "".join(rng.choice("01") for _ in range(4096))
+    bits = "".join(rng.choice("01") for _ in range(1024))
     sink = _CountingSink()
     monkeypatch.setattr(sys, "stdout", sink)
     tracemalloc.start()

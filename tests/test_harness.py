@@ -14,7 +14,6 @@ from ghzqss.harness import (
     ExperimentConfig,
     _batch_randomness,
     _bit,
-    _draw,
     _round_symbols,
     _run_batch,
     _stream,
@@ -37,7 +36,6 @@ from ghzqss.protocol import (
 from ghzqss.statevector import (
     from_terms,
     measure_z,
-    measurement_log,
     probability_of_zero,
     tensor,
 )
@@ -111,7 +109,10 @@ def test_trial_randomness_is_stable_and_sized():
 
 @pytest.mark.parametrize("word", [0, 2**63 - 2**11, 2**63 - 1, 2**63, 2**64 - 1])
 def test_a_words_top_bit_is_whether_its_draw_reaches_one_half(word):
-    assert _bit(word) == int(_draw(word) >= 0.5)
+    # The draw a word gave before measurements took bits, its top 53 bits:
+    # a fair measurement's outcome then was ``draw >= 1/2``, the top bit now.
+    draw = (word >> 11) * 2.0**-53
+    assert _bit(word) == int(draw >= 0.5)
     assert _bit(np.array([word], dtype=np.uint64))[0] == _bit(word)
 
 
@@ -354,25 +355,45 @@ def test_batch_engine_matches_single_trials(attack, n_bits, fraction, bits):
     )
     out = _run_batch(config, np.arange(24))
     columns = path_columns(out.path, attack)
-    final_carriers = {}
+    table = _transition_table(attack)
+    mismatch = table.mismatch.reshape(-1)[out.path]
+    states = table.next_state.reshape(-1)[out.path]  # (B, n) table state after each round
+    carriers = {}
     for t in range(24):
-        single = run_trial(config, t)
+        after = {}
+        single = run_trial(
+            config, t, observer=lambda k, stage, state: after.__setitem__(k, state)
+            if stage == "after round-end Hadamards" else None,
+        )
         assert tuple(columns.bits[t]) == single.bits
-        for k, rec in enumerate(single.transcript):
-            assert columns.bob[t, k] == rec.bob_outcome
-            assert columns.charlie[t, k] == rec.charlie_outcome
+        for k, rec in enumerate(single.transcript, start=1):
+            assert bool(mismatch[t, k - 1]) == (rec.reconstructed != rec.sent or not rec.consistent)
+            # Trials in one table state after a round hold one carrier, entering
+            # a round of one parity, and vice versa.
+            key = carriers.setdefault(int(states[t, k - 1]), (k % 2, after[k].key))
+            assert key == (k % 2, after[k].key)
         assert bool(out.detected[t]) == single.detection.detected
         assert int(out.mismatches[t]) == single.detection.mismatches
         assert bool(out.ambiguous[t]) == single.eve.ambiguous
         assert int(out.eve_correct[t]) == single.eve_correct_bits
         assert float(out.known_fraction[t]) == pytest.approx(single.eve_known_fraction)
-        # Trials ending in one table state end in one carrier, and vice versa.
-        key = final_carriers.setdefault(int(columns.final_state[t]), single.final_carrier.key)
-        assert key == single.final_carrier.key
         if attack is AttackKind.CNOT_ANCILLA:
             for k, r in single.eve.measured.items():
                 assert columns.eve_readouts[t, k - 1] == r
-    assert len(set(final_carriers.values())) == len(final_carriers)
+    assert len(set(carriers.values())) == len(carriers)
+
+
+@pytest.mark.parametrize("attack", list(AttackKind))
+def test_batch_path_is_each_rounds_state_and_symbol(attack):
+    # One gather per round: a round's path entry is the state it starts in
+    # times 16 plus its symbol, and its cell's next state starts the next round.
+    config = ExperimentConfig(n_bits=9, trials=64, attack=attack, master_seed=31)
+    _, symbols, _ = _trial_randomness(config, np.arange(64))
+    path = _run_batch(config, np.arange(64)).path.astype(np.int64)
+    next_state = _transition_table(attack).next_state.reshape(-1)
+    assert np.array_equal(path & 15, symbols)
+    assert np.all(path[:, 0] >> 4 == 0)
+    assert np.array_equal(path[:, 1:] >> 4, next_state[path[:, :-1]])
 
 
 def test_transition_table_is_built_on_first_use_once_per_attack():
@@ -390,16 +411,16 @@ def test_transition_table_is_built_on_first_use_once_per_attack():
 # State count and sha256 of each table's columns, in field order; a
 # renumbered state changes ``next_state`` and so the digest.
 TABLE_DIGESTS = {
-    AttackKind.NO_ATTACK: (3, "d7c31c80ef7ab23265d1ac8176aec1acbf84a95de66ecbb5e6ec05ba0c4efc66"),
-    AttackKind.INTERCEPT_RESEND: (17, "f7a0659f9052d0d40e1e86a35b168d3b2bfb770382a6ce4e328d5c5bb39bde5f"),
-    AttackKind.CNOT_ANCILLA: (5, "b11ca0a4ec2ded9ee31cac18a55fb77c7a26a6b0ebfd5b0e35e3b015bddeb4c1"),
+    AttackKind.NO_ATTACK: (3, "e50b81cbc9ee19c24ae234299376259dce24019319b2d8e423edc8d3a9a9d739"),
+    AttackKind.INTERCEPT_RESEND: (17, "9938378bf851a29fe0689c0530e09abfaa197744a2c2ebbec371c243398a69a3"),
+    AttackKind.CNOT_ANCILLA: (5, "b42cb7f5ce1baa072e85a99e31645bcf20e759007ede54b1552c886c1a8f9886"),
 }
 
 
 @pytest.mark.parametrize("attack", list(AttackKind))
 def test_transition_tables_are_pinned(attack):
     table = _transition_table(attack)
-    assert table._fields == ("reveals", "hits", "mismatch", "next_state", "by_symbol")
+    assert table._fields == ("reveals", "hits", "mismatch", "next_state")
     digest = hashlib.sha256()
     for column in table:
         digest.update(f"{column.dtype.str}{column.shape}".encode())
@@ -407,17 +428,17 @@ def test_transition_tables_are_pinned(attack):
     assert (len(table.next_state), digest.hexdigest()) == TABLE_DIGESTS[attack]
 
 
-#: The largest draw the random stream can produce.
-LARGEST_DRAW = 1.0 - 2.0**-53
+#: The words at the ends of the stream and either side of its middle.
+EXTREME_WORDS = (0, 2**63 - 1, 2**63, 2**64 - 1)
 
 
 def _record_measurements(monkeypatch, reached):
     """Make every measurement of the protocol and the adversary add its
     (state, qubit) to ``reached``, keyed on P(0) and the state's key."""
 
-    def recording(state, q, draw):
+    def recording(state, q, bit):
         reached.setdefault((probability_of_zero(state, q), state.key, q), (state, q))
-        return measure_z(state, q, draw)
+        return measure_z(state, q, bit)
 
     monkeypatch.setattr(protocol, "measure_z", recording)
     monkeypatch.setattr(adversary, "measure_z", recording)
@@ -440,8 +461,8 @@ def _build_recording_measurements(monkeypatch, attack):
 @pytest.mark.parametrize("attack", list(AttackKind))
 def test_the_largest_draw_never_realizes_a_rounding_noise_branch(attack, monkeypatch):
     # P(0) is exact, so no measurement has a rounding-noise branch: every P(0)
-    # is 0, 1/2 or 1, and the largest draw realizes the certain outcome of
-    # every P(0) = 1.
+    # is 0, 1/2 or 1, and the stream's largest word, whose bit is 1, realizes
+    # the certain outcome of every P(0) = 1.
     reached = {}
     _record_measurements(monkeypatch, reached)
     for seed in range(3):
@@ -450,36 +471,34 @@ def test_the_largest_draw_never_realizes_a_rounding_noise_branch(attack, monkeyp
     assert p0s <= {0.0, 0.5, 1.0} and 1.0 in p0s
     for (p0, _, _), (state, q) in reached.items():
         if p0 == 1.0:
-            with measurement_log() as log:
-                outcome, _, record = measure_z(state, q, LARGEST_DRAW)
-            assert (outcome, record.probability, log) == (0, 1.0, [1.0])
+            outcome, after, record = measure_z(state, q, _bit(2**64 - 1))
+            assert (outcome, record.probability, after.key) == (0, 1.0, state.key)
 
 
 @pytest.mark.parametrize("attack", list(AttackKind))
 def test_every_fair_measurement_of_the_tables_splits_the_draws_at_one_half(attack, monkeypatch):
-    # A fair threshold is exactly 1/2, so ``draw >= P(0)`` is the top bit of
-    # the draw's word, as the batch engine reads it, on every draw.
+    # A fair measurement's outcome is its bit, the top bit of its word, as
+    # the batch engine reads it: the words split at one half.
     _, reached = _build_recording_measurements(monkeypatch, attack)
     # Every measurement is certain or fair, exactly, and some are fair.
     p0s = {p0 for p0, _, _ in reached}
     assert p0s <= {0.0, 0.5, 1.0} and 0.5 in p0s
     fair = [(state, q) for (p0, _, _), (state, q) in reached.items() if p0 == 0.5]
     for state, q in fair:
-        assert [measure_z(state, q, draw)[0] for draw in (0.5 - 2.0**-53, 0.5)] == [0, 1]
+        assert [measure_z(state, q, _bit(word))[0] for word in EXTREME_WORDS] == [0, 0, 1, 1]
 
 
 def test_the_table_build_plays_each_receive_half_once_per_cell(monkeypatch):
-    # A (state, q, Eve's outcome) cell's receive half is played once per
-    # symbol of Bob's and Charlie's bits, even where both of Eve's symbols
-    # reach the cell.
+    # A receive half is played once per (bob, charlie) bit pair and state
+    # the receivers get, even where both of Eve's bits hand them one state.
     import ghzqss.harness as harness
 
     receive = harness._receive
     played = Counter()
 
-    def counting(kind, k, joint, q, draws, emit):
-        played[kind, k, joint.key, q, draws] += 1
-        return receive(kind, k, joint, q, draws, emit)
+    def counting(kind, k, joint, q, bits, emit):
+        played[kind, k, joint.key, q, bits] += 1
+        return receive(kind, k, joint, q, bits, emit)
 
     monkeypatch.setattr(harness, "_receive", counting)
     harness._transition_table.cache_clear()
@@ -495,14 +514,13 @@ def test_the_table_build_plays_each_receive_half_once_per_cell(monkeypatch):
 def test_extreme_draws_take_an_enumerated_branch_of_the_table(attack, monkeypatch):
     table, reached = _build_recording_measurements(monkeypatch, attack)
     # Every measurement the build makes takes a branch of nonzero
-    # probability at every extreme draw (a zero-probability branch raises).
+    # probability at the bit of every extreme word.
     assert reached
     for state, q in reached.values():
-        for draw in (0.0, 0.25, 0.75, LARGEST_DRAW):
-            assert measure_z(state, q, draw)[2].probability > 0.0
-    # Every symbol of every (state, q) reaches a cell with a next state.
-    assert np.all(table.by_symbol >= 0)
-    assert np.all(table.next_state.reshape(-1)[table.by_symbol] >= 0)
+        for word in EXTREME_WORDS:
+            assert measure_z(state, q, _bit(word))[2].probability > 0.0
+    # Every symbol of every state reaches a next state.
+    assert np.all(table.next_state >= 0)
 
 
 def test_a_changed_round_op_reaches_both_engines(monkeypatch):
@@ -510,8 +528,8 @@ def test_a_changed_round_op_reaches_both_engines(monkeypatch):
 
     reference = harness.receive_and_reconstruct
 
-    def charlie_alone_on_even_rounds(joint, k, sent, draws):
-        rec, joint = reference(joint, k, sent, draws)
+    def charlie_alone_on_even_rounds(joint, k, sent, bits):
+        rec, joint = reference(joint, k, sent, bits)
         if k % 2 == 0:
             rec = rec._replace(reconstructed=rec.charlie_outcome)
         return rec, joint
@@ -542,8 +560,10 @@ def test_transition_table_refuses_a_measurement_neither_certain_nor_fair(monkeyp
     monkeypatch.setattr(statevector, "probability_of_zero", skewed)
     try:
         for attack in AttackKind:
-            with pytest.raises(RuntimeError, match="neither certain nor fair"):
+            with pytest.raises(ValueError, match="neither certain nor fair"):
                 harness._transition_table(attack)
+            with pytest.raises(ValueError, match="neither certain nor fair"):
+                run_trial(ExperimentConfig(n_bits=4, attack=attack), 0)
     finally:
         harness._transition_table.cache_clear()
 
@@ -716,13 +736,13 @@ def test_golden_states_sign_fault_is_caught():
     assert all("Hadamards" in c.name for c in failing)
 
 
-def _eve_after_the_receivers(kind, k, carrier, q, record, draws, emit):
+def _eve_after_the_receivers(kind, k, carrier, q, record, eve, emit):
     """A broken first half round: Eve acts on S1 after Bob's and Charlie's CNOTs."""
     parity = round_parity(k)
     joint = alice_entangle(tensor(carrier, encode_pair(q, parity)), parity)
     emit(k, "after Alice CNOTs", joint)
     joint = charlie_disentangle(bob_disentangle(joint))
-    joint, record = eve_on_transit(kind, k, joint, record, draws[0], lambda stage, state: emit(k, stage, state))
+    joint, record = eve_on_transit(kind, k, joint, record, eve, lambda stage, state: emit(k, stage, state))
     emit(k, "after Bob/Charlie disentangling CNOTs", joint)
     return joint, record
 
@@ -742,8 +762,8 @@ def test_golden_states_check_the_round_the_engines_play(monkeypatch, name, broke
 def test_golden_states_report_every_readout_failure(monkeypatch):
     import ghzqss.harness as harness
 
-    def misread(kind, k, joint, record, draw=None, observer=None):
-        joint, record = eve_on_transit(kind, k, joint, record, draw, observer)
+    def misread(kind, k, joint, record, bit=None, observer=None):
+        joint, record = eve_on_transit(kind, k, joint, record, bit, observer)
         if k in record.measured:
             record.measured[k] ^= 1
         return joint, record

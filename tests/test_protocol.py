@@ -202,7 +202,7 @@ def test_receive_odd_honest_is_deterministic():
     carrier = init_carrier()
     joint = alice_entangle(tensor(carrier, encode_pair(1, RoundParity.ODD)), RoundParity.ODD)
     joint = charlie_disentangle(bob_disentangle(joint))
-    record, _ = receive_and_reconstruct(joint, 1, 1, (0.9, 0.1))
+    record, _ = receive_and_reconstruct(joint, 1, 1, (1, 0))
     assert record.bob_outcome == 1
     assert record.charlie_outcome == 1
     assert record.reconstructed == 1
@@ -212,11 +212,12 @@ def test_receive_odd_honest_is_deterministic():
 @pytest.mark.parametrize("bob_draw", [0.2, 0.8])
 def test_receive_even_honest_reconstructs_by_parity(bob_draw):
     # Bob's outcome is random; Charlie's is anticorrelated for q=1, so the
-    # XOR always reconstructs the bit (enumerated over both draw branches).
+    # XOR always reconstructs the bit (enumerated over both of Bob's bits,
+    # each the top bit of a draw).
     carrier = honest_even_carrier()
     joint = alice_entangle(tensor(carrier, encode_pair(1, RoundParity.EVEN)), RoundParity.EVEN)
     joint = charlie_disentangle(bob_disentangle(joint))
-    record, _ = receive_and_reconstruct(joint, 2, 1, (bob_draw, 0.5))
+    record, _ = receive_and_reconstruct(joint, 2, 1, (int(bob_draw >= 0.5), 1))
     assert record.charlie_outcome == record.bob_outcome ^ 1
     assert record.reconstructed == 1
     assert record.consistent

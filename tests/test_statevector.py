@@ -13,7 +13,6 @@ from ghzqss.statevector import (
     from_terms,
     max_abs_difference,
     measure_z,
-    measurement_log,
     memoized_ops,
     new_basis_state,
     probability_of_zero,
@@ -210,20 +209,38 @@ def test_norm_preserved_by_random_gate_sequences(n, seed, length):
 
 def test_measure_basis_state_is_certain():
     s = new_basis_state(("A",), "0")
-    outcome, after, record = measure_z(s, "A", 0.999)
+    outcome, after, record = measure_z(s, "A", 1)
     assert outcome == 0
     assert record.probability == pytest.approx(1.0, abs=1e-12)
     assert max_abs_difference(after, s) <= 1e-12
 
 
-def test_measure_plus_state_follows_draw():
-    plus = apply_h(new_basis_state(("A",), "0"), "A")
-    outcome, after, _ = measure_z(plus, "A", 0.3)
-    assert outcome == 0
-    assert max_abs_difference(after, new_basis_state(("A",), "0")) <= 1e-12
-    outcome, after, _ = measure_z(plus, "A", 0.7)
-    assert outcome == 1
-    assert max_abs_difference(after, new_basis_state(("A",), "1")) <= 1e-12
+@pytest.mark.parametrize("bit", [0, 1])
+def test_measure_z_outcome_is_the_bit_when_fair_and_forced_when_certain(bit):
+    ghz = from_terms(("A", "B", "C"), {"000": 1, "111": 1}, 1)
+    outcome, after, record = measure_z(ghz, "A", bit)
+    assert (outcome, record.probability) == (bit, 0.5)
+    assert after.key == new_basis_state(("A", "B", "C"), str(bit) * 3).key
+    for forced in (0, 1):
+        certain = tensor(new_basis_state(("A",), str(forced)), apply_h(new_basis_state(("B",), "0"), "B"))
+        outcome, after, record = measure_z(certain, "A", bit)
+        assert (outcome, record.probability, after.key) == (forced, 1.0, certain.key)
+    # Not a stabilizer state: A reads 0 with probability 12/16, which no one bit names.
+    skewed = StateVector(("A", "B", "C"), [3, 1, 1, 1, 1, 1, 1, 1], 4)
+    assert probability_of_zero(skewed, "A") == 0.75
+    with pytest.raises(ValueError, match="neither certain nor fair"):
+        measure_z(skewed, "A", bit)
+    with memoized_ops():
+        for _ in range(2):
+            with pytest.raises(ValueError, match="neither certain nor fair"):
+                measure_z(skewed, "A", bit)
+
+
+@pytest.mark.parametrize("bit", [2, -1])
+def test_measure_z_refuses_a_bit_other_than_0_or_1(bit):
+    ghz = from_terms(("A", "B", "C"), {"000": 1, "111": 1}, 1)
+    with pytest.raises(ValueError, match="bit must be 0 or 1"):
+        measure_z(ghz, "A", bit)
 
 
 def test_measure_detached_s1_is_deterministic():
@@ -238,30 +255,21 @@ def test_measure_detached_s1_is_deterministic():
                 },
                 1,
             )
-            outcome, _, record = measure_z(split, "S1", 0.999)
+            outcome, _, record = measure_z(split, "S1", 1)
             assert outcome == s1_bit
             assert record.probability == pytest.approx(1.0, abs=1e-12)
-
-
-def test_measurement_log_collects_born_p0_in_call_order():
-    ghz = from_terms(("A", "B", "C"), {"000": 1, "111": 1}, 1)
-    with measurement_log() as log:
-        _, collapsed, _ = measure_z(ghz, "A", 0.7)
-        measure_z(collapsed, "B", 0.2)
-    measure_z(ghz, "C", 0.1)
-    assert log == [probability_of_zero(ghz, "A"), 0.0]
 
 
 @pytest.mark.parametrize("improbable, certain", [(0, 1), (1, 0)])
 def test_an_outcome_below_the_minimum_is_never_realized(improbable, certain):
     # P(0) is exact, so the minimum is 0: an outcome of probability 0 is never
-    # realized, whatever the draw.
+    # realized, whatever the bit.
     state = tensor(new_basis_state(("A",), str(certain)), apply_h(new_basis_state(("B",), "0"), "B"))
-    for draw in (0.0, 0.5, 1.0 - 2.0**-53):
-        with measurement_log() as log:
-            outcome, after, record = measure_z(state, "A", draw)
-        # The threshold is 0.0 when outcome 0 is improbable and 1.0 when outcome 1 is.
-        assert (outcome, log) == (certain, [float(improbable)])
+    # P(0) is 0.0 when outcome 0 is improbable and 1.0 when outcome 1 is.
+    assert probability_of_zero(state, "A") == float(improbable)
+    for bit in (0, 1):
+        outcome, after, record = measure_z(state, "A", bit)
+        assert outcome == certain
         assert record.probability == 1.0
         assert after.key == state.key
 
@@ -270,16 +278,9 @@ def test_a_branch_of_probability_other_than_a_power_of_one_half_raises():
     # Not a stabilizer state: A reads 0 with probability 12/16 and 1 with 4/16.
     state = StateVector(("A", "B", "C"), [3, 1, 1, 1, 1, 1, 1, 1], 4)
     assert probability_of_zero(state, "A") == 0.75
-    outcome, after, record = measure_z(state, "A", 0.75)
-    assert (outcome, after.ints, after.r, record.probability) == (1, (0, 0, 0, 0, 1, 1, 1, 1), 2, 0.25)
-    with pytest.raises(ValueError, match="not a power of 1/2"):
-        measure_z(state, "A", 0.5)
-
-
-def test_measure_rejects_draw_out_of_range():
-    s = new_basis_state(("A",), "0")
-    with pytest.raises(ValueError):
-        measure_z(s, "A", 1.0)
+    for bit in (0, 1):
+        with pytest.raises(ValueError, match="neither certain nor fair"):
+            measure_z(state, "A", bit)
 
 
 def test_born_frequencies_match_marginals():
@@ -288,16 +289,17 @@ def test_born_frequencies_match_marginals():
         apply_h(new_basis_state(("A",), "0"), "A"),
         random_state(("A", "B", "C"), rng),
     ]
-    # P(0) is exact and the outcome is 0 exactly on the draws below it, so
-    # equispaced draws give P(0) times their number of zeros, exactly.
-    draws = (np.arange(10_000) + 0.5) / 10_000
+    # P(0) is exact and a fair outcome is its bit, so bits that are 1 on
+    # the upper half of equispaced draws give P(0) times their number of
+    # zeros, exactly.
+    bits = ((np.arange(10_000) + 0.5) / 10_000 >= 0.5).astype(int).tolist()
     for s in states:
         for q in s.labels:
             p0 = probability_of_zero(s, q)
             table = marginal_probabilities(s, (q,))
             assert table.get("0", 0.0) == pytest.approx(p0, abs=1e-12)
-            zeros = sum(measure_z(s, q, d)[0] == 0 for d in draws)
-            assert zeros == p0 * draws.size
+            zeros = sum(measure_z(s, q, bit)[0] == 0 for bit in bits)
+            assert zeros == p0 * len(bits)
 
 
 # --- comparison and diagnostics ----------------------------------------------
@@ -431,7 +433,7 @@ def _memoised_calls(state):
     """Each memoised op on ``state``, as (name, thunk); ``measure_z`` covers
     the collapse for both outcomes, and ``discard_qubit`` acts on a state
     collapsed outside the memo."""
-    collapsed = measure_z(state, "S1", 0.0 if probability_of_zero(state, "S1") > 0.5 else 0.999)[1]
+    collapsed = measure_z(state, "S1", 0 if probability_of_zero(state, "S1") > 0.5 else 1)[1]
     outcome = int(probability_of_zero(collapsed, "S1") < 0.5)
     return [
         ("tensor", lambda: tensor(discard_qubit(collapsed, "S1", outcome), new_basis_state(("S1",), "1"))),
@@ -440,8 +442,8 @@ def _memoised_calls(state):
         ("apply_x", lambda: apply_x(state, "E")),
         ("apply_cnot", lambda: apply_cnot(state, "A", "S2")),
         ("probability_of_zero", lambda: probability_of_zero(state, "B")),
-        ("measure_z 0", lambda: measure_z(state, "S2", 0.0)[1]),
-        ("measure_z 1", lambda: measure_z(state, "S2", 0.999999)[1]),
+        ("measure_z 0", lambda: measure_z(state, "S2", 0)[1]),
+        ("measure_z 1", lambda: measure_z(state, "S2", 1)[1]),
         ("discard_qubit", lambda: discard_qubit(collapsed, "S1", outcome)),
     ]
 
@@ -482,7 +484,7 @@ def test_memoized_results_are_shared_read_only_and_end_with_the_block():
         first = apply_h(state, "A")
         assert apply_h(StateVector(LAB6, list(state.ints), state.r), "A") is first
         _assert_immutable(first)
-        _assert_immutable(measure_z(state, "S1", 0.5)[1])
+        _assert_immutable(measure_z(state, "S1", 1)[1])
     after = apply_h(state, "A")
     assert after is not apply_h(state, "A")
     with pytest.raises(KeyError):
@@ -492,35 +494,33 @@ def test_memoized_results_are_shared_read_only_and_end_with_the_block():
     assert apply_h(state, "A") is not apply_h(state, "A")
 
 
-def test_memoized_measure_z_logs_every_call():
+def test_memoized_measure_z_follows_every_bit():
     ghz = from_terms(("A", "B", "C"), {"000": 1, "111": 1}, 1)
-    with memoized_ops(), measurement_log() as log:
-        for draw in (0.7, 0.7, 0.2):
-            _, collapsed, record = measure_z(ghz, "A", draw)
-            measure_z(collapsed, "B", 0.2)
-    assert log == [probability_of_zero(ghz, "A"), 0.0, probability_of_zero(ghz, "A"), 0.0,
-                   probability_of_zero(ghz, "A"), 1.0]
-    assert record == measure_z(ghz, "A", 0.2)[2]
+    with memoized_ops():
+        outcomes = [measure_z(ghz, "A", bit)[0] for bit in (1, 1, 0, 1)]
+        _, collapsed, record = measure_z(ghz, "A", 0)
+        assert measure_z(collapsed, "B", 1)[0] == 0  # a certain outcome, whatever the bit
+    assert outcomes == [1, 1, 0, 1]
+    assert record == measure_z(ghz, "A", 0)[2]
 
 
 def test_memoized_ops_never_cache_an_exception():
-    # Not a stabilizer state: A reads 0 with probability 3/4, which has no exact collapse.
+    # Not a stabilizer state: A reads 0 with probability 3/4, which no one bit names.
     skewed = StateVector(("A", "B", "C"), [3, 1, 1, 1, 1, 1, 1, 1], 4)
     uncollapsed = apply_h(new_basis_state(("A", "B"), "00"), "A")
     with memoized_ops():
-        assert measure_z(skewed, "A", 0.75)[0] == 1
         raised = []
         for _ in range(2):
             with pytest.raises(ValueError, match="not collapsed") as residual:
                 discard_qubit(uncollapsed, "A", 0)
-            with pytest.raises(ValueError, match="not a power of 1/2") as branch:
-                measure_z(skewed, "A", 0.5)
-            with pytest.raises(ValueError, match="draw must lie") as draw:
-                measure_z(skewed, "A", 1.0)
-            raised += [residual.value, branch.value, draw.value]
+            with pytest.raises(ValueError, match="neither certain nor fair") as branch:
+                measure_z(skewed, "A", 0)
+            with pytest.raises(ValueError, match="bit must be 0 or 1") as bit:
+                measure_z(skewed, "A", 2)
+            raised += [residual.value, branch.value, bit.value]
         assert len({id(e) for e in raised}) == 6  # raised afresh by every call
         # The key holds the argument types: a float outcome fails as it does outside.
-        collapsed = measure_z(uncollapsed, "A", 0.2)[1]
+        collapsed = measure_z(uncollapsed, "A", 0)[1]
         discard_qubit(collapsed, "A", 0)
         with pytest.raises(TypeError):
             discard_qubit(collapsed, "A", 0.0)
