@@ -22,6 +22,7 @@ gate and measurement she performs is routed through a guard that raises
 from __future__ import annotations
 
 from enum import Enum
+from typing import NamedTuple
 
 from .statevector import StateVector, apply_cnot, apply_h, measure_z
 from .protocol import RoundParity, round_parity
@@ -53,51 +54,22 @@ class EveInferenceError(RuntimeError):
     """Eve's bookkeeping reached a state that is impossible in a correct run."""
 
 
-class EveRecord:
-    """Eve's per-trial notebook.
+class EveRecord(NamedTuple):
+    """Eve's per-trial notebook, built once her rounds are over.
 
     ``measured`` maps odd round indices >= 3 to the readout r_k (only the
-    CNOT-ancilla strategy records anything). ``probabilities`` keeps the Born
-    probability of each readout as a diagnostic; in a correct run every entry
-    is 1. Post-processing fills either the inferred fields or, when no odd
-    index was announced, the ``ambiguous`` flag plus the two candidate
+    CNOT-ancilla strategy reads anything) over the ``rounds_seen`` rounds of
+    the trial. Post-processing fills either the inferred fields or, when no
+    odd index was announced, the ``ambiguous`` flag plus the two candidate
     sequences for the odd-indexed bits.
-
-    It is mutable, since ``eve_on_transit`` updates it in place; records are
-    equal when every field is.
     """
 
-    def __init__(
-        self,
-        measured: dict[int, int] | None = None,
-        probabilities: dict[int, float] | None = None,
-        rounds_seen: int = 0,
-        inferred_offset: int | None = None,
-        inferred_bits: dict[int, int] | None = None,
-        ambiguous: bool = False,
-        candidates: tuple[dict[int, int], dict[int, int]] | None = None,
-    ) -> None:
-        self.measured = {} if measured is None else measured
-        self.probabilities = {} if probabilities is None else probabilities
-        self.rounds_seen = rounds_seen
-        self.inferred_offset = inferred_offset
-        self.inferred_bits = inferred_bits
-        self.ambiguous = ambiguous
-        self.candidates = candidates
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return vars(self) == vars(other)
-
-    __hash__ = None  # mutable
-
-    def __repr__(self) -> str:
-        return f"EveRecord({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
-
-    def _replace(self, **changes) -> EveRecord:
-        """A new record with ``changes`` applied; the other fields are shared."""
-        return EveRecord(**{**vars(self), **changes})
+    measured: dict[int, int]
+    rounds_seen: int
+    inferred_offset: int | None = None
+    inferred_bits: dict[int, int] | None = None
+    ambiguous: bool = False
+    candidates: tuple[dict[int, int], dict[int, int]] | None = None
 
 
 def _guard(*qubits: str) -> None:
@@ -124,57 +96,40 @@ def _guarded_measure(state: StateVector, q: str, bit: int):
     return measure_z(state, q, bit)
 
 
-def eve_on_transit(
-    kind: AttackKind,
-    k: int,
-    joint: StateVector,
-    record: EveRecord,
-    bit: int | None = None,
-    observer=None,
-):
+def eve_on_transit(kind: AttackKind, k: int, joint: StateVector, bit: int, observer):
     """Eve's action on the in-transit qubit S1 during round ``k``.
 
     Called exactly once per round, after Alice's entangling CNOTs and before
     Bob's receiving CNOT. ``bit`` feeds any measurement Eve performs;
-    ``observer(stage, state)`` reports her intermediate states when tracing.
-    Returns the (possibly transformed) joint state and the updated record.
+    ``observer(stage, state)`` is told each of her intermediate states.
+    Returns the (possibly transformed) joint state and her readout: r_k in a
+    CNOT-ancilla odd round >= 3, ``None`` in every other round.
     """
-    record.rounds_seen = k
     if kind is AttackKind.NO_ATTACK:
-        return joint, record
+        return joint, None
 
     if kind is AttackKind.INTERCEPT_RESEND:
-        _, joint, _ = _guarded_measure(joint, "S1", bit)
-        if observer is not None:
-            observer("after Eve measure-and-resend of S1", joint)
-        return joint, record
+        _, joint = _guarded_measure(joint, "S1", bit)
+        observer("after Eve measure-and-resend of S1", joint)
+        return joint, None
 
     # CNOT-ancilla strategy.
     if k == 1:
         joint = _guarded_cnot(joint, "S1", "E")
-        if observer is not None:
-            observer("after Eve C(S1->E)", joint)
-        return joint, record
+        observer("after Eve C(S1->E)", joint)
+        return joint, None
 
+    joint = _guarded_cnot(joint, "E", "S1")
+    observer("after Eve C(E->S1)", joint)
     if round_parity(k) is RoundParity.EVEN:
-        joint = _guarded_cnot(joint, "E", "S1")
-        if observer is not None:
-            observer("after Eve C(E->S1)", joint)
-        return joint, record
+        return joint, None
 
-    # Odd rounds >= 3: disentangle S1, read it, restore.
+    # Odd rounds >= 3: S1 is now disentangled; read it, then restore.
+    readout, joint = _guarded_measure(joint, "S1", bit)
+    observer("after Eve measurement of S1", joint)
     joint = _guarded_cnot(joint, "E", "S1")
-    if observer is not None:
-        observer("after Eve C(E->S1)", joint)
-    outcome, joint, mrec = _guarded_measure(joint, "S1", bit)
-    record.measured[k] = outcome
-    record.probabilities[k] = mrec.probability
-    if observer is not None:
-        observer("after Eve measurement of S1", joint)
-    joint = _guarded_cnot(joint, "E", "S1")
-    if observer is not None:
-        observer("after Eve restoring C(E->S1)", joint)
-    return joint, record
+    observer("after Eve restoring C(E->S1)", joint)
+    return joint, readout
 
 
 def eve_end_round(kind: AttackKind, joint: StateVector) -> StateVector:

@@ -214,21 +214,22 @@ def _silent(k, stage, state) -> None:
     pass
 
 
-def _transit(kind: AttackKind, k: int, carrier: StateVector, q: int, record: EveRecord, eve: int, emit):
+def _transit(kind: AttackKind, k: int, carrier: StateVector, q: int, eve: int, emit):
     """First half of round ``k``: the pair encoding ``q`` is prepared, Alice
     entangles, the adversary acts on the in-transit S1 (measuring with the
     bit ``eve``, if at all), and Bob and Charlie disentangle. Returns the
-    joint state and ``record``, which ``eve_on_transit`` updates in place.
-    ``emit(k, stage, state)`` is invoked at every protocol stage."""
+    joint state and Eve's readout, ``None`` in a round she reads nothing
+    (see ``eve_on_transit``). ``emit(k, stage, state)`` is invoked at every
+    protocol stage."""
     parity = round_parity(k)
     joint = tensor(carrier, encode_pair(q, parity))
     emit(k, "carrier+pair prepared", joint)
     joint = alice_entangle(joint, parity)
     emit(k, "after Alice CNOTs", joint)
-    joint, record = eve_on_transit(kind, k, joint, record, eve, lambda stage, state: emit(k, stage, state))
+    joint, readout = eve_on_transit(kind, k, joint, eve, lambda stage, state: emit(k, stage, state))
     joint = charlie_disentangle(bob_disentangle(joint))
     emit(k, "after Bob/Charlie disentangling CNOTs", joint)
-    return joint, record
+    return joint, readout
 
 
 def _receive(kind: AttackKind, k: int, joint: StateVector, q: int, bits, emit):
@@ -262,7 +263,7 @@ def run_trial(config: ExperimentConfig, trial_index: int = 0, observer=None) -> 
     emit = observer or _silent
     carrier = init_carrier(with_adversary_ancilla=kind is AttackKind.CNOT_ANCILLA)
     emit(0, "initial carrier", carrier)
-    record = EveRecord()
+    measured: dict[int, int] = {}
     transcript: list[RoundRecord] = []
     bits: list[int] = []
 
@@ -270,11 +271,14 @@ def run_trial(config: ExperimentConfig, trial_index: int = 0, observer=None) -> 
         q = _bit(_stream(seed, k, _BIT)) if config.bits is None else int(config.bits[k - 1])
         eve, bob, charlie = (_bit(_stream(seed, k, c)) for c in (_EVE, _BOB, _CHARLIE))
         bits.append(q)
-        joint, record = _transit(kind, k, carrier, q, record, eve, emit)
+        joint, readout = _transit(kind, k, carrier, q, eve, emit)
+        if readout is not None:
+            measured[k] = readout
         rec, carrier = _receive(kind, k, joint, q, (bob, charlie), emit)
         transcript.append(rec)
 
     detection = public_comparison(transcript, bits, subset)
+    record = EveRecord(measured, n)
     if kind is AttackKind.CNOT_ANCILLA:
         record = eve_postprocess(record, {j: bits[j - 1] for j in subset})
     correct = 0
@@ -367,9 +371,9 @@ def _transition_table(kind: AttackKind) -> _TransitionTable:
     # The loop also visits the states state_id appends while it runs.
     for s, (start, k) in enumerate(states):
         for q, e in itertools.product((0, 1), repeat=2):
-            # Every play gets a fresh record: eve_on_transit updates it in place.
-            joint, record = _transit(kind, k, start, q, EveRecord(), e, _silent)
+            joint, readout = _transit(kind, k, start, q, e, _silent)
             if kind is AttackKind.CNOT_ANCILLA:
+                record = EveRecord({} if readout is None else {k: readout}, k)
                 offset = eve_postprocess(record, {k: q}).inferred_offset
                 reveals[s, q, e] = -1 if offset is None else offset
                 for o in (0, 1):
@@ -594,10 +598,12 @@ def verify_golden_states(inject_sign_fault: bool = False) -> list[GoldenCheck]:
     Ten checks: five scenario families, each for both values of the
     round-1 bit q1. Each q1 plays the bits q1, 0, q for both values of the
     round-3 bit q, and every check reports its worst error over both trials.
-    ``inject_sign_fault`` flips one amplitude sign in the round-1
-    post-Hadamard state as compared (the trial itself is untouched), which
-    must make exactly the Hadamard checks fail; it exists for fault-injection
-    tests.
+    The ancilla-split check also fails, with a detail, if Eve's round-3
+    readout is not q XOR q1, or is not deterministic: her measurement must
+    return the state it was given. ``inject_sign_fault`` flips one amplitude
+    sign in the round-1 post-Hadamard state as compared (the trial itself is
+    untouched), which must make exactly the Hadamard checks fail; it exists
+    for fault-injection tests.
     """
     checks: list[GoldenCheck] = []
 
@@ -641,8 +647,9 @@ def verify_golden_states(inject_sign_fault: bool = False) -> list[GoldenCheck]:
                 errors[name] = max(errors.get(name, 0.0), err)
             if eve.measured[3] != q ^ q1:
                 failures.append(f"readout {eve.measured[3]} != {q ^ q1} for q={q}")
-            if eve.probabilities[3] != 1.0:
-                failures.append(f"readout probability {eve.probabilities[3]} not deterministic for q={q}")
+            # A certain measurement returns its input; a fair one collapses it.
+            if states[3, "after Eve measurement of S1"].key != states[3, "after Eve C(E->S1)"].key:
+                failures.append(f"readout not deterministic for q={q}")
         for name, err in errors.items():
             detail = "; ".join(failures) if name == "odd-round ancilla split" else ""
             checks.append(GoldenCheck(f"{name} (q1={q1})", err == 0.0 and not detail, err, detail))

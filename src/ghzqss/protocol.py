@@ -126,8 +126,8 @@ def receive_and_reconstruct(
     ``bits`` supplies the two random measurement bits (bob, charlie).
     """
     bob_bit, charlie_bit = bits
-    bob, joint, _ = measure_z(joint, "S1", bob_bit)
-    charlie, joint, _ = measure_z(joint, "S2", charlie_bit)
+    bob, joint = measure_z(joint, "S1", bob_bit)
+    charlie, joint = measure_z(joint, "S2", charlie_bit)
     return RoundRecord.from_outcomes(k, sent, bob, charlie), joint
 
 

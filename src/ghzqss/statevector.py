@@ -41,7 +41,6 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from itertools import chain
 from operator import index, itemgetter
-from typing import NamedTuple
 
 #: Qubit roles known to the register layout. A, B, C are the three carrier
 #: qubits, E is the interceptor's ancilla, S1 and S2 are the per-round
@@ -136,14 +135,6 @@ def _reduced(labels: tuple, ints: tuple, r: int) -> StateVector:
 def _scale(r: int) -> float:
     """The amplitude of entry 1 at ``r``: ``sqrt(0.5)**(r % 2) * 2**-(r // 2)``."""
     return _SQRT_HALF ** (r % 2) * 2.0 ** -(r // 2)
-
-
-class MeasurementRecord(NamedTuple):
-    """One Z-basis measurement: which qubit, the outcome, and its Born probability."""
-
-    qubit: str
-    outcome: int
-    probability: float
 
 
 @contextmanager
@@ -284,14 +275,14 @@ def probability_of_zero(state: StateVector, q: str) -> float:
     return sum(a * a for a in chain.from_iterable(zeros)) / (1 << state.r)
 
 
-def measure_z(state: StateVector, q: str, bit: int) -> tuple[int, StateVector, MeasurementRecord]:
+def measure_z(state: StateVector, q: str, bit: int) -> tuple[int, StateVector]:
     """Z-basis measurement of ``q`` driven by one random ``bit``.
 
     Every state the protocol reaches is a stabilizer state, so every
     measurement is certain or fair: a fair one's outcome is ``bit``, and a
-    certain one's is forced, whatever ``bit``. Returns the outcome, the
-    collapsed state and a record carrying the Born probability of the
-    outcome. Raises ``ValueError`` if ``bit`` is not 0 or 1, or if P(0) is
+    certain one's is forced, whatever ``bit``. Returns the outcome and the
+    collapsed state, which is ``state`` itself exactly when the outcome was
+    certain. Raises ``ValueError`` if ``bit`` is not 0 or 1, or if P(0) is
     not exactly 0, 1/2 or 1, since then no one bit names the outcome.
     """
     if bit not in (0, 1):
@@ -299,11 +290,10 @@ def measure_z(state: StateVector, q: str, bit: int) -> tuple[int, StateVector, M
     p0 = probability_of_zero(state, q)
     if p0 == 0.5:
         outcome = int(bit)
-        return outcome, _collapse(state, q, outcome), MeasurementRecord(q, outcome, 0.5)
+        return outcome, _collapse(state, q, outcome)
     if p0 not in (0.0, 1.0):
         raise ValueError(f"a measurement of {q!r} with P(0) = {p0} is neither certain nor fair")
-    outcome = int(p0 == 0.0)
-    return outcome, state, MeasurementRecord(q, outcome, 1.0)
+    return int(p0 == 0.0), state
 
 
 @_memoized

@@ -10,6 +10,10 @@ from ghzqss.statevector import StateVector, apply_cnot, apply_h, apply_x, new_ba
 ROW_COLUMNS = ("trial_index", "detected", "mismatches", "ambiguous", "eve_correct_bits", "eve_known_fraction")
 
 
+def ignore_stage(stage, state) -> None:
+    """An ``eve_on_transit`` observer that is told every stage and keeps none."""
+
+
 def amplitudes(state: StateVector) -> np.ndarray:
     """The state's amplitudes as floats, ``ints * 2**(-r/2)``."""
     return np.array(state.ints) * 2.0 ** (-state.r / 2)

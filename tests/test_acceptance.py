@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from ghzqss.adversary import AttackKind, EveRecord, eve_end_round, eve_on_transit
+from ghzqss.adversary import AttackKind, eve_end_round, eve_on_transit
 from ghzqss.harness import (
     ExperimentConfig,
     _run_batch,
@@ -38,6 +38,7 @@ from ghzqss.statevector import (
 
 from _util import (
     equal_up_to_global_phase,
+    ignore_stage,
     marginal_probabilities,
     path_columns,
     random_state,
@@ -142,7 +143,7 @@ def test_criterion_2_zero_detection(attack_run_32):
         for k, attack_carrier, honest_carrier, parity in cases:
             for q in (0, 1):
                 attacked = alice_entangle(tensor(attack_carrier, encode_pair(q, parity)), parity)
-                attacked, _ = eve_on_transit(AttackKind.CNOT_ANCILLA, k, attacked, EveRecord(), bit=1)
+                attacked, _ = eve_on_transit(AttackKind.CNOT_ANCILLA, k, attacked, 1, ignore_stage)
                 attacked = charlie_disentangle(bob_disentangle(attacked))
                 honest = alice_entangle(tensor(honest_carrier, encode_pair(q, parity)), parity)
                 honest = charlie_disentangle(bob_disentangle(honest))
@@ -262,7 +263,7 @@ def test_criterion_5_even_round_ancilla_independence():
         for q in (0, 1):
             joint = tensor(carrier_ancilla_even(q1), encode_pair(q, RoundParity.EVEN))
             joint = alice_entangle(joint, RoundParity.EVEN)
-            joint, _ = eve_on_transit(AttackKind.CNOT_ANCILLA, 2, joint, EveRecord(), bit=1)
+            joint, _ = eve_on_transit(AttackKind.CNOT_ANCILLA, 2, joint, 1, ignore_stage)
             joint = charlie_disentangle(bob_disentangle(joint))
             states = [reduced_density_matrix(joint, ("E",))]
             # Also through both receiver measurement branches and the

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -23,15 +25,15 @@ from ghzqss.protocol import (
     end_round_hadamards,
     init_carrier,
     receive_and_reconstruct,
+    round_parity,
 )
 from ghzqss.statevector import (
     from_terms,
-    max_abs_difference,
     new_basis_state,
     tensor,
 )
 
-from _util import marginal_probabilities, reduced_density_matrix
+from _util import ignore_stage, marginal_probabilities, reduced_density_matrix
 
 LAB4 = ("A", "B", "C", "E")
 LAB6 = ("A", "B", "C", "E", "S1", "S2")
@@ -81,14 +83,13 @@ def test_attack_kind_names_round_trip():
 def test_round1_cnot_copies_pair_bit_onto_ancilla(q1):
     carrier = init_carrier(with_adversary_ancilla=True)
     joint = alice_entangle(tensor(carrier, encode_pair(q1, RoundParity.ODD)), RoundParity.ODD)
-    joint, record = eve_on_transit(AttackKind.CNOT_ANCILLA, 1, joint, EveRecord(), bit=1)
+    joint, readout = eve_on_transit(AttackKind.CNOT_ANCILLA, 1, joint, 1, ignore_stage)
     flip = q1 ^ 1
     expected = from_terms(
         LAB6, {f"000{q1}{q1}{q1}": 1, f"111{flip}{flip}{flip}": 1}, 1
     )
-    assert max_abs_difference(joint, expected) <= 1e-12
-    assert record.measured == {}
-    assert record.rounds_seen == 1
+    assert joint.key == expected.key
+    assert readout is None
 
 
 # --- odd rounds >= 3 -------------------------------------------------------------
@@ -99,35 +100,31 @@ def test_round1_cnot_copies_pair_bit_onto_ancilla(q1):
 def test_odd_round_readout_and_restoration(q1, q):
     joint = odd_round_system(q1, q)
     stages = {}
-    joint_after, record = eve_on_transit(
-        AttackKind.CNOT_ANCILLA, 3, joint, EveRecord(), bit=1,
-        observer=lambda stage, state: stages.__setitem__(stage, state),
-    )
+    joint_after, readout = eve_on_transit(AttackKind.CNOT_ANCILLA, 3, joint, 1, stages.__setitem__)
     # After the first CNOT the in-transit qubit is detached and definite.
     split = stages["after Eve C(E->S1)"]
     s1 = q ^ q1
     expected_split = from_terms(
         LAB6, {f"000{q1}{s1}{q}": 1, f"111{q1 ^ 1}{s1}{q ^ 1}": 1}, 1
     )
-    assert max_abs_difference(split, expected_split) <= 1e-12
-    assert record.measured[3] == q ^ q1
-    assert record.probabilities[3] == pytest.approx(1.0, abs=1e-12)
+    assert split.key == expected_split.key
+    assert readout == q ^ q1
+    # The readout is certain: the measurement returned the state it was given.
+    assert stages["after Eve measurement of S1"] is split
     # The second CNOT restores the entangled system exactly.
-    assert max_abs_difference(joint_after, odd_round_system(q1, q)) <= 1e-12
+    assert joint_after.key == odd_round_system(q1, q).key
 
 
 @pytest.mark.parametrize("q1", [0, 1])
 def test_odd_round_introduces_no_error(q1):
     q = q1 ^ 1  # arbitrary data bit, distinct from the offset for variety
-    joint, record = eve_on_transit(
-        AttackKind.CNOT_ANCILLA, 3, odd_round_system(q1, q), EveRecord(), bit=1
-    )
+    joint, readout = eve_on_transit(AttackKind.CNOT_ANCILLA, 3, odd_round_system(q1, q), 1, ignore_stage)
     joint = charlie_disentangle(bob_disentangle(joint))
     rec, _ = receive_and_reconstruct(joint, 3, q, (0, 1))
     assert rec.bob_outcome == q
     assert rec.charlie_outcome == q
     assert rec.consistent
-    assert record.measured[3] == q ^ q1
+    assert readout == q ^ q1
 
 
 # --- even rounds ------------------------------------------------------------------
@@ -138,11 +135,11 @@ def test_even_round_changes_nothing_and_leaks_nothing(q1):
     ancilla_states = {}
     for q in (0, 1):
         joint = transit_state(q1, q, RoundParity.EVEN)
-        joint, _ = eve_on_transit(AttackKind.CNOT_ANCILLA, 2, joint, EveRecord(), bit=1)
+        joint, _ = eve_on_transit(AttackKind.CNOT_ANCILLA, 2, joint, 1, ignore_stage)
         joint = charlie_disentangle(bob_disentangle(joint))
         # Carrier+ancilla part is exactly the even form it started in.
         expected = tensor(carrier_ancilla_even(q1), encode_pair(q, RoundParity.EVEN))
-        assert max_abs_difference(joint, expected) <= 1e-12
+        assert joint.key == expected.key
         ancilla_states[q] = reduced_density_matrix(joint, ("E",))
     # Eve's ancilla state is independent of the transmitted bit.
     assert np.max(np.abs(ancilla_states[0] - ancilla_states[1])) <= 1e-12
@@ -156,9 +153,9 @@ def test_eve_end_round_mirrors_hadamards():
         odd_form = carrier_ancilla_odd(q1)
         parties = end_round_hadamards(odd_form)
         combined = eve_end_round(AttackKind.CNOT_ANCILLA, parties)
-        assert max_abs_difference(combined, carrier_ancilla_even(q1)) <= 1e-12
+        assert combined.key == carrier_ancilla_even(q1).key
         back = eve_end_round(AttackKind.CNOT_ANCILLA, end_round_hadamards(combined))
-        assert max_abs_difference(back, odd_form) <= 1e-12
+        assert back.key == odd_form.key
 
 
 def test_eve_end_round_identity_for_passive_kinds():
@@ -173,18 +170,47 @@ def test_eve_end_round_identity_for_passive_kinds():
 def test_intercept_resend_collapses_and_forwards():
     carrier = init_carrier()
     joint = alice_entangle(tensor(carrier, encode_pair(0, RoundParity.ODD)), RoundParity.ODD)
-    joint, record = eve_on_transit(AttackKind.INTERCEPT_RESEND, 1, joint, EveRecord(), bit=0)
+    joint, readout = eve_on_transit(AttackKind.INTERCEPT_RESEND, 1, joint, 0, ignore_stage)
     # Measuring S1 collapses the whole branch structure: S1 is definite now.
     table = marginal_probabilities(joint, ("S1",))
     assert len(table) == 1
-    assert record.measured == {}
+    assert readout is None
 
 
 def test_no_attack_leaves_state_untouched():
     carrier = init_carrier()
     joint = alice_entangle(tensor(carrier, encode_pair(1, RoundParity.ODD)), RoundParity.ODD)
-    out, _ = eve_on_transit(AttackKind.NO_ATTACK, 1, joint, EveRecord(), bit=1)
+    out, _ = eve_on_transit(AttackKind.NO_ATTACK, 1, joint, 1, ignore_stage)
     assert out is joint
+
+
+# --- the readout contract ----------------------------------------------------------
+
+
+def _joint_eve_meets(kind, k, q1, q):
+    """The joint state after Alice's CNOTs in round ``k``, carrying ``q``:
+    for the CNOT-ancilla attack the carrier+ancilla of offset ``q1`` (the
+    golden odd-round system in odd rounds >= 3), else the honest carrier."""
+    parity = round_parity(k)
+    if kind is AttackKind.CNOT_ANCILLA:
+        if k == 1:
+            return alice_entangle(tensor(init_carrier(with_adversary_ancilla=True), encode_pair(q, parity)), parity)
+        return odd_round_system(q1, q) if parity is RoundParity.ODD else transit_state(q1, q, parity)
+    carrier = init_carrier() if parity is RoundParity.ODD else end_round_hadamards(init_carrier())
+    return alice_entangle(tensor(carrier, encode_pair(q, parity)), parity)
+
+
+@pytest.mark.parametrize("kind", list(AttackKind))
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("bit", [0, 1])
+def test_eve_reads_out_exactly_in_odd_ancilla_rounds_from_three(kind, k, bit):
+    reads = kind is AttackKind.CNOT_ANCILLA and k >= 3 and k % 2 == 1
+    for q1, q in itertools.product((0, 1), repeat=2):
+        joint = _joint_eve_meets(kind, k, q1, q)
+        after, readout = eve_on_transit(kind, k, joint, bit, ignore_stage)
+        assert readout == (q ^ q1 if reads else None)
+        again, readout_again = eve_on_transit(kind, k, joint, bit, ignore_stage)
+        assert (again.key, readout_again) == (after.key, readout)
 
 
 # --- legality guard ---------------------------------------------------------------
@@ -206,22 +232,15 @@ def test_guard_blocks_out_of_scope_qubits():
 def test_guard_allows_scope_qubits():
     state = new_basis_state(LAB6, "000100")
     out = _guarded_cnot(state, "E", "S1")
-    assert max_abs_difference(out, new_basis_state(LAB6, "000110")) <= 1e-12
+    assert out.key == new_basis_state(LAB6, "000110").key
 
 
 # --- post-processing ---------------------------------------------------------------
 
 
-def _record(measured, rounds_seen):
-    rec = EveRecord()
-    rec.measured = dict(measured)
-    rec.rounds_seen = rounds_seen
-    return rec
-
-
 def test_postprocess_announced_odd_index_recovers_everything():
     # r_k = q_k xor q1 with q1 = 1: bits q = 1,?,0,?,1 -> r3 = 1, r5 = 0.
-    rec = _record({3: 1, 5: 0}, rounds_seen=5)
+    rec = EveRecord({3: 1, 5: 0}, 5)
     out = eve_postprocess(rec, {3: 0})
     assert out.inferred_offset == 1
     assert out.inferred_bits == {1: 1, 3: 0, 5: 1}
@@ -230,14 +249,14 @@ def test_postprocess_announced_odd_index_recovers_everything():
 
 
 def test_postprocess_index_one_is_the_offset_itself():
-    rec = _record({3: 1}, rounds_seen=3)
+    rec = EveRecord({3: 1}, 3)
     out = eve_postprocess(rec, {1: 1, 2: 0})
     assert out.inferred_offset == 1
     assert out.inferred_bits == {1: 1, 3: 0}
 
 
 def test_postprocess_even_only_announcement_is_ambiguous():
-    rec = _record({3: 1, 5: 0}, rounds_seen=6)
+    rec = EveRecord({3: 1, 5: 0}, 6)
     out = eve_postprocess(rec, {2: 0, 4: 1, 6: 0})
     assert out.ambiguous
     assert out.inferred_offset is None and out.inferred_bits is None
@@ -245,7 +264,7 @@ def test_postprocess_even_only_announcement_is_ambiguous():
 
 
 def test_postprocess_cross_checks_multiple_odd_indices():
-    rec = _record({3: 1, 5: 0}, rounds_seen=5)
+    rec = EveRecord({3: 1, 5: 0}, 5)
     out = eve_postprocess(rec, {3: 0, 5: 1})  # both imply offset 1
     assert out.inferred_offset == 1
     with pytest.raises(EveInferenceError):
@@ -253,20 +272,21 @@ def test_postprocess_cross_checks_multiple_odd_indices():
 
 
 def test_postprocess_rejects_unknown_indices():
-    rec = _record({3: 1}, rounds_seen=4)
+    rec = EveRecord({3: 1}, 4)
     with pytest.raises(ValueError):
         eve_postprocess(rec, {7: 1})
-    rec_missing = _record({}, rounds_seen=4)
+    rec_missing = EveRecord({}, 4)
     with pytest.raises(ValueError):
         eve_postprocess(rec_missing, {3: 1})
 
 
 def test_postprocess_returns_a_new_record_and_leaves_the_notebook_as_it_was():
-    rec = _record({3: 1, 5: 0}, rounds_seen=5)
-    before = _record({3: 1, 5: 0}, rounds_seen=5)
+    rec = EveRecord({3: 1, 5: 0}, 5)
+    before = EveRecord({3: 1, 5: 0}, 5)
     assert rec == before and rec is not before
     out = eve_postprocess(rec, {3: 0})
     assert out is not rec and rec == before
     assert out != rec and out.measured == rec.measured and out.rounds_seen == 5
-    assert EveRecord() != _record({}, rounds_seen=1)
-    assert EveRecord().measured is not EveRecord().measured  # a fresh dict per record
+    assert EveRecord({}, 0) != EveRecord({}, 1)
+    with pytest.raises(AttributeError):
+        rec.measured = {}

@@ -34,6 +34,7 @@ from ghzqss.protocol import (
     round_parity,
 )
 from ghzqss.statevector import (
+    apply_h,
     from_terms,
     measure_z,
     probability_of_zero,
@@ -280,13 +281,15 @@ def test_zero_detection_for_cnot_ancilla(n, seed, fraction):
 @given(n=st.integers(2, 8), seed=st.integers(0, 10_000))
 def test_offset_relation_and_deterministic_readouts(n, seed):
     config = ExperimentConfig(n_bits=n, attack=AttackKind.CNOT_ANCILLA, master_seed=seed)
-    result = run_trial(config, 0)
+    states = {}
+    result = run_trial(config, 0, observer=lambda k, stage, state: states.__setitem__((k, stage), state))
     q1 = result.bits[0]
     expected_rounds = {k for k in range(3, n + 1, 2)}
     assert set(result.eve.measured) == expected_rounds
     for k, r in result.eve.measured.items():
         assert r == result.bits[k - 1] ^ q1
-        assert result.eve.probabilities[k] == pytest.approx(1.0, abs=1e-12)
+        # A certain readout: the measurement returned the state it was given.
+        assert states[k, "after Eve measurement of S1"].key == states[k, "after Eve C(E->S1)"].key
 
 
 def test_final_carrier_purity_after_even_length_attack_run():
@@ -312,10 +315,10 @@ def test_trace_snapshots_cover_every_round():
 
 
 def _exact_trial(result, snapshots):
-    """A trial's fields, every field of its Eve record, and its trace, with
-    every state as its exact key (labels and bytes)."""
+    """A trial's fields, its Eve record, and its trace, with every state as
+    its exact key (labels and bytes)."""
     fields = result._replace(eve=None, final_carrier=None)
-    return fields, vars(result.eve), result.final_carrier.key, [(k, stage, state.key) for k, stage, state in snapshots]
+    return fields, result.eve, result.final_carrier.key, [(k, stage, state.key) for k, stage, state in snapshots]
 
 
 @pytest.mark.parametrize("attack", list(AttackKind))
@@ -471,8 +474,8 @@ def test_the_largest_draw_never_realizes_a_rounding_noise_branch(attack, monkeyp
     assert p0s <= {0.0, 0.5, 1.0} and 1.0 in p0s
     for (p0, _, _), (state, q) in reached.items():
         if p0 == 1.0:
-            outcome, after, record = measure_z(state, q, _bit(2**64 - 1))
-            assert (outcome, record.probability, after.key) == (0, 1.0, state.key)
+            outcome, after = measure_z(state, q, _bit(2**64 - 1))
+            assert outcome == 0 and after is state
 
 
 @pytest.mark.parametrize("attack", list(AttackKind))
@@ -517,8 +520,10 @@ def test_extreme_draws_take_an_enumerated_branch_of_the_table(attack, monkeypatc
     # probability at the bit of every extreme word.
     assert reached
     for state, q in reached.values():
+        p0 = probability_of_zero(state, q)
         for word in EXTREME_WORDS:
-            assert measure_z(state, q, _bit(word))[2].probability > 0.0
+            outcome, _ = measure_z(state, q, _bit(word))
+            assert (p0 if outcome == 0 else 1.0 - p0) > 0.0
     # Every symbol of every state reaches a next state.
     assert np.all(table.next_state >= 0)
 
@@ -726,7 +731,7 @@ def test_golden_states_all_pass():
     checks = verify_golden_states()
     assert [c.name for c in checks] == [f"{family} (q1={q1})" for q1 in (0, 1) for family in GOLDEN_FAMILIES]
     assert all(c.passed for c in checks)
-    assert all(c.max_error <= 1e-12 for c in checks)
+    assert all(c.max_error == 0.0 for c in checks)
 
 
 def test_golden_states_sign_fault_is_caught():
@@ -736,15 +741,15 @@ def test_golden_states_sign_fault_is_caught():
     assert all("Hadamards" in c.name for c in failing)
 
 
-def _eve_after_the_receivers(kind, k, carrier, q, record, eve, emit):
+def _eve_after_the_receivers(kind, k, carrier, q, eve, emit):
     """A broken first half round: Eve acts on S1 after Bob's and Charlie's CNOTs."""
     parity = round_parity(k)
     joint = alice_entangle(tensor(carrier, encode_pair(q, parity)), parity)
     emit(k, "after Alice CNOTs", joint)
     joint = charlie_disentangle(bob_disentangle(joint))
-    joint, record = eve_on_transit(kind, k, joint, record, eve, lambda stage, state: emit(k, stage, state))
+    joint, readout = eve_on_transit(kind, k, joint, eve, lambda stage, state: emit(k, stage, state))
     emit(k, "after Bob/Charlie disentangling CNOTs", joint)
-    return joint, record
+    return joint, readout
 
 
 @pytest.mark.parametrize(
@@ -762,11 +767,9 @@ def test_golden_states_check_the_round_the_engines_play(monkeypatch, name, broke
 def test_golden_states_report_every_readout_failure(monkeypatch):
     import ghzqss.harness as harness
 
-    def misread(kind, k, joint, record, bit=None, observer=None):
-        joint, record = eve_on_transit(kind, k, joint, record, bit, observer)
-        if k in record.measured:
-            record.measured[k] ^= 1
-        return joint, record
+    def misread(kind, k, joint, bit, observer):
+        joint, readout = eve_on_transit(kind, k, joint, bit, observer)
+        return joint, None if readout is None else readout ^ 1
 
     monkeypatch.setattr(harness, "eve_on_transit", misread)
     split = [c for c in verify_golden_states() if c.name.startswith("odd-round ancilla split")]
@@ -775,3 +778,14 @@ def test_golden_states_report_every_readout_failure(monkeypatch):
         q1 = int(c.name[-2])
         assert not c.passed
         assert c.detail == f"readout {q1 ^ 1} != {q1} for q=0; readout {q1} != {q1 ^ 1} for q=1"
+
+
+def test_golden_states_catch_a_readout_that_is_not_deterministic(monkeypatch):
+    # Eve turns S1 to the X basis before she reads it, so her readout is a
+    # fair coin: the measurement collapses the state it is given.
+    monkeypatch.setattr(adversary, "_guarded_measure", lambda state, q, bit: measure_z(apply_h(state, q), q, bit))
+    split = [c for c in verify_golden_states() if c.name.startswith("odd-round ancilla split")]
+    assert len(split) == 2
+    for c in split:
+        assert not c.passed
+        assert "not deterministic" in c.detail
