@@ -12,7 +12,9 @@ key. ``_stream`` is the only reader of the stream and ``_bit`` and
 ``_compare_key`` the only readers of its words; they take Python ints, for
 the single-trial engine, and uint64 arrays, for the vectorized batch
 engine, alike, so results are independent of execution order and identical
-between the two. Only the batch engine imports numpy, and only when it runs.
+between the two. numpy is imported only when ``_batch_randomness``,
+``_round_symbols``, ``_run_batch`` or ``run_experiment`` runs; the transition
+table those read is built in pure Python.
 
 ``run_experiment`` keeps only running totals: per-trial results leave each
 chunk through its ``on_chunk`` callback, so its memory is bounded by the
@@ -310,21 +312,23 @@ def run_trial(config: ExperimentConfig, trial_index: int = 0, observer=None) -> 
 # bits), then gathers every per-trial column along each trial's path. It
 # reads run_trial's randomness through the same _stream, _bit and
 # _compare_key, so outcomes match run_trial trial for trial (asserted by the
-# test suite). Only these functions import numpy.
+# test suite). The table is flat tuples and its build imports no numpy;
+# only _batch_randomness, _round_symbols, _run_batch and run_experiment do.
 # ---------------------------------------------------------------------------
 
 
 class _TransitionTable(NamedTuple):
-    """Round transitions, indexed [state, q, eve, bob, charlie] by the bits
-    of the round's symbol (as deep as each field goes): the columns
-    ``_run_batch`` gathers, and no more. ``reveals`` and ``hits`` are read
+    """Round transitions as flat tuples: the columns ``_run_batch`` gathers,
+    and no more. ``next_state`` and ``mismatch`` are indexed by ``state * 16
+    + symbol``, and ``reveals`` by that index ``>> 2``, that is by [state, q,
+    eve]. ``reveals`` is the offset that announcing the round reveals, read
     from ``eve_postprocess`` on the round's record, for the CNOT-ancilla
-    attack only, as in run_trial."""
+    attack only, as in run_trial; -1 means it reveals nothing. Eve decodes a
+    round's bit right exactly when its ``reveals`` equals her offset."""
 
-    reveals: np.ndarray     # (S, 2, 2) int8 offset announcing the round reveals, -1 for none
-    hits: np.ndarray        # (S, 2, 2, 2) offset o decodes the round's bit right
-    mismatch: np.ndarray    # (S, 2, 2, 2, 2) the round's bit fails the public comparison
-    next_state: np.ndarray  # (S, 2, 2, 2, 2)
+    next_state: tuple[int, ...]
+    mismatch: tuple[bool, ...]  # the round's bit fails the public comparison
+    reveals: tuple[int, ...]
 
 
 @functools.cache
@@ -336,12 +340,12 @@ def _transition_table(kind: AttackKind) -> _TransitionTable:
     round it enters: round 1, then 2 for every even round and 3 for every
     odd round >= 3, since the protocol and the adversary act alike in every
     round of one kind. States are exact and reduced, so a carrier seen before
-    has the key it had then, and its id is a dict lookup.
+    has the key it had then, and its id is a dict lookup. States, then
+    (q, eve), then (bob, charlie) are played in index order, so each cell is
+    appended where the flat layout puts it.
     """
-    import numpy as np
-
     states: list[tuple[StateVector, int]] = []
-    reveals, hits, mismatches, next_states = ({} for _ in range(4))
+    next_states, mismatches, reveals = [], [], []
     ids: dict[tuple, int] = {}
 
     def state_id(carrier: StateVector, k: int) -> int:
@@ -351,10 +355,10 @@ def _transition_table(kind: AttackKind) -> _TransitionTable:
             states.append((carrier, k))
         return ids[key]
 
-    # The receive half's ((bob, charlie) bits, mismatch, next state) for each
-    # pair of bits, per (round, bit, state the receivers get): where two
-    # cells hand the receivers one state (both of Eve's bits give one
-    # outcome, or two carriers collapse alike), it is played once.
+    # The receive half's (mismatch, next state) for each (bob, charlie) bit
+    # pair, per (round, bit, state the receivers get): where two cells hand
+    # the receivers one state (both of Eve's bits give one outcome, or two
+    # carriers collapse alike), it is played once.
     received: dict[tuple, list] = {}
 
     def receive(k: int, joint: StateVector, q: int) -> list:
@@ -364,40 +368,24 @@ def _transition_table(kind: AttackKind) -> _TransitionTable:
             received[key] = []
             for bits in itertools.product((0, 1), repeat=2):
                 rec, carrier = _receive(kind, k, joint, q, bits, _silent)
-                received[key].append((bits, public_comparison([rec], [q], [1]).detected, state_id(carrier, following)))
+                received[key].append((public_comparison([rec], [q], [1]).detected, state_id(carrier, following)))
         return received[key]
 
     state_id(init_carrier(with_adversary_ancilla=kind is AttackKind.CNOT_ANCILLA), 1)
     # The loop also visits the states state_id appends while it runs.
-    for s, (start, k) in enumerate(states):
+    for start, k in states:
         for q, e in itertools.product((0, 1), repeat=2):
             joint, readout = _transit(kind, k, start, q, e, _silent)
+            offset = None
             if kind is AttackKind.CNOT_ANCILLA:
                 record = EveRecord({} if readout is None else {k: readout}, k)
                 offset = eve_postprocess(record, {k: q}).inferred_offset
-                reveals[s, q, e] = -1 if offset is None else offset
-                for o in (0, 1):
-                    # Announcing round 1 as o is how the reference fixes the offset to o.
-                    hits[s, q, e, o] = eve_postprocess(record, {1: o}).inferred_bits.get(k) == q
-            for (b, c), mismatch, next_state in receive(k, joint, q):
-                mismatches[s, q, e, b, c] = mismatch
-                next_states[s, q, e, b, c] = next_state
+            reveals.append(-1 if offset is None else offset)
+            for mismatch, next_state in receive(k, joint, q):
+                mismatches.append(mismatch)
+                next_states.append(next_state)
 
-    def dense(cells: dict, depth: int, fill) -> np.ndarray:
-        arr = np.full((len(states),) + (2,) * depth, fill)
-        for index, value in cells.items():
-            arr[index] = value
-        return arr
-
-    table = _TransitionTable(
-        reveals=dense(reveals, 2, np.int8(-1)),
-        hits=dense(hits, 3, False),
-        mismatch=dense(mismatches, 4, False),
-        next_state=dense(next_states, 4, -1),
-    )
-    for arr in table:
-        arr.flags.writeable = False  # the cached table is shared by every caller
-    return table
+    return _TransitionTable(tuple(next_states), tuple(mismatches), tuple(reveals))
 
 
 class _BatchOutcome(NamedTuple):
@@ -441,28 +429,29 @@ def _run_batch(config: ExperimentConfig, indices: np.ndarray) -> _BatchOutcome:
     B = len(indices)
     seeds, compared = _batch_randomness(config, indices)
     table = _transition_table(config.attack)
-    next_state = table.next_state.reshape(-1)
+    next_state = np.array(table.next_state)
 
     # Trial t's flat [state, q, eve, bob, charlie] index in round k, state
     # times 16 plus the round's symbol: path >> 2 is [state, q, eve].
-    path = np.empty((B, n), dtype=np.min_scalar_type(table.next_state.size - 1))
+    path = np.empty((B, n), dtype=np.min_scalar_type(len(next_state) - 1))
     state = np.zeros(B, dtype=np.int64)
     for k in range(1, n + 1):
         path[:, k - 1] = state * 16 + _round_symbols(config, seeds, k)
         state = next_state[path[:, k - 1]]
 
     transit = path >> 2
-    mismatches = (table.mismatch.reshape(-1)[path] & compared).sum(axis=1)
+    mismatches = (np.array(table.mismatch)[path] & compared).sum(axis=1)
     ambiguous = np.zeros(B, dtype=bool)
     eve_correct = np.zeros(B, dtype=np.int64)
     if config.attack is AttackKind.CNOT_ANCILLA:
-        reveals = np.where(compared, table.reveals.reshape(-1)[transit], -1)
+        revealed = np.array(table.reveals, dtype=np.int8)[transit]
+        reveals = np.where(compared, revealed, -1)
         offset = reveals.max(axis=1)
         if np.any((reveals >= 0) & (reveals != offset[:, None])):
             raise EveInferenceError("announced odd indices imply conflicting offsets")
         ambiguous = offset < 0
-        hits = table.hits.reshape(-1, 2)[transit, np.maximum(offset, 0)[:, None]]
-        eve_correct = np.where(ambiguous, 0, hits.sum(axis=1))
+        # A round decodes right exactly when the offset is the one it reveals.
+        eve_correct = np.where(ambiguous, 0, (revealed == offset[:, None]).sum(axis=1))
 
     return _BatchOutcome(
         path=path,

@@ -8,7 +8,7 @@ Conventions used throughout the package:
   strings read left to right in label order: for labels ``("A", "B", "C")``
   the string ``"011"`` addresses basis index ``0b011``.
 - Amplitudes are exact: amplitude i is ``ints[i] * 2**(-r/2)``, for a tuple
-  of Python ints and an int ``r``. Every gate here (H, X, CNOT) is a real
+  of Python ints and an int ``r``. Every gate here (H, CNOT) is a real
   Clifford gate, so every state the protocol reaches is a stabilizer state
   of this form, and its every Z measurement is certain or fair (Aaronson &
   Gottesman, PRA 70, 052328 (2004)). A register holds at most six qubits
@@ -240,13 +240,6 @@ def apply_h(state: StateVector, q: str) -> StateVector:
         [[a + b for a, b in zip(zero, one)] for zero, one in zip(zeros, ones)],
         [[a - b for a, b in zip(zero, one)] for zero, one in zip(zeros, ones)],
     ), state.r + 1)
-
-
-@_memoized
-def apply_x(state: StateVector, q: str) -> StateVector:
-    """Bit flip (Pauli X) on qubit ``q``."""
-    zeros, ones = _blocks(state, q)
-    return _state(state.labels, _join(ones, zeros), state.r)
 
 
 @functools.cache

@@ -5,13 +5,20 @@ from types import SimpleNamespace
 import numpy as np
 
 from ghzqss.harness import _transition_table, run_experiment
-from ghzqss.statevector import StateVector, apply_cnot, apply_h, apply_x, new_basis_state
+from ghzqss.statevector import StateVector, apply_cnot, apply_h, new_basis_state
 
 ROW_COLUMNS = ("trial_index", "detected", "mismatches", "ambiguous", "eve_correct_bits", "eve_known_fraction")
 
 
 def ignore_stage(stage, state) -> None:
     """An ``eve_on_transit`` observer that is told every stage and keeps none."""
+
+
+def apply_x(state: StateVector, q: str) -> StateVector:
+    """Bit flip (Pauli X) on qubit ``q``: basis index i takes the entry at
+    i with ``q``'s bit flipped, a permutation, so the form stays reduced."""
+    flip = 1 << (state.n_qubits - 1 - state.axis(q))
+    return StateVector(state.labels, [state.ints[i ^ flip] for i in range(len(state.ints))], state.r)
 
 
 def amplitudes(state: StateVector) -> np.ndarray:
@@ -96,14 +103,13 @@ def path_columns(path, attack):
     ``path`` of flat [state, q, eve, bob, charlie] table indices, indexed
     by the round's symbol bits: data bits and Eve's readouts.
 
-    A readout is derived from the table's ``hits``: Eve's inferred bit is
-    her readout XOR the offset, so where exactly one offset o decodes the
-    round's bit q right, she read q XOR o. Round 1, whose inferred bit is
-    the offset itself, and rounds no offset decodes read -1."""
-    table = _transition_table(attack)
+    A readout is derived from the table's ``reveals``: announcing round k
+    reveals its readout XOR its bit q as the offset, so where a round
+    reveals an offset o, she read q XOR o. Round 1, which reveals the offset
+    as its bit itself, and rounds that reveal nothing read -1."""
     path = path.astype(np.int64)
     bits = (path >> 3) & 1
-    hits = table.hits.reshape(-1, 2)[path >> 2]
-    readouts = np.where(hits[..., 0] != hits[..., 1], bits ^ hits[..., 1], -1)
+    reveals = np.array(_transition_table(attack).reveals)[path >> 2]
+    readouts = np.where(reveals >= 0, bits ^ reveals, -1)
     readouts[:, 0] = -1
     return SimpleNamespace(bits=bits, eve_readouts=readouts)

@@ -28,7 +28,6 @@ from ghzqss.protocol import (
 from ghzqss.statevector import (
     apply_cnot,
     apply_h,
-    apply_x,
     from_terms,
     max_abs_difference,
     measure_z,
@@ -37,6 +36,7 @@ from ghzqss.statevector import (
 )
 
 from _util import (
+    apply_x,
     equal_up_to_global_phase,
     ignore_stage,
     marginal_probabilities,

@@ -393,18 +393,23 @@ def _checkout_env():
 
 
 @functools.cache
-def _imported_packages(*argv):
-    """Run ``python -X importtime -m ghzqss argv`` on this checkout's package
-    and return the top-level names of the modules it imported."""
+def _imported_by(*args):
+    """Run ``python -X importtime args`` on this checkout's package and
+    return the top-level names of the modules it imported."""
     child = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "ghzqss", *argv],
+        [sys.executable, "-X", "importtime", *args],
         env=_checkout_env(), capture_output=True, text=True, timeout=120,
     )
     assert child.returncode == 0, child.stderr[-2000:]
     modules = [line.rsplit("|", 1)[-1].strip() for line in child.stderr.splitlines() if line.startswith("import time:")]
-    # The log was read: every command loads the harness, so an absence below means something.
+    # The log was read: every caller loads the harness, so an absence below means something.
     assert "ghzqss.harness" in modules
     return {module.split(".")[0] for module in modules}
+
+
+def _imported_packages(*argv):
+    """The top-level modules ``python -m ghzqss argv`` imports."""
+    return _imported_by("-m", "ghzqss", *argv)
 
 
 STARTUP_ARGV = [("--version",), ("trace", "--bits", "10110", "--attack", "cnot-ancilla", "--format", "json"), ("verify",)]
@@ -414,6 +419,16 @@ RUN_ARGV = ("run", "--bits-count", "4", "--trials", "3")
 @pytest.mark.parametrize("argv", STARTUP_ARGV, ids=["version", "trace", "verify"])
 def test_trace_verify_and_version_never_import_numpy(argv):
     assert "numpy" not in _imported_packages(*argv)
+
+
+def test_building_every_transition_table_never_imports_numpy():
+    build = (
+        "from ghzqss.adversary import AttackKind\n"
+        "from ghzqss.harness import _transition_table\n"
+        "for kind in AttackKind:\n"
+        "    _transition_table(kind)\n"
+    )
+    assert "numpy" not in _imported_by("-c", build)
 
 
 def test_run_imports_numpy():

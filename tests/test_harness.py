@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ghzqss import adversary, protocol
-from ghzqss.adversary import AttackKind, EveInferenceError, eve_on_transit
+from ghzqss.adversary import AttackKind, EveInferenceError, EveRecord, eve_on_transit, eve_postprocess
 from ghzqss.harness import (
     ExperimentConfig,
     _batch_randomness,
@@ -359,8 +359,8 @@ def test_batch_engine_matches_single_trials(attack, n_bits, fraction, bits):
     out = _run_batch(config, np.arange(24))
     columns = path_columns(out.path, attack)
     table = _transition_table(attack)
-    mismatch = table.mismatch.reshape(-1)[out.path]
-    states = table.next_state.reshape(-1)[out.path]  # (B, n) table state after each round
+    mismatch = np.array(table.mismatch)[out.path]
+    states = np.array(table.next_state)[out.path]  # (B, n) table state after each round
     carriers = {}
     for t in range(24):
         after = {}
@@ -393,7 +393,7 @@ def test_batch_path_is_each_rounds_state_and_symbol(attack):
     config = ExperimentConfig(n_bits=9, trials=64, attack=attack, master_seed=31)
     _, symbols, _ = _trial_randomness(config, np.arange(64))
     path = _run_batch(config, np.arange(64)).path.astype(np.int64)
-    next_state = _transition_table(attack).next_state.reshape(-1)
+    next_state = np.array(_transition_table(attack).next_state)
     assert np.array_equal(path & 15, symbols)
     assert np.all(path[:, 0] >> 4 == 0)
     assert np.array_equal(path[:, 1:] >> 4, next_state[path[:, :-1]])
@@ -411,24 +411,50 @@ def test_transition_table_is_built_on_first_use_once_per_attack():
     assert info.misses == info.currsize == len(AttackKind)
 
 
-# State count and sha256 of each table's columns, in field order; a
-# renumbered state changes ``next_state`` and so the digest.
+# State count and sha256 of the repr of each table's flat columns, in field
+# order; a renumbered state changes ``next_state`` and so the digest.
 TABLE_DIGESTS = {
-    AttackKind.NO_ATTACK: (3, "e50b81cbc9ee19c24ae234299376259dce24019319b2d8e423edc8d3a9a9d739"),
-    AttackKind.INTERCEPT_RESEND: (17, "9938378bf851a29fe0689c0530e09abfaa197744a2c2ebbec371c243398a69a3"),
-    AttackKind.CNOT_ANCILLA: (5, "b42cb7f5ce1baa072e85a99e31645bcf20e759007ede54b1552c886c1a8f9886"),
+    AttackKind.NO_ATTACK: (3, "1fc0ecbb7a4dd0cabeaf61be20446c09042d32d6fe27d161fc858d954d524946"),
+    AttackKind.INTERCEPT_RESEND: (17, "ede166e2c4480149eb916ae8a8e895861c8073e6b1995be4821bfa183be78a6d"),
+    AttackKind.CNOT_ANCILLA: (5, "3e7cc76fda19f0e68ceec92958c8f4bbe24b203b449077eafd7a4f87f9d7f2fc"),
 }
 
 
 @pytest.mark.parametrize("attack", list(AttackKind))
 def test_transition_tables_are_pinned(attack):
     table = _transition_table(attack)
-    assert table._fields == ("reveals", "hits", "mismatch", "next_state")
-    digest = hashlib.sha256()
-    for column in table:
-        digest.update(f"{column.dtype.str}{column.shape}".encode())
-        digest.update(np.ascontiguousarray(column).tobytes())
-    assert (len(table.next_state), digest.hexdigest()) == TABLE_DIGESTS[attack]
+    assert table._fields == ("next_state", "mismatch", "reveals")
+    digest = hashlib.sha256(repr(tuple(table)).encode()).hexdigest()
+    assert (len(table.next_state) // 16, digest) == TABLE_DIGESTS[attack]
+
+
+def test_a_round_decodes_right_exactly_when_it_reveals_the_offset():
+    # The batch engine counts Eve's correct bits as the rounds whose reveals
+    # equal her offset. On every reachable [state, q, eve] cell that agrees
+    # with the reference: announcing round 1 as o fixes the offset to o, and
+    # eve_postprocess then decodes the round's own readout right or not.
+    import ghzqss.harness as harness
+
+    attack = AttackKind.CNOT_ANCILLA
+    harness._transition_table.cache_clear()
+    try:
+        reveals = harness._transition_table(attack).reveals
+        config = ExperimentConfig(n_bits=6, trials=16, attack=attack, master_seed=3)
+        path = _run_batch(config, np.arange(config.trials)).path
+    finally:
+        harness._transition_table.cache_clear()
+    reached = set()
+    for t in range(config.trials):
+        single = run_trial(config, t)
+        for k, q in enumerate(single.bits, start=1):
+            cell = int(path[t, k - 1]) >> 2
+            reached.add(cell)
+            readout = single.eve.measured.get(k)
+            record = EveRecord({} if readout is None else {k: readout}, k)
+            for o in (0, 1):
+                decoded = eve_postprocess(record, {1: o}).inferred_bits.get(k) == q
+                assert decoded == (reveals[cell] == o), (t, k, o)
+    assert reached == set(range(len(reveals)))
 
 
 #: The words at the ends of the stream and either side of its middle.
@@ -525,7 +551,8 @@ def test_extreme_draws_take_an_enumerated_branch_of_the_table(attack, monkeypatc
             outcome, _ = measure_z(state, q, _bit(word))
             assert (p0 if outcome == 0 else 1.0 - p0) > 0.0
     # Every symbol of every state reaches a next state.
-    assert np.all(table.next_state >= 0)
+    assert len(table.next_state) == 16 * (max(table.next_state) + 1)
+    assert min(table.next_state) >= 0
 
 
 def test_a_changed_round_op_reaches_both_engines(monkeypatch):
@@ -578,9 +605,7 @@ def test_batch_engine_refuses_conflicting_reveals(monkeypatch):
 
     table = harness._transition_table(AttackKind.CNOT_ANCILLA)
     # Every round reveals its own bit as the offset, so rounds sending 1 and 0 disagree.
-    conflicting = table._replace(
-        reveals=np.zeros_like(table.reveals) + np.arange(2, dtype=np.int8)[:, None]
-    )
+    conflicting = table._replace(reveals=tuple((i >> 1) & 1 for i in range(len(table.reveals))))
     monkeypatch.setattr(harness, "_transition_table", lambda kind: conflicting)
     config = ExperimentConfig(n_bits=2, trials=4, attack=AttackKind.CNOT_ANCILLA, compare_fraction=1.0, bits="10")
     with pytest.raises(EveInferenceError, match="conflicting offsets"):

@@ -20,14 +20,13 @@ from ghzqss.protocol import (
 )
 from ghzqss.statevector import (
     apply_cnot,
-    apply_x,
     from_terms,
     max_abs_difference,
     new_basis_state,
     tensor,
 )
 
-from _util import marginal_probabilities
+from _util import apply_x, marginal_probabilities
 
 LAB4 = ("A", "B", "C", "E")
 LAB6 = ("A", "B", "C", "E", "S1", "S2")

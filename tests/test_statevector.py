@@ -8,7 +8,6 @@ from ghzqss.statevector import (
     StateVector,
     apply_cnot,
     apply_h,
-    apply_x,
     discard_qubit,
     from_terms,
     max_abs_difference,
@@ -21,7 +20,7 @@ from ghzqss.statevector import (
     tensor,
 )
 
-from _util import amplitudes, equal_up_to_global_phase, marginal_probabilities, random_state, reduced_density_matrix
+from _util import amplitudes, apply_x, equal_up_to_global_phase, marginal_probabilities, random_state, reduced_density_matrix
 from oracles import brute_marginal
 
 LAB6 = ("A", "B", "C", "E", "S1", "S2")
@@ -440,7 +439,6 @@ def _memoised_calls(state):
         ("tensor", lambda: tensor(discard_qubit(collapsed, "S1", outcome), new_basis_state(("S1",), "1"))),
         ("tensor right", lambda: tensor(new_basis_state(("S1",), "0"), discard_qubit(collapsed, "S1", outcome))),
         ("apply_h", lambda: apply_h(state, "C")),
-        ("apply_x", lambda: apply_x(state, "E")),
         ("apply_cnot", lambda: apply_cnot(state, "A", "S2")),
         ("probability_of_zero", lambda: probability_of_zero(state, "B")),
         ("measure_z 0", lambda: measure_z(state, "S2", 0)[1]),
