@@ -18,6 +18,7 @@ before falling back to 0.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import os
@@ -148,24 +149,6 @@ def _cmd_run(args, parser: argparse.ArgumentParser) -> int:
     return 0
 
 
-def _distinct_renderer(render):
-    """``render`` run once per distinct state, keyed on its exact
-    ``StateVector.key`` (labels, ``r`` and integer entries).
-
-    Every gate is Clifford, so a trace repeats a few states many times, and
-    equal states have equal keys.
-    """
-    rendered = {}
-
-    def render_once(state):
-        key = state.key
-        if key not in rendered:
-            rendered[key] = render(state)
-        return rendered[key]
-
-    return render_once
-
-
 def _cmd_trace(args, parser: argparse.ArgumentParser) -> int:
     bits = args.bits
     config = _build_config(args, parser, n_bits=len(bits), bits=bits)
@@ -209,7 +192,7 @@ def _cmd_trace(args, parser: argparse.ArgumentParser) -> int:
         # Each distinct state is dumped once, and the snapshots are rendered
         # at the depth and key order json.dumps(payload, indent=2) gives them
         # and written as they are rendered, so the output is never held whole.
-        state_json = _distinct_renderer(
+        state_json = functools.cache(
             lambda state: json.dumps(state_to_dict(state), indent=2, sort_keys=True).replace("\n", "\n      ")
         )
         texts = (
@@ -226,7 +209,7 @@ def _cmd_trace(args, parser: argparse.ArgumentParser) -> int:
         sys.stdout.write(f"\n  ]{tail}\n")
         return 0
 
-    state_text = _distinct_renderer(
+    state_text = functools.cache(
         lambda state: "\n".join(f"    {line}" for line in format_state(state).splitlines())
     )
     print(f"bits: {bits}  attack: {config.attack.value}  seed: {config.master_seed}")

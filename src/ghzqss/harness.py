@@ -56,7 +56,6 @@ from .statevector import (
     discard_qubit,
     from_terms,
     max_abs_difference,
-    memoized_ops,
     tensor,
 )
 
@@ -247,7 +246,6 @@ def _receive(kind: AttackKind, k: int, joint: StateVector, q: int, bits, emit):
     return rec, carrier
 
 
-@memoized_ops()
 def run_trial(config: ExperimentConfig, trial_index: int = 0, observer=None) -> TrialResult:
     """Run one full protocol trial: every round plays ``_transit`` then
     ``_receive``. After all rounds the public comparison runs on the trial's
@@ -332,15 +330,14 @@ class _TransitionTable(NamedTuple):
 
 
 @functools.cache
-@memoized_ops()
 def _transition_table(kind: AttackKind) -> _TransitionTable:
     """Closure over the states reachable from the initial carrier in round 1.
 
     A state is a carrier plus the representative round (1, 2 or 3) of the
     round it enters: round 1, then 2 for every even round and 3 for every
     odd round >= 3, since the protocol and the adversary act alike in every
-    round of one kind. States are exact and reduced, so a carrier seen before
-    has the key it had then, and its id is a dict lookup. States, then
+    round of one kind. States are exact values, so a carrier seen before
+    equals the one seen then, and its id is a dict lookup. States, then
     (q, eve), then (bob, charlie) are played in index order, so each cell is
     appended where the flat layout puts it.
     """
@@ -349,7 +346,7 @@ def _transition_table(kind: AttackKind) -> _TransitionTable:
     ids: dict[tuple, int] = {}
 
     def state_id(carrier: StateVector, k: int) -> int:
-        key = (k, carrier.key)
+        key = (k, carrier)
         if key not in ids:
             ids[key] = len(states)
             states.append((carrier, k))
@@ -362,7 +359,7 @@ def _transition_table(kind: AttackKind) -> _TransitionTable:
     received: dict[tuple, list] = {}
 
     def receive(k: int, joint: StateVector, q: int) -> list:
-        key = (k, q, joint.key)
+        key = (k, q, joint)
         if key not in received:
             following = 2 if k % 2 else 3
             received[key] = []
@@ -637,7 +634,7 @@ def verify_golden_states(inject_sign_fault: bool = False) -> list[GoldenCheck]:
             if eve.measured[3] != q ^ q1:
                 failures.append(f"readout {eve.measured[3]} != {q ^ q1} for q={q}")
             # A certain measurement returns its input; a fair one collapses it.
-            if states[3, "after Eve measurement of S1"].key != states[3, "after Eve C(E->S1)"].key:
+            if states[3, "after Eve measurement of S1"] != states[3, "after Eve C(E->S1)"]:
                 failures.append(f"readout not deterministic for q={q}")
         for name, err in errors.items():
             detail = "; ".join(failures) if name == "odd-round ancilla split" else ""

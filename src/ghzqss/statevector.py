@@ -21,11 +21,13 @@ Conventions used throughout the package:
   compared (:func:`max_abs_difference`): entry ``c`` is
   ``c * sqrt(0.5)**(r % 2) * 2**-(r // 2)``, which is correctly rounded for
   ``c = ±1``.
-- Operations are pure: they take a :class:`StateVector` and return a new one
-  (or, for a certain measurement, the input), except inside a
-  :func:`memoized_ops` block, where an op called again on an identical input
-  (same :attr:`StateVector.key`, same other arguments) may return the shared
-  result of the first call.
+- Operations are pure: they take a :class:`StateVector` and return one (for
+  a certain measurement, the input). States are values, so the ops that
+  build or measure one (``tensor``, the gates, ``probability_of_zero``,
+  ``discard_qubit`` and the collapse half of ``measure_z``) are cached for
+  the life of the process, on equal arguments of equal types: a repeated
+  call returns the first call's immutable result. The states the protocol
+  reaches are a finite closure, so the caches stop growing.
 - Measurement randomness enters only through an explicit ``bit`` argument,
   which keeps every caller a pure function of its seed: a measurement is
   certain or fair, so one random bit names a fair one's outcome, and
@@ -37,8 +39,6 @@ from __future__ import annotations
 import functools
 import math
 from array import array
-from contextlib import contextmanager
-from contextvars import ContextVar
 from itertools import chain
 from operator import index, itemgetter
 
@@ -49,8 +49,10 @@ QUBIT_ROLES = ("A", "B", "C", "E", "S1", "S2")
 
 _SQRT_HALF = math.sqrt(0.5)
 
-_memo: ContextVar[dict | None] = ContextVar("memo", default=None)
 _set = object.__setattr__
+#: The cache of the pure ops; ``typed`` keeps an int and a float argument
+#: apart, so ``discard_qubit(state, q, 0.0)`` fails as it would uncached.
+_cached = functools.lru_cache(maxsize=None, typed=True)
 
 
 class StateVector:
@@ -61,9 +63,9 @@ class StateVector:
     The constructor checks the labels and the length, and that every entry
     is an integer (a float or complex entry raises ``TypeError``), that the
     squares sum to exactly ``2**r`` and that some entry is odd (the reduced
-    form); anything else raises ``ValueError``. Instances are immutable and
-    compare by identity; the gate and measurement helpers return new
-    vectors, or inside :func:`memoized_ops` possibly a shared one.
+    form); anything else raises ``ValueError``. Instances are immutable
+    values: two compare equal, and hash alike, exactly when their keys do,
+    and a state never equals an object of another type.
 
     ``key`` is the labels, ``r`` and the entries as 64-bit integers: equal
     exactly when the states are, since the form is reduced.
@@ -94,6 +96,14 @@ class StateVector:
         raise AttributeError(f"cannot assign to or delete {name!r} of an immutable StateVector")
 
     __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if not isinstance(other, StateVector):
+            return NotImplemented
+        return self.key == other.key
+
+    def __hash__(self) -> int:
+        return hash(self.key)
 
     def __repr__(self) -> str:
         return f"StateVector(labels={self.labels!r}, ints={self.ints!r}, r={self.r!r})"
@@ -137,46 +147,6 @@ def _scale(r: int) -> float:
     return _SQRT_HALF ** (r % 2) * 2.0 ** -(r // 2)
 
 
-@contextmanager
-def memoized_ops():
-    """Memoise the pure ops on their exact input for the duration of the block.
-
-    Every gate is Clifford, so a trial or a table build asks the ops the same
-    question many times. Inside the block an op is keyed on its state's
-    :attr:`StateVector.key` (labels, ``r`` and entries) plus the other
-    arguments and their types, a second state argument (``tensor``'s) by
-    identity; a repeated call returns the first call's result. Exceptions
-    are not cached. Each block starts an empty memo, and the memo ends with
-    the block; as a decorator, ``@memoized_ops()`` gives every call of the
-    function its own."""
-    token = _memo.set({})
-    try:
-        yield
-    finally:
-        _memo.reset(token)
-
-
-def _memoized(op):
-    """``op``, answered from the memo of the enclosing :func:`memoized_ops`
-    block when there is one. A call with keyword arguments computes directly;
-    the engines call positionally."""
-
-    @functools.wraps(op)
-    def memoized(state, *args, **kwargs):
-        memo = _memo.get()
-        if memo is None or kwargs:
-            return op(state, *args, **kwargs)
-        key = (op, state.key, *args, *map(type, args))
-        try:
-            return memo[key]
-        except KeyError:
-            pass
-        result = memo[key] = op(state, *args)
-        return result
-
-    return memoized
-
-
 def new_basis_state(labels, bits: str) -> StateVector:
     """Computational basis state |bits> over ``labels`` (msb-first)."""
     labels = tuple(labels)
@@ -207,7 +177,7 @@ def from_terms(labels, terms: dict[str, int], r: int) -> StateVector:
     return StateVector(labels, ints, r)
 
 
-@_memoized
+@_cached
 def tensor(left: StateVector, right: StateVector) -> StateVector:
     """Tensor product; ``right``'s qubits become the least significant bits.
     An odd entry times an odd entry is odd, so the product stays reduced."""
@@ -231,7 +201,7 @@ def _join(zeros, ones) -> tuple[int, ...]:
     return tuple(chain.from_iterable(chain.from_iterable(zip(zeros, ones))))
 
 
-@_memoized
+@_cached
 def apply_h(state: StateVector, q: str) -> StateVector:
     """Hadamard gate on qubit ``q``: each pair (a, b) becomes (a + b, a - b)
     at ``r + 1``, then reduced."""
@@ -248,7 +218,7 @@ def _cnot_gather(n: int, cbit: int, tbit: int) -> itemgetter:
     return itemgetter(*[i ^ tbit if i & cbit else i for i in range(1 << n)])
 
 
-@_memoized
+@_cached
 def apply_cnot(state: StateVector, control: str, target: str) -> StateVector:
     """CNOT with the given control and target qubits."""
     if control == target:
@@ -259,7 +229,7 @@ def apply_cnot(state: StateVector, control: str, target: str) -> StateVector:
     return _state(state.labels, _cnot_gather(n, cbit, tbit)(state.ints), state.r)
 
 
-@_memoized
+@_cached
 def probability_of_zero(state: StateVector, q: str) -> float:
     """Born probability of outcome 0 for a Z measurement of ``q``: the
     squares of the entries where ``q`` is 0 over ``2**r``, one correctly
@@ -289,7 +259,7 @@ def measure_z(state: StateVector, q: str, bit: int) -> tuple[int, StateVector]:
     return int(p0 == 0.0), state
 
 
-@_memoized
+@_cached
 def _collapse(state: StateVector, q: str, outcome: int) -> StateVector:
     """``state`` projected onto ``q = outcome`` of a fair measurement: the
     kept entries hold half the weight, so they stand at ``r - 1``, and are
@@ -300,7 +270,7 @@ def _collapse(state: StateVector, q: str, outcome: int) -> StateVector:
     return _reduced(state.labels, ints, state.r - 1)
 
 
-@_memoized
+@_cached
 def discard_qubit(state: StateVector, q: str, outcome: int) -> StateVector:
     """Drop a qubit that has already collapsed to ``|outcome>``.
 

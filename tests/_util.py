@@ -4,10 +4,38 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from ghzqss import statevector
 from ghzqss.harness import _transition_table, run_experiment
 from ghzqss.statevector import StateVector, apply_cnot, apply_h, new_basis_state
 
 ROW_COLUMNS = ("trial_index", "detected", "mismatches", "ambiguous", "eve_correct_bits", "eve_known_fraction")
+
+
+#: The statevector ops that cache their results.
+CACHED_OPS = (
+    statevector.tensor,
+    statevector.apply_h,
+    statevector.apply_cnot,
+    statevector.probability_of_zero,
+    statevector._collapse,
+    statevector.discard_qubit,
+)
+
+
+def bind_uncached(monkeypatch, *modules) -> None:
+    """Bind each cached op to its uncached ``__wrapped__`` wherever
+    ``statevector`` or one of ``modules`` binds it, until ``monkeypatch``
+    undoes it."""
+    for module in (statevector, *modules):
+        for op in CACHED_OPS:
+            if getattr(module, op.__name__, None) is op:
+                monkeypatch.setattr(module, op.__name__, op.__wrapped__)
+
+
+def cache_totals() -> tuple[int, int]:
+    """The cached ops' summed hits and summed entries."""
+    infos = [op.cache_info() for op in CACHED_OPS]
+    return sum(info.hits for info in infos), sum(info.currsize for info in infos)
 
 
 def ignore_stage(stage, state) -> None:

@@ -41,7 +41,15 @@ from ghzqss.statevector import (
     tensor,
 )
 
-from _util import ROW_COLUMNS, equal_up_to_global_phase, marginal_probabilities, path_columns, run_with_rows
+from _util import (
+    ROW_COLUMNS,
+    bind_uncached,
+    cache_totals,
+    equal_up_to_global_phase,
+    marginal_probabilities,
+    path_columns,
+    run_with_rows,
+)
 
 LAB4 = ("A", "B", "C", "E")
 
@@ -321,18 +329,44 @@ def _exact_trial(result, snapshots):
     return fields, result.eve, result.final_carrier.key, [(k, stage, state.key) for k, stage, state in snapshots]
 
 
+def _play_trial(config):
+    snapshots = []
+    result = run_trial(config, 3, observer=lambda *snapshot: snapshots.append(snapshot))
+    return _exact_trial(result, snapshots), snapshots
+
+
 @pytest.mark.parametrize("attack", list(AttackKind))
 @pytest.mark.parametrize("seed", [0, 5, 11])
-def test_run_trial_is_identical_with_and_without_the_memo(attack, seed):
+def test_run_trial_is_identical_with_and_without_the_memo(attack, seed, monkeypatch):
+    import ghzqss.harness as harness
+
     config = ExperimentConfig(n_bits=64, attack=attack, master_seed=seed)
-    runs = {}
-    for name, play in (("memo", run_trial), ("direct", run_trial.__wrapped__)):
-        snapshots = []
-        result = play(config, 3, observer=lambda *snapshot: snapshots.append(snapshot))
-        runs[name] = _exact_trial(result, snapshots), snapshots
-    assert runs["memo"][0] == runs["direct"][0]
-    # The memo did answer: repeated snapshots share one state object.
-    assert len({id(state) for *_, state in runs["memo"][1]}) < len({id(state) for *_, state in runs["direct"][1]})
+    with monkeypatch.context() as uncached:
+        bind_uncached(uncached, harness, protocol, adversary)
+        before = cache_totals()
+        direct = _play_trial(config)
+        assert cache_totals() == before  # no call reached a cache
+    hits = cache_totals()[0]
+    cached = _play_trial(config)
+    assert cached[0] == direct[0]
+    # The caches did answer: repeated snapshots share one state object.
+    assert cache_totals()[0] > hits
+    assert len({id(state) for *_, state in cached[1]}) < len({id(state) for *_, state in direct[1]})
+
+
+def test_the_op_caches_stop_growing_with_the_trial_length():
+    # The states the protocol reaches are a finite closure, which the table
+    # builds play in full, so a longer trial adds no cache entry.
+    for attack in AttackKind:
+        _transition_table(attack)
+
+    def trace_every_attack(n_bits):
+        for attack in AttackKind:
+            run_trial(ExperimentConfig(n_bits=n_bits, attack=attack, master_seed=n_bits), 0, observer=lambda *_: None)
+        return cache_totals()[1]
+
+    entries = trace_every_attack(256)
+    assert trace_every_attack(4096) == entries
 
 
 # --- batch engine equivalence ---------------------------------------------------

@@ -1,4 +1,6 @@
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +14,6 @@ from ghzqss.statevector import (
     from_terms,
     max_abs_difference,
     measure_z,
-    memoized_ops,
     new_basis_state,
     probability_of_zero,
     state_terms,
@@ -20,7 +21,16 @@ from ghzqss.statevector import (
     tensor,
 )
 
-from _util import amplitudes, apply_x, equal_up_to_global_phase, marginal_probabilities, random_state, reduced_density_matrix
+from _util import (
+    amplitudes,
+    apply_x,
+    bind_uncached,
+    cache_totals,
+    equal_up_to_global_phase,
+    marginal_probabilities,
+    random_state,
+    reduced_density_matrix,
+)
 from oracles import brute_marginal
 
 LAB6 = ("A", "B", "C", "E", "S1", "S2")
@@ -228,12 +238,9 @@ def test_measure_z_outcome_is_the_bit_when_fair_and_forced_when_certain(bit):
     # Not a stabilizer state: A reads 0 with probability 12/16, which no one bit names.
     skewed = StateVector(("A", "B", "C"), [3, 1, 1, 1, 1, 1, 1, 1], 4)
     assert probability_of_zero(skewed, "A") == 0.75
-    with pytest.raises(ValueError, match="neither certain nor fair"):
-        measure_z(skewed, "A", bit)
-    with memoized_ops():
-        for _ in range(2):
-            with pytest.raises(ValueError, match="neither certain nor fair"):
-                measure_z(skewed, "A", bit)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="neither certain nor fair"):
+            measure_z(skewed, "A", bit)
 
 
 @pytest.mark.parametrize("bit", [2, -1])
@@ -416,7 +423,25 @@ def test_state_terms_order_and_cutoff():
     assert len(dump["terms"]) == 2
 
 
-# --- memoised ops -------------------------------------------------------------
+# --- state values and cached ops -------------------------------------------------
+
+
+def test_states_are_values():
+    ghz = from_terms(("A", "B", "C"), {"000": 1, "111": 1}, 1)
+    built = apply_cnot(apply_cnot(apply_h(new_basis_state(("A", "B", "C"), "000"), "A"), "A", "B"), "A", "C")
+    copy = StateVector(ghz.labels, list(ghz.ints), ghz.r)
+    for other in (built, copy):
+        assert other is not ghz
+        assert other == ghz and hash(other) == hash(ghz)
+        assert not other != ghz
+    assert {ghz: "ghz"}[built] == "ghz"
+    # States a sign apart, or over other labels, differ.
+    assert StateVector(ghz.labels, [-a for a in ghz.ints], ghz.r) != ghz
+    assert from_terms(("A", "B", "C"), {"000": 1, "111": -1}, 1) != ghz
+    assert StateVector(("A", "B", "E"), ghz.ints, ghz.r) != ghz
+    # A state never equals a tuple of its fields, nor its key.
+    for fields in ((ghz.labels, ghz.ints, ghz.r), ghz.key, ghz.ints):
+        assert ghz != fields and not ghz == fields and fields != ghz
 
 
 def _variants(seed):
@@ -429,10 +454,10 @@ def _variants(seed):
     return [base, StateVector(LAB6, base.ints, base.r), state, StateVector(LAB6, [-a for a in state.ints], state.r)]
 
 
-def _memoised_calls(state):
-    """Each memoised op on ``state``, as (name, thunk); ``measure_z`` covers
+def _cached_calls(state):
+    """Each cached op on ``state``, as (name, thunk); ``measure_z`` covers
     the collapse for both outcomes, and ``discard_qubit`` acts on a state
-    collapsed outside the memo."""
+    collapsed before the thunks run."""
     collapsed = measure_z(state, "S1", 0 if probability_of_zero(state, "S1") > 0.5 else 1)[1]
     outcome = int(probability_of_zero(collapsed, "S1") < 0.5)
     return [
@@ -454,15 +479,20 @@ def _exact(result):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_memoized_ops_match_the_ops_bit_for_bit(seed):
+def test_memoized_ops_match_the_ops_bit_for_bit(seed, monkeypatch):
     states = _variants(seed)
-    direct = [[_exact(thunk()) for _, thunk in _memoised_calls(s)] for s in states]
+    with monkeypatch.context() as uncached:
+        bind_uncached(uncached, sys.modules[__name__])
+        before = cache_totals()
+        direct = [[_exact(thunk()) for _, thunk in _cached_calls(s)] for s in states]
+        assert cache_totals() == before  # no call reached a cache
     assert direct[0] == direct[1] and direct[2] != direct[3]  # equal states, and states a sign apart
-    with memoized_ops():
-        for _ in range(2):  # the second pass is answered from the memo
-            for state, expected in zip(states, direct):
-                for (name, thunk), want in zip(_memoised_calls(state), expected):
-                    assert _exact(thunk()) == want, name
+    for _ in range(2):  # the second pass is answered from the caches
+        hits = cache_totals()[0]
+        for state, expected in zip(states, direct):
+            for (name, thunk), want in zip(_cached_calls(state), expected):
+                assert _exact(thunk()) == want, name
+    assert cache_totals()[0] > hits
 
 
 def _assert_immutable(state):
@@ -477,52 +507,45 @@ def _assert_immutable(state):
     assert (state.labels, state.ints, state.r, state.key) == (labels, ints, r, key)
 
 
-def test_memoized_results_are_shared_read_only_and_end_with_the_block():
+def test_cached_results_are_shared_and_read_only():
     state = _variants(0)[2]
-    with memoized_ops():
-        first = apply_h(state, "A")
-        assert apply_h(StateVector(LAB6, list(state.ints), state.r), "A") is first
-        _assert_immutable(first)
-        _assert_immutable(measure_z(state, "S1", 1)[1])
-    after = apply_h(state, "A")
-    assert after is not apply_h(state, "A")
-    with pytest.raises(KeyError):
-        with memoized_ops():
-            apply_h(state, "A")
-            raise KeyError("unwinds the block")
-    assert apply_h(state, "A") is not apply_h(state, "A")
+    first = apply_h(state, "A")
+    assert apply_h(StateVector(LAB6, list(state.ints), state.r), "A") is first
+    fresh = apply_h.__wrapped__(state, "A")
+    assert fresh is not first and fresh.key == first.key
+    _assert_immutable(first)
+    _assert_immutable(measure_z(state, "S1", 1)[1])
 
 
-def test_memoized_measure_z_follows_every_bit():
+def test_memoized_measure_z_follows_every_bit(monkeypatch):
     ghz = from_terms(("A", "B", "C"), {"000": 1, "111": 1}, 1)
-    with memoized_ops():
-        outcomes = [measure_z(ghz, "A", bit)[0] for bit in (1, 1, 0, 1)]
-        _, collapsed = measure_z(ghz, "A", 0)
-        assert measure_z(collapsed, "B", 1)[0] == 0  # a certain outcome, whatever the bit
+    outcomes = [measure_z(ghz, "A", bit)[0] for bit in (1, 1, 0, 1)]
+    _, collapsed = measure_z(ghz, "A", 0)
+    assert measure_z(collapsed, "B", 1)[0] == 0  # a certain outcome, whatever the bit
     assert outcomes == [1, 1, 0, 1]
+    bind_uncached(monkeypatch)
     outcome, direct = measure_z(ghz, "A", 0)
-    assert (outcome, direct.key) == (0, collapsed.key)
+    assert direct is not collapsed and (outcome, direct.key) == (0, collapsed.key)
 
 
 def test_memoized_ops_never_cache_an_exception():
     # Not a stabilizer state: A reads 0 with probability 3/4, which no one bit names.
     skewed = StateVector(("A", "B", "C"), [3, 1, 1, 1, 1, 1, 1, 1], 4)
     uncollapsed = apply_h(new_basis_state(("A", "B"), "00"), "A")
-    with memoized_ops():
-        raised = []
-        for _ in range(2):
-            with pytest.raises(ValueError, match="not collapsed") as residual:
-                discard_qubit(uncollapsed, "A", 0)
-            with pytest.raises(ValueError, match="neither certain nor fair") as branch:
-                measure_z(skewed, "A", 0)
-            with pytest.raises(ValueError, match="bit must be 0 or 1") as bit:
-                measure_z(skewed, "A", 2)
-            raised += [residual.value, branch.value, bit.value]
-        assert len({id(e) for e in raised}) == 6  # raised afresh by every call
-        # The key holds the argument types: a float outcome fails as it does outside.
-        collapsed = measure_z(uncollapsed, "A", 0)[1]
-        discard_qubit(collapsed, "A", 0)
-        with pytest.raises(TypeError):
-            discard_qubit(collapsed, "A", 0.0)
+    raised = []
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not collapsed") as residual:
+            discard_qubit(uncollapsed, "A", 0)
+        with pytest.raises(ValueError, match="neither certain nor fair") as branch:
+            measure_z(skewed, "A", 0)
+        with pytest.raises(ValueError, match="bit must be 0 or 1") as bit:
+            measure_z(skewed, "A", 2)
+        raised += [residual.value, branch.value, bit.value]
+    assert len({id(e) for e in raised}) == 6  # raised afresh by every call
+    # The key holds the argument types: a float outcome fails as it does uncached.
+    collapsed = measure_z(uncollapsed, "A", 0)[1]
+    discard_qubit(collapsed, "A", 0)
     with pytest.raises(TypeError):
         discard_qubit(collapsed, "A", 0.0)
+    with pytest.raises(TypeError):
+        discard_qubit.__wrapped__(collapsed, "A", 0.0)
