@@ -215,13 +215,15 @@ def _silent(k, stage, state) -> None:
     pass
 
 
-def _transit(kind: AttackKind, k: int, carrier: StateVector, q: int, eve: int, emit):
-    """First half of round ``k``: the pair encoding ``q`` is prepared, Alice
-    entangles, the adversary acts on the in-transit S1 (measuring with the
-    bit ``eve``, if at all), and Bob and Charlie disentangle. Returns the
-    joint state and Eve's readout, ``None`` in a round she reads nothing
-    (see ``eve_on_transit``). ``emit(k, stage, state)`` is invoked at every
-    protocol stage."""
+def _round(kind: AttackKind, k: int, carrier: StateVector, q: int, eve: int, bits, emit):
+    """Round ``k`` from ``carrier``: the pair encoding ``q`` is prepared,
+    Alice entangles, the adversary acts on the in-transit S1 (measuring with
+    the bit ``eve``, if at all), Bob and Charlie disentangle, measure with
+    ``bits`` and reconstruct the round record, the pair is discarded, and
+    everyone applies their round-end Hadamard, Eve through her end-of-round
+    hook. Returns the record, Eve's readout (``None`` in a round she reads
+    nothing, see ``eve_on_transit``) and the carrier the next round starts
+    from. ``emit(k, stage, state)`` is invoked at every protocol stage."""
     parity = round_parity(k)
     joint = tensor(carrier, encode_pair(q, parity))
     emit(k, "carrier+pair prepared", joint)
@@ -230,27 +232,19 @@ def _transit(kind: AttackKind, k: int, carrier: StateVector, q: int, eve: int, e
     joint, readout = eve_on_transit(kind, k, joint, eve, lambda stage, state: emit(k, stage, state))
     joint = charlie_disentangle(bob_disentangle(joint))
     emit(k, "after Bob/Charlie disentangling CNOTs", joint)
-    return joint, readout
-
-
-def _receive(kind: AttackKind, k: int, joint: StateVector, q: int, bits, emit):
-    """Second half of round ``k``: Bob and Charlie measure with ``bits``
-    and the round record is reconstructed, the pair is discarded, and
-    everyone applies their round-end Hadamard, Eve through her end-of-round
-    hook. Returns the record and the carrier the next round starts from."""
     rec, joint = receive_and_reconstruct(joint, k, q, bits)
     emit(k, "after Bob/Charlie measurements", joint)
     carrier = discard_qubit(discard_qubit(joint, "S1", rec.bob_outcome), "S2", rec.charlie_outcome)
     carrier = eve_end_round(kind, end_round_hadamards(carrier))
     emit(k, "after round-end Hadamards", carrier)
-    return rec, carrier
+    return rec, readout, carrier
 
 
 def run_trial(config: ExperimentConfig, trial_index: int = 0, observer=None) -> TrialResult:
-    """Run one full protocol trial: every round plays ``_transit`` then
-    ``_receive``. After all rounds the public comparison runs on the trial's
-    random subset and, for the CNOT-ancilla attack, Eve post-processes her
-    readouts against the announced bits.
+    """Run one full protocol trial, playing ``_round`` for every round.
+    After all rounds the public comparison runs on the trial's random subset
+    and, for the CNOT-ancilla attack, Eve post-processes her readouts
+    against the announced bits.
 
     ``observer(round, stage, state)``, when given, is invoked at every
     protocol stage; it is the only way to watch a trial.
@@ -271,10 +265,9 @@ def run_trial(config: ExperimentConfig, trial_index: int = 0, observer=None) -> 
         q = _bit(_stream(seed, k, _BIT)) if config.bits is None else int(config.bits[k - 1])
         eve, bob, charlie = (_bit(_stream(seed, k, c)) for c in (_EVE, _BOB, _CHARLIE))
         bits.append(q)
-        joint, readout = _transit(kind, k, carrier, q, eve, emit)
+        rec, readout, carrier = _round(kind, k, carrier, q, eve, (bob, charlie), emit)
         if readout is not None:
             measured[k] = readout
-        rec, carrier = _receive(kind, k, joint, q, (bob, charlie), emit)
         transcript.append(rec)
 
     detection = public_comparison(transcript, bits, subset)
@@ -302,9 +295,9 @@ def run_trial(config: ExperimentConfig, trial_index: int = 0, observer=None) -> 
 # a state being a carrier plus the phase of the round it enters, and every
 # measurement is certain or fair (Aaronson & Gottesman, PRA 70, 052328), so
 # measure_z takes one random bit. _transition_table finds the states by
-# playing the two round halves run_trial plays, _transit and _receive, from
-# every reachable state, for each data bit and each round symbol, and reads
-# each transition's mismatch and Eve's inference from the reference rules.
+# playing the round run_trial plays, _round, from every reachable state on
+# each round symbol, and reads each transition's mismatch and Eve's
+# inference from the reference rules; the op caches answer its repeats.
 # A chunk of trials steps through the table by one integer gather per round,
 # on the round's 4-bit symbol (data bit, then Eve's, Bob's and Charlie's
 # bits), then gathers every per-trial column along each trial's path. It
@@ -317,12 +310,13 @@ def run_trial(config: ExperimentConfig, trial_index: int = 0, observer=None) -> 
 
 class _TransitionTable(NamedTuple):
     """Round transitions as flat tuples: the columns ``_run_batch`` gathers,
-    and no more. ``next_state`` and ``mismatch`` are indexed by ``state * 16
-    + symbol``, and ``reveals`` by that index ``>> 2``, that is by [state, q,
-    eve]. ``reveals`` is the offset that announcing the round reveals, read
-    from ``eve_postprocess`` on the round's record, for the CNOT-ancilla
-    attack only, as in run_trial; -1 means it reveals nothing. Eve decodes a
-    round's bit right exactly when its ``reveals`` equals her offset."""
+    and no more. Each is indexed by ``state * 16 + symbol``, that is by
+    [state, q, eve, bob, charlie]. ``reveals`` is the offset that announcing
+    the round reveals, read from ``eve_postprocess`` on the round's record,
+    for the CNOT-ancilla attack only, as in run_trial; -1 means it reveals
+    nothing. It does not depend on the receivers' bits, so it repeats over
+    each cell's four (bob, charlie) symbols. Eve decodes a round's bit right
+    exactly when its ``reveals`` equals her offset."""
 
     next_state: tuple[int, ...]
     mismatch: tuple[bool, ...]  # the round's bit fails the public comparison
@@ -338,8 +332,8 @@ def _transition_table(kind: AttackKind) -> _TransitionTable:
     odd round >= 3, since the protocol and the adversary act alike in every
     round of one kind. States are exact values, so a carrier seen before
     equals the one seen then, and its id is a dict lookup. States, then
-    (q, eve), then (bob, charlie) are played in index order, so each cell is
-    appended where the flat layout puts it.
+    symbols, are played in index order, so each cell is appended where the
+    flat layout puts it.
     """
     states: list[tuple[StateVector, int]] = []
     next_states, mismatches, reveals = [], [], []
@@ -352,35 +346,19 @@ def _transition_table(kind: AttackKind) -> _TransitionTable:
             states.append((carrier, k))
         return ids[key]
 
-    # The receive half's (mismatch, next state) for each (bob, charlie) bit
-    # pair, per (round, bit, state the receivers get): where two cells hand
-    # the receivers one state (both of Eve's bits give one outcome, or two
-    # carriers collapse alike), it is played once.
-    received: dict[tuple, list] = {}
-
-    def receive(k: int, joint: StateVector, q: int) -> list:
-        key = (k, q, joint)
-        if key not in received:
-            following = 2 if k % 2 else 3
-            received[key] = []
-            for bits in itertools.product((0, 1), repeat=2):
-                rec, carrier = _receive(kind, k, joint, q, bits, _silent)
-                received[key].append((public_comparison([rec], [q], [1]).detected, state_id(carrier, following)))
-        return received[key]
-
     state_id(init_carrier(with_adversary_ancilla=kind is AttackKind.CNOT_ANCILLA), 1)
     # The loop also visits the states state_id appends while it runs.
     for start, k in states:
-        for q, e in itertools.product((0, 1), repeat=2):
-            joint, readout = _transit(kind, k, start, q, e, _silent)
+        following = 2 if k % 2 else 3
+        for q, eve, bob, charlie in itertools.product((0, 1), repeat=4):
+            rec, readout, carrier = _round(kind, k, start, q, eve, (bob, charlie), _silent)
             offset = None
             if kind is AttackKind.CNOT_ANCILLA:
                 record = EveRecord({} if readout is None else {k: readout}, k)
                 offset = eve_postprocess(record, {k: q}).inferred_offset
+            next_states.append(state_id(carrier, following))
+            mismatches.append(public_comparison([rec], [q], [1]).detected)
             reveals.append(-1 if offset is None else offset)
-            for mismatch, next_state in receive(k, joint, q):
-                mismatches.append(mismatch)
-                next_states.append(next_state)
 
     return _TransitionTable(tuple(next_states), tuple(mismatches), tuple(reveals))
 
@@ -428,20 +406,19 @@ def _run_batch(config: ExperimentConfig, indices: np.ndarray) -> _BatchOutcome:
     table = _transition_table(config.attack)
     next_state = np.array(table.next_state)
 
-    # Trial t's flat [state, q, eve, bob, charlie] index in round k, state
-    # times 16 plus the round's symbol: path >> 2 is [state, q, eve].
+    # Trial t's flat [state, q, eve, bob, charlie] table index in round k:
+    # state times 16 plus the round's symbol.
     path = np.empty((B, n), dtype=np.min_scalar_type(len(next_state) - 1))
     state = np.zeros(B, dtype=np.int64)
     for k in range(1, n + 1):
         path[:, k - 1] = state * 16 + _round_symbols(config, seeds, k)
         state = next_state[path[:, k - 1]]
 
-    transit = path >> 2
     mismatches = (np.array(table.mismatch)[path] & compared).sum(axis=1)
     ambiguous = np.zeros(B, dtype=bool)
     eve_correct = np.zeros(B, dtype=np.int64)
     if config.attack is AttackKind.CNOT_ANCILLA:
-        revealed = np.array(table.reveals, dtype=np.int8)[transit]
+        revealed = np.array(table.reveals, dtype=np.int8)[path]
         reveals = np.where(compared, revealed, -1)
         offset = reveals.max(axis=1)
         if np.any((reveals >= 0) & (reveals != offset[:, None])):

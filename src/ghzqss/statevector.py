@@ -40,7 +40,7 @@ import functools
 import math
 from array import array
 from itertools import chain
-from operator import index, itemgetter
+from operator import index
 
 #: Qubit roles known to the register layout. A, B, C are the three carrier
 #: qubits, E is the interceptor's ancilla, S1 and S2 are the per-round
@@ -212,12 +212,6 @@ def apply_h(state: StateVector, q: str) -> StateVector:
     ), state.r + 1)
 
 
-@functools.cache
-def _cnot_gather(n: int, cbit: int, tbit: int) -> itemgetter:
-    """Picks, for every basis index, the entry a CNOT moves there."""
-    return itemgetter(*[i ^ tbit if i & cbit else i for i in range(1 << n)])
-
-
 @_cached
 def apply_cnot(state: StateVector, control: str, target: str) -> StateVector:
     """CNOT with the given control and target qubits."""
@@ -226,7 +220,8 @@ def apply_cnot(state: StateVector, control: str, target: str) -> StateVector:
     n = state.n_qubits
     cbit = 1 << (n - 1 - state.axis(control))
     tbit = 1 << (n - 1 - state.axis(target))
-    return _state(state.labels, _cnot_gather(n, cbit, tbit)(state.ints), state.r)
+    ints = state.ints
+    return _state(state.labels, tuple(ints[i ^ tbit if i & cbit else i] for i in range(1 << n)), state.r)
 
 
 @_cached

@@ -137,7 +137,7 @@ def path_columns(path, attack):
     as its bit itself, and rounds that reveal nothing read -1."""
     path = path.astype(np.int64)
     bits = (path >> 3) & 1
-    reveals = np.array(_transition_table(attack).reveals)[path >> 2]
+    reveals = np.array(_transition_table(attack).reveals)[path]
     readouts = np.where(reveals >= 0, bits ^ reveals, -1)
     readouts[:, 0] = -1
     return SimpleNamespace(bits=bits, eve_readouts=readouts)

@@ -450,13 +450,26 @@ def test_only_csv_output_imports_csv():
 # --- output streams -------------------------------------------------------------
 
 
-def test_a_reader_closing_stdout_ends_the_run_with_141_and_no_traceback():
-    # 200000 CSV rows are megabytes, far more than a pipe buffers.
+_PIPE_BITS = "".join(random.Random(1).choice("01") for _ in range(4000))
+
+
+@pytest.mark.parametrize(
+    "argv, head",
+    [
+        (["run", "--format", "csv", "--trials", "200000"], b"trial_index,"),
+        (["trace", "--bits", _PIPE_BITS, "--format", "text"], b"bits: "),
+        (["trace", "--bits", _PIPE_BITS, "--format", "json"], b"{"),
+    ],
+    ids=["run-csv", "trace-text", "trace-json"],
+)
+def test_a_reader_closing_stdout_ends_the_run_with_141_and_no_traceback(argv, head):
+    # 200000 CSV rows, or a 4000-bit trace, are megabytes, far more than a
+    # pipe buffers.
     child = subprocess.Popen(
-        [sys.executable, "-m", "ghzqss", "run", "--format", "csv", "--trials", "200000"],
+        [sys.executable, "-m", "ghzqss", *argv],
         env=_checkout_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
     )
-    assert child.stdout.readline().startswith(b"trial_index,")
+    assert child.stdout.read(len(head)) == head
     child.stdout.close()
     stderr = child.stderr.read()
     assert (child.wait(timeout=120), stderr) == (141, b"")

@@ -2,14 +2,20 @@ import hashlib
 import json
 import math
 import random
-from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ghzqss import adversary, protocol
-from ghzqss.adversary import AttackKind, EveInferenceError, EveRecord, eve_on_transit, eve_postprocess
+from ghzqss.adversary import (
+    AttackKind,
+    EveInferenceError,
+    EveRecord,
+    eve_end_round,
+    eve_on_transit,
+    eve_postprocess,
+)
 from ghzqss.harness import (
     ExperimentConfig,
     _batch_randomness,
@@ -31,10 +37,12 @@ from ghzqss.protocol import (
     encode_pair,
     end_round_hadamards,
     init_carrier,
+    receive_and_reconstruct,
     round_parity,
 )
 from ghzqss.statevector import (
     apply_h,
+    discard_qubit,
     from_terms,
     measure_z,
     probability_of_zero,
@@ -448,9 +456,9 @@ def test_transition_table_is_built_on_first_use_once_per_attack():
 # State count and sha256 of the repr of each table's flat columns, in field
 # order; a renumbered state changes ``next_state`` and so the digest.
 TABLE_DIGESTS = {
-    AttackKind.NO_ATTACK: (3, "1fc0ecbb7a4dd0cabeaf61be20446c09042d32d6fe27d161fc858d954d524946"),
-    AttackKind.INTERCEPT_RESEND: (17, "ede166e2c4480149eb916ae8a8e895861c8073e6b1995be4821bfa183be78a6d"),
-    AttackKind.CNOT_ANCILLA: (5, "3e7cc76fda19f0e68ceec92958c8f4bbe24b203b449077eafd7a4f87f9d7f2fc"),
+    AttackKind.NO_ATTACK: (3, "361b09cba944626877fa1984c70d17059b29443bae3bfeab0a4682d35591a7e4"),
+    AttackKind.INTERCEPT_RESEND: (17, "95a870bba40aa0474eca51263b826d9bbec51c30ad4387a6b37af49408facea7"),
+    AttackKind.CNOT_ANCILLA: (5, "2e48ab81f69826a9a79ce0acecb0bca435d24f3ac8e42763700292bd5c68b7d7"),
 }
 
 
@@ -464,8 +472,8 @@ def test_transition_tables_are_pinned(attack):
 
 def test_a_round_decodes_right_exactly_when_it_reveals_the_offset():
     # The batch engine counts Eve's correct bits as the rounds whose reveals
-    # equal her offset. On every reachable [state, q, eve] cell that agrees
-    # with the reference: announcing round 1 as o fixes the offset to o, and
+    # equal her offset. On every reachable cell that agrees with the
+    # reference: announcing round 1 as o fixes the offset to o, and
     # eve_postprocess then decodes the round's own readout right or not.
     import ghzqss.harness as harness
 
@@ -481,14 +489,16 @@ def test_a_round_decodes_right_exactly_when_it_reveals_the_offset():
     for t in range(config.trials):
         single = run_trial(config, t)
         for k, q in enumerate(single.bits, start=1):
-            cell = int(path[t, k - 1]) >> 2
-            reached.add(cell)
+            cell = int(path[t, k - 1])
+            reached.add(cell >> 2)  # [state, q, eve]
             readout = single.eve.measured.get(k)
             record = EveRecord({} if readout is None else {k: readout}, k)
             for o in (0, 1):
                 decoded = eve_postprocess(record, {1: o}).inferred_bits.get(k) == q
                 assert decoded == (reveals[cell] == o), (t, k, o)
-    assert reached == set(range(len(reveals)))
+    assert reached == set(range(len(reveals) // 4))
+    # What a round reveals does not depend on the receivers' bits.
+    assert all(reveals[i] == reveals[i & ~3] for i in range(len(reveals)))
 
 
 #: The words at the ends of the stream and either side of its middle.
@@ -549,28 +559,6 @@ def test_every_fair_measurement_of_the_tables_splits_the_draws_at_one_half(attac
     fair = [(state, q) for (p0, _, _), (state, q) in reached.items() if p0 == 0.5]
     for state, q in fair:
         assert [measure_z(state, q, _bit(word))[0] for word in EXTREME_WORDS] == [0, 0, 1, 1]
-
-
-def test_the_table_build_plays_each_receive_half_once_per_cell(monkeypatch):
-    # A receive half is played once per (bob, charlie) bit pair and state
-    # the receivers get, even where both of Eve's bits hand them one state.
-    import ghzqss.harness as harness
-
-    receive = harness._receive
-    played = Counter()
-
-    def counting(kind, k, joint, q, bits, emit):
-        played[kind, k, joint.key, q, bits] += 1
-        return receive(kind, k, joint, q, bits, emit)
-
-    monkeypatch.setattr(harness, "_receive", counting)
-    harness._transition_table.cache_clear()
-    try:
-        for attack in AttackKind:
-            harness._transition_table(attack)
-    finally:
-        harness._transition_table.cache_clear()
-    assert played and set(played.values()) == {1}
 
 
 @pytest.mark.parametrize("attack", list(AttackKind))
@@ -639,7 +627,7 @@ def test_batch_engine_refuses_conflicting_reveals(monkeypatch):
 
     table = harness._transition_table(AttackKind.CNOT_ANCILLA)
     # Every round reveals its own bit as the offset, so rounds sending 1 and 0 disagree.
-    conflicting = table._replace(reveals=tuple((i >> 1) & 1 for i in range(len(table.reveals))))
+    conflicting = table._replace(reveals=tuple((i >> 3) & 1 for i in range(len(table.reveals))))
     monkeypatch.setattr(harness, "_transition_table", lambda kind: conflicting)
     config = ExperimentConfig(n_bits=2, trials=4, attack=AttackKind.CNOT_ANCILLA, compare_fraction=1.0, bits="10")
     with pytest.raises(EveInferenceError, match="conflicting offsets"):
@@ -800,20 +788,25 @@ def test_golden_states_sign_fault_is_caught():
     assert all("Hadamards" in c.name for c in failing)
 
 
-def _eve_after_the_receivers(kind, k, carrier, q, eve, emit):
-    """A broken first half round: Eve acts on S1 after Bob's and Charlie's CNOTs."""
+def _eve_after_the_receivers(kind, k, carrier, q, eve, bits, emit):
+    """A broken round: Eve acts on S1 after Bob's and Charlie's CNOTs."""
     parity = round_parity(k)
     joint = alice_entangle(tensor(carrier, encode_pair(q, parity)), parity)
     emit(k, "after Alice CNOTs", joint)
     joint = charlie_disentangle(bob_disentangle(joint))
     joint, readout = eve_on_transit(kind, k, joint, eve, lambda stage, state: emit(k, stage, state))
     emit(k, "after Bob/Charlie disentangling CNOTs", joint)
-    return joint, readout
+    rec, joint = receive_and_reconstruct(joint, k, q, bits)
+    emit(k, "after Bob/Charlie measurements", joint)
+    carrier = discard_qubit(discard_qubit(joint, "S1", rec.bob_outcome), "S2", rec.charlie_outcome)
+    carrier = eve_end_round(kind, end_round_hadamards(carrier))
+    emit(k, "after round-end Hadamards", carrier)
+    return rec, readout, carrier
 
 
 @pytest.mark.parametrize(
     "name, broken",
-    [("_transit", _eve_after_the_receivers), ("eve_end_round", lambda kind, joint: joint)],
+    [("_round", _eve_after_the_receivers), ("eve_end_round", lambda kind, joint: joint)],
     ids=["eve-after-the-receivers", "no-ancilla-hadamard"],
 )
 def test_golden_states_check_the_round_the_engines_play(monkeypatch, name, broken):
