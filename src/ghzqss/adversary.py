@@ -96,12 +96,12 @@ def _guarded_measure(state: StateVector, q: str, bit: int):
     return measure_z(state, q, bit)
 
 
-def eve_on_transit(kind: AttackKind, k: int, joint: StateVector, bit: int, observer):
+def eve_on_transit(kind: AttackKind, k: int, joint: StateVector, bit: int, emit):
     """Eve's action on the in-transit qubit S1 during round ``k``.
 
     Called exactly once per round, after Alice's entangling CNOTs and before
     Bob's receiving CNOT. ``bit`` feeds any measurement Eve performs;
-    ``observer(stage, state)`` is told each of her intermediate states.
+    ``emit(k, stage, state)`` is told each of her intermediate states.
     Returns the (possibly transformed) joint state and her readout: r_k in a
     CNOT-ancilla odd round >= 3, ``None`` in every other round.
     """
@@ -110,25 +110,25 @@ def eve_on_transit(kind: AttackKind, k: int, joint: StateVector, bit: int, obser
 
     if kind is AttackKind.INTERCEPT_RESEND:
         _, joint = _guarded_measure(joint, "S1", bit)
-        observer("after Eve measure-and-resend of S1", joint)
+        emit(k, "after Eve measure-and-resend of S1", joint)
         return joint, None
 
     # CNOT-ancilla strategy.
     if k == 1:
         joint = _guarded_cnot(joint, "S1", "E")
-        observer("after Eve C(S1->E)", joint)
+        emit(k, "after Eve C(S1->E)", joint)
         return joint, None
 
     joint = _guarded_cnot(joint, "E", "S1")
-    observer("after Eve C(E->S1)", joint)
+    emit(k, "after Eve C(E->S1)", joint)
     if round_parity(k) is RoundParity.EVEN:
         return joint, None
 
     # Odd rounds >= 3: S1 is now disentangled; read it, then restore.
     readout, joint = _guarded_measure(joint, "S1", bit)
-    observer("after Eve measurement of S1", joint)
+    emit(k, "after Eve measurement of S1", joint)
     joint = _guarded_cnot(joint, "E", "S1")
-    observer("after Eve restoring C(E->S1)", joint)
+    emit(k, "after Eve restoring C(E->S1)", joint)
     return joint, readout
 
 

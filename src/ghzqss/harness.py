@@ -139,13 +139,24 @@ class ExperimentConfig(_ExperimentFields):
     ``ceil(compare_fraction * n_bits)`` indices (at least one), chosen
     uniformly without replacement. The product is taken exactly on the
     fraction's decimal form, so 0.28 x 25 gives 7, not the 8 the float
-    product rounds up to.
+    product rounds up to. The integer fields are stored as Python ints, and
+    a field of the wrong type raises ``TypeError``: a bool, a count or seed
+    without ``__index__``, or a ``compare_fraction`` not an int or a float.
     """
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+        fields = _ExperimentFields(*args, **kwargs)._asdict()
+        for name in ("n_bits", "trials", "master_seed"):
+            value = fields[name]
+            if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
+            fields[name] = operator.index(value)
+        fraction = fields["compare_fraction"]
+        if isinstance(fraction, bool) or not isinstance(fraction, (int, float)):
+            raise TypeError(f"compare_fraction must be an int or a float, got {fraction!r}")
+        self = super().__new__(cls, **fields)
         if self.n_bits < 1:
             raise ValueError(f"n_bits must be >= 1, got {self.n_bits}")
         if self.n_bits > _CHUNK_ROUNDS:
@@ -229,7 +240,7 @@ def _round(kind: AttackKind, k: int, carrier: StateVector, q: int, eve: int, bit
     emit(k, "carrier+pair prepared", joint)
     joint = alice_entangle(joint, parity)
     emit(k, "after Alice CNOTs", joint)
-    joint, readout = eve_on_transit(kind, k, joint, eve, lambda stage, state: emit(k, stage, state))
+    joint, readout = eve_on_transit(kind, k, joint, eve, emit)
     joint = charlie_disentangle(bob_disentangle(joint))
     emit(k, "after Bob/Charlie disentangling CNOTs", joint)
     rec, joint = receive_and_reconstruct(joint, k, q, bits)

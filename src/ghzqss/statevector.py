@@ -39,7 +39,6 @@ from __future__ import annotations
 import functools
 import math
 from array import array
-from itertools import chain
 from operator import index
 
 #: Qubit roles known to the register layout. A, B, C are the three carrier
@@ -135,7 +134,10 @@ def _state(labels: tuple, ints: tuple, r: int) -> StateVector:
 
 def _reduced(labels: tuple, ints: tuple, r: int) -> StateVector:
     """The state ``ints`` at ``r``, normalised exactly but possibly all even:
-    every entry is halved, and 2 subtracted from ``r``, while all are even."""
+    every entry is halved, and 2 subtracted from ``r``, while all are even.
+    All zeros, which no state has, raise ``ValueError``."""
+    if not any(ints):
+        raise ValueError("every entry is 0: no state")
     while not any(a & 1 for a in ints):
         ints = tuple(a >> 1 for a in ints)
         r -= 2
@@ -149,16 +151,7 @@ def _scale(r: int) -> float:
 
 def new_basis_state(labels, bits: str) -> StateVector:
     """Computational basis state |bits> over ``labels`` (msb-first)."""
-    labels = tuple(labels)
-    if len(bits) != len(labels):
-        raise ValueError(
-            f"bitstring {bits!r} has length {len(bits)} but register has {len(labels)} qubit(s)"
-        )
-    if any(b not in "01" for b in bits):
-        raise ValueError(f"bitstring {bits!r} must contain only '0' and '1'")
-    ints = [0] * (1 << len(labels))
-    ints[int(bits, 2)] = 1
-    return StateVector(labels, ints, 0)
+    return from_terms(labels, {bits: 1}, 0)
 
 
 def from_terms(labels, terms: dict[str, int], r: int) -> StateVector:
@@ -187,29 +180,20 @@ def tensor(left: StateVector, right: StateVector) -> StateVector:
     return _state(left.labels + right.labels, tuple(a * b for a in left.ints for b in right.ints), left.r + right.r)
 
 
-def _blocks(state: StateVector, q: str) -> tuple[list[tuple], list[tuple]]:
-    """The entries cut into runs of equal index bits above ``q``: the runs
-    where ``q`` is 0 and, pairwise aligned with them, the runs where it is 1."""
-    step = 1 << (state.n_qubits - 1 - state.axis(q))
-    ints = state.ints
-    runs = [ints[i : i + step] for i in range(0, len(ints), step)]
-    return runs[0::2], runs[1::2]
-
-
-def _join(zeros, ones) -> tuple[int, ...]:
-    """The inverse of :func:`_blocks`: interleave the ``q = 0`` and ``q = 1`` runs."""
-    return tuple(chain.from_iterable(chain.from_iterable(zip(zeros, ones))))
+def _mask(state: StateVector, q: str) -> int:
+    """The bit that qubit ``q`` sets in a basis index."""
+    return 1 << (state.n_qubits - 1 - state.axis(q))
 
 
 @_cached
 def apply_h(state: StateVector, q: str) -> StateVector:
-    """Hadamard gate on qubit ``q``: each pair (a, b) becomes (a + b, a - b)
-    at ``r + 1``, then reduced."""
-    zeros, ones = _blocks(state, q)
-    return _reduced(state.labels, _join(
-        [[a + b for a, b in zip(zero, one)] for zero, one in zip(zeros, ones)],
-        [[a - b for a, b in zip(zero, one)] for zero, one in zip(zeros, ones)],
-    ), state.r + 1)
+    """Hadamard gate on qubit ``q``: each pair of entries (a, b) at indices
+    that differ only in ``q``'s bit becomes (a + b, a - b) at ``r + 1``,
+    then reduced."""
+    bit = _mask(state, q)
+    ints = state.ints
+    pairs = (ints[i ^ bit] - a if i & bit else a + ints[i | bit] for i, a in enumerate(ints))
+    return _reduced(state.labels, tuple(pairs), state.r + 1)
 
 
 @_cached
@@ -217,11 +201,9 @@ def apply_cnot(state: StateVector, control: str, target: str) -> StateVector:
     """CNOT with the given control and target qubits."""
     if control == target:
         raise ValueError(f"control and target are both {control!r}")
-    n = state.n_qubits
-    cbit = 1 << (n - 1 - state.axis(control))
-    tbit = 1 << (n - 1 - state.axis(target))
+    cbit, tbit = _mask(state, control), _mask(state, target)
     ints = state.ints
-    return _state(state.labels, tuple(ints[i ^ tbit if i & cbit else i] for i in range(1 << n)), state.r)
+    return _state(state.labels, tuple(ints[i ^ tbit if i & cbit else i] for i in range(len(ints))), state.r)
 
 
 @_cached
@@ -229,8 +211,8 @@ def probability_of_zero(state: StateVector, q: str) -> float:
     """Born probability of outcome 0 for a Z measurement of ``q``: the
     squares of the entries where ``q`` is 0 over ``2**r``, one correctly
     rounded division, so 0.0, 0.5 or 1.0 exactly on a stabilizer state."""
-    zeros, _ = _blocks(state, q)
-    return sum(a * a for a in chain.from_iterable(zeros)) / (1 << state.r)
+    bit = _mask(state, q)
+    return sum(a * a for i, a in enumerate(state.ints) if not i & bit) / (1 << state.r)
 
 
 def measure_z(state: StateVector, q: str, bit: int) -> tuple[int, StateVector]:
@@ -257,26 +239,29 @@ def measure_z(state: StateVector, q: str, bit: int) -> tuple[int, StateVector]:
 @_cached
 def _collapse(state: StateVector, q: str, outcome: int) -> StateVector:
     """``state`` projected onto ``q = outcome`` of a fair measurement: the
-    kept entries hold half the weight, so they stand at ``r - 1``, and are
-    then reduced."""
-    kept = _blocks(state, q)[outcome]
-    blank = [(0,) * len(run) for run in kept]
-    ints = _join(kept, blank) if outcome == 0 else _join(blank, kept)
-    return _reduced(state.labels, ints, state.r - 1)
+    entries where ``q``'s bit is ``outcome`` are kept and the rest set to 0.
+    The kept entries hold half the weight, so they stand at ``r - 1``, and
+    are then reduced."""
+    bit = _mask(state, q)
+    want = bit * index(outcome)
+    return _reduced(state.labels, tuple(a if i & bit == want else 0 for i, a in enumerate(state.ints)), state.r - 1)
 
 
 @_cached
 def discard_qubit(state: StateVector, q: str, outcome: int) -> StateVector:
     """Drop a qubit that has already collapsed to ``|outcome>``.
 
-    Every entry where ``q`` is ``1 - outcome`` must be 0. The kept entries
-    then hold the whole weight and every odd entry, so ``r`` stays and the
-    result is reduced.
+    Every entry where ``q``'s bit is not ``outcome`` must be 0, else
+    ``ValueError``. The kept entries then hold the whole weight and every
+    odd entry, so ``r`` stays and the result is reduced.
     """
-    runs = _blocks(state, q)
-    if any(chain.from_iterable(runs[1 - outcome])):
+    bit = _mask(state, q)
+    want = bit * index(outcome)
+    ints = state.ints
+    if any(a for i, a in enumerate(ints) if i & bit != want):
         raise ValueError(f"qubit {q!r} is not collapsed to {outcome}")
-    return _state(tuple(l for l in state.labels if l != q), tuple(chain.from_iterable(runs[outcome])), state.r)
+    kept = tuple(a for i, a in enumerate(ints) if i & bit == want)
+    return _state(tuple(l for l in state.labels if l != q), kept, state.r)
 
 
 def max_abs_difference(s1: StateVector, s2: StateVector) -> float:

@@ -38,7 +38,7 @@ def cache_totals() -> tuple[int, int]:
     return sum(info.hits for info in infos), sum(info.currsize for info in infos)
 
 
-def ignore_stage(stage, state) -> None:
+def ignore_stage(k, stage, state) -> None:
     """An ``eve_on_transit`` observer that is told every stage and keeps none."""
 
 

@@ -100,7 +100,12 @@ def test_round1_cnot_copies_pair_bit_onto_ancilla(q1):
 def test_odd_round_readout_and_restoration(q1, q):
     joint = odd_round_system(q1, q)
     stages = {}
-    joint_after, readout = eve_on_transit(AttackKind.CNOT_ANCILLA, 3, joint, 1, stages.__setitem__)
+
+    def emit(k, stage, state):
+        assert k == 3  # every stage is told its round
+        stages[stage] = state
+
+    joint_after, readout = eve_on_transit(AttackKind.CNOT_ANCILLA, 3, joint, 1, emit)
     # After the first CNOT the in-transit qubit is detached and definite.
     split = stages["after Eve C(E->S1)"]
     s1 = q ^ q1

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -175,6 +176,32 @@ def test_config_validation(kwargs):
         ExperimentConfig(**kwargs)
     with pytest.raises(ValueError):  # a copy is checked as well
         ExperimentConfig(n_bits=4)._replace(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"n_bits": 4.0},
+        {"n_bits": True},
+        {"n_bits": 4, "trials": 2.5},
+        {"n_bits": 4, "master_seed": 1.5},
+        {"n_bits": 4, "master_seed": "1"},
+        {"n_bits": 4, "compare_fraction": Fraction(1, 4)},
+        {"n_bits": 4, "compare_fraction": True},
+        {"n_bits": 4, "compare_fraction": "0.25"},
+    ],
+)
+def test_config_refuses_a_field_of_the_wrong_type(kwargs):
+    with pytest.raises(TypeError):
+        ExperimentConfig(**kwargs)
+    with pytest.raises(TypeError):  # a copy is checked as well
+        ExperimentConfig(n_bits=4)._replace(**kwargs)
+
+
+def test_config_takes_numpy_integers_as_python_ints():
+    config = ExperimentConfig(n_bits=np.int64(4), trials=np.uint8(2), master_seed=np.int64(-1), compare_fraction=1)
+    assert all(type(getattr(config, name)) is int for name in ("n_bits", "trials", "master_seed"))
+    assert run_experiment(config) == run_experiment(ExperimentConfig(n_bits=4, trials=2, master_seed=-1, compare_fraction=1))
 
 
 def test_compare_count_is_at_least_one():
@@ -794,7 +821,7 @@ def _eve_after_the_receivers(kind, k, carrier, q, eve, bits, emit):
     joint = alice_entangle(tensor(carrier, encode_pair(q, parity)), parity)
     emit(k, "after Alice CNOTs", joint)
     joint = charlie_disentangle(bob_disentangle(joint))
-    joint, readout = eve_on_transit(kind, k, joint, eve, lambda stage, state: emit(k, stage, state))
+    joint, readout = eve_on_transit(kind, k, joint, eve, emit)
     emit(k, "after Bob/Charlie disentangling CNOTs", joint)
     rec, joint = receive_and_reconstruct(joint, k, q, bits)
     emit(k, "after Bob/Charlie measurements", joint)
@@ -819,8 +846,8 @@ def test_golden_states_check_the_round_the_engines_play(monkeypatch, name, broke
 def test_golden_states_report_every_readout_failure(monkeypatch):
     import ghzqss.harness as harness
 
-    def misread(kind, k, joint, bit, observer):
-        joint, readout = eve_on_transit(kind, k, joint, bit, observer)
+    def misread(kind, k, joint, bit, emit):
+        joint, readout = eve_on_transit(kind, k, joint, bit, emit)
         return joint, None if readout is None else readout ^ 1
 
     monkeypatch.setattr(harness, "eve_on_transit", misread)

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from ghzqss.statevector import (
     QUBIT_ROLES,
     StateVector,
+    _collapse,
     apply_cnot,
     apply_h,
     discard_qubit,
@@ -213,6 +214,58 @@ def test_norm_preserved_by_random_gate_sequences(n, seed, length):
     assert any(a & 1 for a in s.ints)
 
 
+# --- every op against a dense reference ---------------------------------------
+
+_I2 = np.eye(2)
+_H2 = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+_X2 = np.array([[0.0, 1.0], [1.0, 0.0]])
+_P = (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))  # projectors onto |0> and |1>
+
+
+def _on(n, ops):
+    """The n-qubit operator that applies ``ops[axis]`` on each axis (msb
+    first) and the identity elsewhere, as a Kronecker product."""
+    out = np.eye(1)
+    for axis in range(n):
+        out = np.kron(out, ops.get(axis, _I2))
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_every_op_matches_a_dense_reference_at_every_qubit(n):
+    # Every qubit position and every ordered pair, on seeded random
+    # stabilizer states: an op that reads the wrong qubit's amplitudes fails.
+    labels = QUBIT_ROLES[:n]
+    for seed in range(3):
+        state = random_state(labels, np.random.default_rng(100 * n + seed))
+        psi = amplitudes(state)
+        for c in range(n):
+            h = apply_h(state, labels[c])
+            assert h.labels == labels
+            assert np.abs(amplitudes(h) - _on(n, {c: _H2}) @ psi).max() <= 1e-12
+            for t in set(range(n)) - {c}:
+                cnot = _on(n, {c: _P[0]}) + _on(n, {c: _P[1], t: _X2})
+                assert np.abs(amplitudes(apply_cnot(state, labels[c], labels[t])) - cnot @ psi).max() <= 1e-12
+            branches = [_on(n, {c: _P[v]}) @ psi for v in (0, 1)]
+            p0 = branches[0] @ branches[0]
+            assert abs(probability_of_zero(state, labels[c]) - p0) <= 1e-12
+            for bit in (0, 1):
+                outcome, after = measure_z(state, labels[c], bit)
+                if abs(p0 - 0.5) <= 1e-12:  # fair: the outcome is the bit, and the state its branch
+                    assert outcome == bit
+                    expected = branches[bit] / np.sqrt(0.5)
+                else:  # certain: the outcome is forced and the state unchanged
+                    assert (outcome, round(p0)) in ((0, 1), (1, 0))
+                    expected = psi
+                assert after.labels == labels
+                assert np.abs(amplitudes(after) - expected).max() <= 1e-12
+                # The measured qubit has collapsed: dropping it keeps its slice.
+                kept = expected.reshape((2,) * n).take(outcome, axis=c).reshape(-1)
+                dropped = discard_qubit(after, labels[c], outcome)
+                assert dropped.labels == labels[:c] + labels[c + 1 :]
+                assert np.abs(amplitudes(dropped) - kept).max() <= 1e-12
+
+
 # --- measurement ------------------------------------------------------------
 
 
@@ -248,6 +301,11 @@ def test_measure_z_refuses_a_bit_other_than_0_or_1(bit):
     ghz = from_terms(("A", "B", "C"), {"000": 1, "111": 1}, 1)
     with pytest.raises(ValueError, match="bit must be 0 or 1"):
         measure_z(ghz, "A", bit)
+    # The collapse half keeps no entry for such an outcome, and refuses the
+    # all-zero result rather than halving it forever.
+    for collapse in (_collapse, _collapse.__wrapped__):
+        with pytest.raises(ValueError, match="every entry is 0"):
+            collapse(ghz, "A", bit)
 
 
 def test_measure_detached_s1_is_deterministic():
@@ -279,6 +337,11 @@ def test_an_outcome_below_the_minimum_is_never_realized(improbable, certain):
         outcome, after = measure_z(state, "A", bit)
         assert outcome == certain
         assert after is state
+    # Collapsing onto the improbable branch would leave every entry 0, which
+    # no state has and which halving never makes odd, so it raises.
+    for collapse in (_collapse, _collapse.__wrapped__):
+        with pytest.raises(ValueError, match="every entry is 0"):
+            collapse(state, "A", improbable)
 
 
 def test_a_branch_of_probability_other_than_a_power_of_one_half_raises():
@@ -411,6 +474,14 @@ def test_discard_rejects_uncollapsed_qubit():
     s = apply_h(new_basis_state(("A",), "0"), "A")
     with pytest.raises(ValueError):
         discard_qubit(tensor(s, new_basis_state(("B",), "0")), "A", 0)
+    # No qubit has collapsed to an outcome outside {0, 1}, cached or not.
+    collapsed = new_basis_state(("A", "B"), "10")
+    for op in (discard_qubit, discard_qubit.__wrapped__):
+        for q in collapsed.labels:
+            for outcome in (2, -1):
+                with pytest.raises(ValueError, match="not collapsed"):
+                    op(collapsed, q, outcome)
+
 
 
 def test_state_terms_order_and_cutoff():
