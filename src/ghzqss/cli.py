@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import itertools
 import json
 import os
@@ -40,13 +41,19 @@ SEED_ENV_VAR = "GHZQSS_SEED"
 _ATTACK_NAMES = [kind.value for kind in AttackKind]
 
 
+class _Version(argparse.Action):  # argparse's own drops a failed write, which main must see
+    def __call__(self, parser, *_):
+        print(f"{parser.prog} {__version__}")
+        parser.exit()
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ghzqss",
         description="Simulate a GHZ-carrier quantum secret sharing channel and "
         "measure eavesdropping strategies against it.",
     )
-    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    parser.add_argument("--version", action=_Version, nargs=0, help="show program's version number and exit")
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run a Monte Carlo experiment")
@@ -275,9 +282,12 @@ def _cmd_verify(args, parser: argparse.ArgumentParser) -> int:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return {"run": _cmd_run, "trace": _cmd_trace, "verify": _cmd_verify}[args.command](args, parser)
+        try:
+            args = parser.parse_args(argv)
+            return {"run": _cmd_run, "trace": _cmd_trace, "verify": _cmd_verify}[args.command](args, parser)
+        finally:
+            sys.stdout.flush()  # here, not at exit, so a small output meets the guard too
     except BrokenPipeError:
         # The reader closed stdout. Point it at /dev/null so the flush at exit
         # stays quiet, and exit as a process killed by SIGPIPE reports.
@@ -285,5 +295,14 @@ def main(argv=None) -> int:
         return 141
 
 
+def console_main() -> int:
+    """The process entry: ``main``, then ``gc.freeze()``, so the collections at exit
+    skip every object. ``main`` never freezes: in-process callers keep collecting."""
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(console_main())

@@ -1,5 +1,6 @@
 import csv
 import functools
+import gc
 import hashlib
 import io
 import json
@@ -473,6 +474,83 @@ def test_a_reader_closing_stdout_ends_the_run_with_141_and_no_traceback(argv, he
     child.stdout.close()
     stderr = child.stderr.read()
     assert (child.wait(timeout=120), stderr) == (141, b"")
+
+
+def _child_exit(*args, closed_stdout=True, unbuffered=False):
+    """Run ``python args`` on this checkout's package, with ``PYTHONUNBUFFERED``
+    set only if ``unbuffered`` and stdout a pipe whose reader closed before the
+    child started (``/dev/null`` unless ``closed_stdout``); return its exit
+    code and stderr."""
+    env = {key: value for key, value in _checkout_env().items() if key != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        child = subprocess.run(
+            [sys.executable, *args], env=env, stdout=write_end if closed_stdout else subprocess.DEVNULL,
+            stderr=subprocess.PIPE, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    return child.returncode, child.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, unbuffered",
+    [
+        (("run", "--format", "json", "--trials", "100"), False),
+        (("run", "--format", "csv", "--trials", "10"), False),
+        (("trace", "--bits", "101"), False),
+        (("verify",), False),
+        (("--version",), False),
+        # argparse's own version action drops a failed write, which left this at 0.
+        (("--version",), True),
+    ],
+    ids=["run-json", "run-csv", "trace", "verify", "version", "version-unbuffered"],
+)
+def test_a_reader_closing_stdout_before_a_small_output_is_flushed_ends_with_141(argv, unbuffered):
+    # Each output fits in stdout's buffer, so buffered, the write that fails is the flush.
+    assert _child_exit("-m", "ghzqss", *argv, unbuffered=unbuffered) == (141, b"")
+
+
+# --- process exit ---------------------------------------------------------------
+
+
+# Starts the package as ``python -m ghzqss`` does, after an atexit hook that
+# reports the freeze count; atexit runs before the interpreter's finalization.
+_FREEZE_PROBE = (
+    "import atexit, gc, os, runpy\n"
+    "atexit.register(lambda: os.write(2, b'frozen %d' % gc.get_freeze_count()))\n"
+    "runpy.run_module('ghzqss', run_name='__main__')\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, closed_stdout, code",
+    [
+        (RUN_ARGV, False, 0),
+        (("trace", "--bits", "101"), False, 0),
+        (("verify",), False, 0),
+        (("verify", "--inject-sign-fault"), False, 1),
+        (("run", "--trials", "0"), False, 2),
+        (("--version",), False, 0),
+        (("verify",), True, 141),
+    ],
+    ids=["run", "trace", "verify", "verify-fault", "usage-error", "version", "closed-stdout"],
+)
+def test_every_exit_of_the_process_freezes_the_heap_first(argv, closed_stdout, code):
+    status, stderr = _child_exit("-c", _FREEZE_PROBE, *argv, closed_stdout=closed_stdout)
+    frozen = stderr.rpartition(b"frozen ")[2]
+    assert status == code and frozen.isdigit() and int(frozen) > 0, stderr[-2000:]
+
+
+def test_main_leaves_the_heap_unfrozen(capsys):
+    # In-process callers call main many times and must keep collecting.
+    before = gc.get_freeze_count()
+    for argv in (RUN_ARGV, ("trace", "--bits", "101"), ("verify",)):
+        assert main(list(argv)) == 0
+    assert gc.get_freeze_count() == before
 
 
 class _CountingSink:

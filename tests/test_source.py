@@ -1,6 +1,7 @@
 """Checks on the package's source text."""
 
 import ast
+import re
 from pathlib import Path
 
 import ghzqss
@@ -58,3 +59,12 @@ def test_every_module_level_name_is_used():
                 if d not in read and not (d.startswith("__") and d.endswith("__")):
                     unused.append(f"{name}:{node.lineno} {d}")
     assert unused == []
+
+
+def test_the_script_starts_the_function_python_m_starts():
+    # A regex, not tomllib, which Python 3.10 lacks.
+    project = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    module, function = re.search(r'^\[project\.scripts\]\nghzqss = "ghzqss\.(\w+):(\w+)"$', project, re.M).groups()
+    entry = (PACKAGE / "__main__.py").read_text()
+    assert f"from .{module} import {function}\n" in entry and entry.endswith(f"sys.exit({function}())\n")
+    assert (PACKAGE / f"{module}.py").read_text().endswith(f'if __name__ == "__main__":\n    sys.exit({function}())\n')
