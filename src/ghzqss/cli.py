@@ -41,19 +41,21 @@ SEED_ENV_VAR = "GHZQSS_SEED"
 _ATTACK_NAMES = [kind.value for kind in AttackKind]
 
 
-class _Version(argparse.Action):  # argparse's own drops a failed write, which main must see
-    def __call__(self, parser, *_):
-        print(f"{parser.prog} {__version__}")
-        parser.exit()
+class _Parser(argparse.ArgumentParser):  # argparse drops a failed write to stdout, which main must see
+    def _print_message(self, message, file=None):
+        if file is sys.stdout:
+            file.write(message)
+        else:
+            super()._print_message(message, file)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ghzqss",
         description="Simulate a GHZ-carrier quantum secret sharing channel and "
         "measure eavesdropping strategies against it.",
     )
-    parser.add_argument("--version", action=_Version, nargs=0, help="show program's version number and exit")
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run a Monte Carlo experiment")

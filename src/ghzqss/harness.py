@@ -196,7 +196,6 @@ class ExperimentConfig(_ExperimentFields):
 class TrialResult(NamedTuple):
     """Everything one trial produced."""
 
-    trial_index: int
     bits: tuple[int, ...]
     transcript: list[RoundRecord]
     detection: DetectionReport
@@ -289,7 +288,6 @@ def run_trial(config: ExperimentConfig, trial_index: int = 0, observer=None) -> 
     if record.inferred_bits:
         correct = sum(1 for j, b in record.inferred_bits.items() if bits[j - 1] == b)
     return TrialResult(
-        trial_index=trial_index,
         bits=tuple(bits),
         transcript=transcript,
         detection=detection,
@@ -376,7 +374,6 @@ def _transition_table(kind: AttackKind) -> _TransitionTable:
 
 class _BatchOutcome(NamedTuple):
     path: np.ndarray          # (B, n) flat [state, symbol] table index per round
-    compared: np.ndarray      # (B, n) bool, comparison subset membership
     mismatches: np.ndarray    # (B,) counted within the compared subset
     detected: np.ndarray      # (B,) bool
     ambiguous: np.ndarray     # (B,) bool
@@ -440,7 +437,6 @@ def _run_batch(config: ExperimentConfig, indices: np.ndarray) -> _BatchOutcome:
 
     return _BatchOutcome(
         path=path,
-        compared=compared,
         mismatches=mismatches,
         detected=mismatches > 0,
         ambiguous=ambiguous,

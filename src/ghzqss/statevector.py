@@ -23,15 +23,15 @@ Conventions used throughout the package:
   ``c = ±1``.
 - Operations are pure: they take a :class:`StateVector` and return one (for
   a certain measurement, the input). States are values, so the ops that
-  build or measure one (``tensor``, the gates, ``probability_of_zero``,
-  ``discard_qubit`` and the collapse half of ``measure_z``) are cached for
-  the life of the process, on equal arguments of equal types: a repeated
-  call returns the first call's immutable result. The states the protocol
-  reaches are a finite closure, so the caches stop growing.
+  build or measure one (``tensor``, the gates, ``measure_z``'s outcome and
+  branch, and ``discard_qubit``) are cached for the life of the process, on
+  equal arguments of equal types: a repeated call returns the first call's
+  immutable result. The states the protocol reaches are a finite closure,
+  so the caches stop growing.
 - Measurement randomness enters only through an explicit ``bit`` argument,
-  which keeps every caller a pure function of its seed: a measurement is
-  certain or fair, so one random bit names a fair one's outcome, and
-  :func:`measure_z` refuses any other P(0).
+  which keeps every caller a pure function of its seed: :func:`measure_z`
+  tells a certain measurement from a fair one by integer weights, one
+  random bit names a fair one's outcome, and it refuses any other weight.
 """
 
 from __future__ import annotations
@@ -133,11 +133,9 @@ def _state(labels: tuple, ints: tuple, r: int) -> StateVector:
 
 
 def _reduced(labels: tuple, ints: tuple, r: int) -> StateVector:
-    """The state ``ints`` at ``r``, normalised exactly but possibly all even:
-    every entry is halved, and 2 subtracted from ``r``, while all are even.
-    All zeros, which no state has, raise ``ValueError``."""
-    if not any(ints):
-        raise ValueError("every entry is 0: no state")
+    """The state ``ints`` at ``r``, normalised exactly and not all zero, but
+    possibly all even: every entry is halved, and 2 subtracted from ``r``,
+    while all are even."""
     while not any(a & 1 for a in ints):
         ints = tuple(a >> 1 for a in ints)
         r -= 2
@@ -206,45 +204,37 @@ def apply_cnot(state: StateVector, control: str, target: str) -> StateVector:
     return _state(state.labels, tuple(ints[i ^ tbit if i & cbit else i] for i in range(len(ints))), state.r)
 
 
-@_cached
-def probability_of_zero(state: StateVector, q: str) -> float:
-    """Born probability of outcome 0 for a Z measurement of ``q``: the
-    squares of the entries where ``q`` is 0 over ``2**r``, one correctly
-    rounded division, so 0.0, 0.5 or 1.0 exactly on a stabilizer state."""
-    bit = _mask(state, q)
-    return sum(a * a for i, a in enumerate(state.ints) if not i & bit) / (1 << state.r)
-
-
 def measure_z(state: StateVector, q: str, bit: int) -> tuple[int, StateVector]:
     """Z-basis measurement of ``q`` driven by one random ``bit``.
 
-    Every state the protocol reaches is a stabilizer state, so every
-    measurement is certain or fair: a fair one's outcome is ``bit``, and a
-    certain one's is forced, whatever ``bit``. Returns the outcome and the
-    collapsed state, which is ``state`` itself exactly when the outcome was
-    certain. Raises ``ValueError`` if ``bit`` is not 0 or 1, or if P(0) is
-    not exactly 0, 1/2 or 1, since then no one bit names the outcome.
+    The squares of the entries where ``q`` is 0 sum to 0 or ``2**r`` when
+    the outcome is certain, and to half of ``2**r`` when it is fair; every
+    stabilizer state gives one of the three. A certain outcome is forced,
+    whatever ``bit``, and ``state`` itself is returned. A fair outcome is
+    ``bit``, and the state its branch: the entries where ``q``'s bit is
+    ``bit``, at ``r - 1``, reduced. Raises ``ValueError`` if ``bit`` is not
+    0 or 1, or for any other sum, since then no one bit names the outcome.
     """
-    if bit not in (0, 1):
-        raise ValueError(f"bit must be 0 or 1, got {bit!r}")
-    p0 = probability_of_zero(state, q)
-    if p0 == 0.5:
-        outcome = int(bit)
-        return outcome, _collapse(state, q, outcome)
-    if p0 not in (0.0, 1.0):
-        raise ValueError(f"a measurement of {q!r} with P(0) = {p0} is neither certain nor fair")
-    return int(p0 == 0.0), state
+    outcome, branch = _measure(state, q, bit)
+    return outcome, state if branch is None else branch
 
 
 @_cached
-def _collapse(state: StateVector, q: str, outcome: int) -> StateVector:
-    """``state`` projected onto ``q = outcome`` of a fair measurement: the
-    entries where ``q``'s bit is ``outcome`` are kept and the rest set to 0.
-    The kept entries hold half the weight, so they stand at ``r - 1``, and
-    are then reduced."""
-    bit = _mask(state, q)
-    want = bit * index(outcome)
-    return _reduced(state.labels, tuple(a if i & bit == want else 0 for i, a in enumerate(state.ints)), state.r - 1)
+def _measure(state: StateVector, q: str, bit: int) -> tuple[int, StateVector | None]:
+    """:func:`measure_z`'s outcome and fair branch (``None`` when certain),
+    cached apart from the state a certain measurement returns, which is the
+    caller's own object, not an equal one an earlier call was given."""
+    if bit not in (0, 1):
+        raise ValueError(f"bit must be 0 or 1, got {bit!r}")
+    mask, full, ints = _mask(state, q), 1 << state.r, state.ints
+    zero = sum(a * a for i, a in enumerate(ints) if not i & mask)
+    if zero in (0, full):
+        return int(zero == 0), None
+    if 2 * zero != full:
+        raise ValueError(f"a measurement of {q!r} with P(0) = {zero / full} is neither certain nor fair")
+    want = mask * bit
+    branch = tuple(a if i & mask == want else 0 for i, a in enumerate(ints))
+    return int(bit), _reduced(state.labels, branch, state.r - 1)
 
 
 @_cached

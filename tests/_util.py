@@ -16,8 +16,7 @@ CACHED_OPS = (
     statevector.tensor,
     statevector.apply_h,
     statevector.apply_cnot,
-    statevector.probability_of_zero,
-    statevector._collapse,
+    statevector._measure,
     statevector.discard_qubit,
 )
 

@@ -504,10 +504,17 @@ def _child_exit(*args, closed_stdout=True, unbuffered=False):
         (("trace", "--bits", "101"), False),
         (("verify",), False),
         (("--version",), False),
-        # argparse's own version action drops a failed write, which left this at 0.
+        (("--help",), False),
+        (("run", "--help"), False),
+        # argparse drops a failed write of help or version, which left these at 0.
         (("--version",), True),
+        (("--help",), True),
+        (("run", "--help"), True),
     ],
-    ids=["run-json", "run-csv", "trace", "verify", "version", "version-unbuffered"],
+    ids=[
+        "run-json", "run-csv", "trace", "verify", "version", "help", "run-help",
+        "version-unbuffered", "help-unbuffered", "run-help-unbuffered",
+    ],
 )
 def test_a_reader_closing_stdout_before_a_small_output_is_flushed_ends_with_141(argv, unbuffered):
     # Each output fits in stdout's buffer, so buffered, the write that fails is the flush.

@@ -42,11 +42,12 @@ from ghzqss.protocol import (
     round_parity,
 )
 from ghzqss.statevector import (
+    StateVector,
     apply_h,
     discard_qubit,
     from_terms,
     measure_z,
-    probability_of_zero,
+    new_basis_state,
     tensor,
 )
 
@@ -534,14 +535,19 @@ EXTREME_WORDS = (0, 2**63 - 1, 2**63, 2**64 - 1)
 
 def _record_measurements(monkeypatch, reached):
     """Make every measurement of the protocol and the adversary add its
-    (state, qubit) to ``reached``, keyed on P(0) and the state's key."""
+    (state, qubit) to ``reached``, keyed on the state's key and the qubit."""
 
     def recording(state, q, bit):
-        reached.setdefault((probability_of_zero(state, q), state.key, q), (state, q))
+        reached.setdefault((state.key, q), (state, q))
         return measure_z(state, q, bit)
 
     monkeypatch.setattr(protocol, "measure_z", recording)
     monkeypatch.setattr(adversary, "measure_z", recording)
+
+
+def _is_certain(state, q) -> bool:
+    """Whether measuring ``q`` is certain: bits 0 and 1 give one outcome."""
+    return measure_z(state, q, 0)[0] == measure_z(state, q, 1)[0]
 
 
 def _build_recording_measurements(monkeypatch, attack):
@@ -560,19 +566,19 @@ def _build_recording_measurements(monkeypatch, attack):
 
 @pytest.mark.parametrize("attack", list(AttackKind))
 def test_the_largest_draw_never_realizes_a_rounding_noise_branch(attack, monkeypatch):
-    # P(0) is exact, so no measurement has a rounding-noise branch: every P(0)
-    # is 0, 1/2 or 1, and the stream's largest word, whose bit is 1, realizes
-    # the certain outcome of every P(0) = 1.
+    # Certain or fair is decided exactly, so no measurement has a
+    # rounding-noise branch: the stream's largest word, whose bit is 1,
+    # realizes the certain outcome 0 wherever outcome 0 is certain.
     reached = {}
     _record_measurements(monkeypatch, reached)
     for seed in range(3):
         run_trial(ExperimentConfig(n_bits=64, attack=attack, master_seed=seed), 0)
-    p0s = {p0 for p0, _, _ in reached}
-    assert p0s <= {0.0, 0.5, 1.0} and 1.0 in p0s
-    for (p0, _, _), (state, q) in reached.items():
-        if p0 == 1.0:
-            outcome, after = measure_z(state, q, _bit(2**64 - 1))
-            assert outcome == 0 and after is state
+    certain = [(state, q) for state, q in reached.values() if _is_certain(state, q)]
+    certain_zero = [(state, q) for state, q in certain if measure_z(state, q, 0)[0] == 0]
+    assert certain_zero
+    for state, q in certain_zero:
+        outcome, after = measure_z(state, q, _bit(2**64 - 1))
+        assert outcome == 0 and after is state
 
 
 @pytest.mark.parametrize("attack", list(AttackKind))
@@ -581,9 +587,8 @@ def test_every_fair_measurement_of_the_tables_splits_the_draws_at_one_half(attac
     # the batch engine reads it: the words split at one half.
     _, reached = _build_recording_measurements(monkeypatch, attack)
     # Every measurement is certain or fair, exactly, and some are fair.
-    p0s = {p0 for p0, _, _ in reached}
-    assert p0s <= {0.0, 0.5, 1.0} and 0.5 in p0s
-    fair = [(state, q) for (p0, _, _), (state, q) in reached.items() if p0 == 0.5]
+    fair = [(state, q) for state, q in reached.values() if not _is_certain(state, q)]
+    assert fair
     for state, q in fair:
         assert [measure_z(state, q, _bit(word))[0] for word in EXTREME_WORDS] == [0, 0, 1, 1]
 
@@ -595,10 +600,10 @@ def test_extreme_draws_take_an_enumerated_branch_of_the_table(attack, monkeypatc
     # probability at the bit of every extreme word.
     assert reached
     for state, q in reached.values():
-        p0 = probability_of_zero(state, q)
+        born = marginal_probabilities(state, (q,))
         for word in EXTREME_WORDS:
             outcome, _ = measure_z(state, q, _bit(word))
-            assert (p0 if outcome == 0 else 1.0 - p0) > 0.0
+            assert born.get(str(outcome), 0.0) > 0.0
     # Every symbol of every state reaches a next state.
     assert len(table.next_state) == 16 * (max(table.next_state) + 1)
     assert min(table.next_state) >= 0
@@ -629,16 +634,15 @@ def test_a_changed_round_op_reaches_both_engines(monkeypatch):
 
 def test_transition_table_refuses_a_measurement_neither_certain_nor_fair(monkeypatch):
     import ghzqss.harness as harness
-    from ghzqss import statevector
 
-    fair = statevector.probability_of_zero
-
-    def skewed(state, q):
-        p0 = fair(state, q)
-        return 0.3 if abs(p0 - 0.5) <= 1e-12 else p0
+    def skewed_carrier(with_adversary_ancilla=False):
+        # Not a stabilizer state: Bob's round-1 S1 reads q^A^B, and
+        # intercept-resend's S1 reads q^A, each 0 with probability 12/16.
+        carrier = StateVector(("A", "B", "C"), [3, 1, 1, 1, 1, 1, 1, 1], 4)
+        return tensor(carrier, new_basis_state(("E",), "0")) if with_adversary_ancilla else carrier
 
     harness._transition_table.cache_clear()
-    monkeypatch.setattr(statevector, "probability_of_zero", skewed)
+    monkeypatch.setattr(harness, "init_carrier", skewed_carrier)
     try:
         for attack in AttackKind:
             with pytest.raises(ValueError, match="neither certain nor fair"):
@@ -663,9 +667,9 @@ def test_batch_engine_refuses_conflicting_reveals(monkeypatch):
 
 def test_batch_compared_subset_matches_single():
     config = ExperimentConfig(n_bits=7, trials=10, compare_fraction=0.4, master_seed=9)
-    out = _run_batch(config, np.arange(10))
+    _, compared = _batch_randomness(config, np.arange(10))
     for t in range(10):
-        batch_subset = tuple(np.nonzero(out.compared[t])[0] + 1)
+        batch_subset = tuple(np.nonzero(compared[t])[0] + 1)
         assert batch_subset == run_trial(config, t).detection.compared_indices
 
 

@@ -68,3 +68,28 @@ def test_the_script_starts_the_function_python_m_starts():
     entry = (PACKAGE / "__main__.py").read_text()
     assert f"from .{module} import {function}\n" in entry and entry.endswith(f"sys.exit({function}())\n")
     assert (PACKAGE / f"{module}.py").read_text().endswith(f'if __name__ == "__main__":\n    sys.exit({function}())\n')
+
+
+#: NamedTuple fields that only the tests read: the seams through which they
+#: check a trial's final state, its known fraction and a batch's table path.
+_TEST_SEAMS = ("final_carrier", "eve_known_fraction", "path")
+
+
+def test_every_named_tuple_field_is_read():
+    # A field that neither the package nor the benchmark reads as an
+    # attribute is written for nothing.
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    package = [ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))]
+    trees = package + [ast.parse(path.read_text()) for path in sorted(perfbench.glob("*.py"))]
+    read = set(_TEST_SEAMS)
+    for tree in trees:
+        read |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    unread = [
+        f"{node.name}.{field.target.id}"
+        for tree in package
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and any(getattr(base, "id", None) == "NamedTuple" for base in node.bases)
+        for field in node.body
+        if isinstance(field, ast.AnnAssign) and field.target.id not in read
+    ]
+    assert unread == []

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from ghzqss.statevector import (
     QUBIT_ROLES,
     StateVector,
-    _collapse,
     apply_cnot,
     apply_h,
     discard_qubit,
@@ -16,7 +15,6 @@ from ghzqss.statevector import (
     max_abs_difference,
     measure_z,
     new_basis_state,
-    probability_of_zero,
     state_terms,
     state_to_dict,
     tensor,
@@ -248,7 +246,6 @@ def test_every_op_matches_a_dense_reference_at_every_qubit(n):
                 assert np.abs(amplitudes(apply_cnot(state, labels[c], labels[t])) - cnot @ psi).max() <= 1e-12
             branches = [_on(n, {c: _P[v]}) @ psi for v in (0, 1)]
             p0 = branches[0] @ branches[0]
-            assert abs(probability_of_zero(state, labels[c]) - p0) <= 1e-12
             for bit in (0, 1):
                 outcome, after = measure_z(state, labels[c], bit)
                 if abs(p0 - 0.5) <= 1e-12:  # fair: the outcome is the bit, and the state its branch
@@ -270,16 +267,17 @@ def test_every_op_matches_a_dense_reference_at_every_qubit(n):
 
 
 def test_measure_basis_state_is_certain():
-    s = new_basis_state(("A",), "0")
-    outcome, after = measure_z(s, "A", 1)
-    assert outcome == 0
-    assert after is s  # a certain measurement returns its input
+    # Two equal states: the second is returned itself too, not the first.
+    for s in (new_basis_state(("A",), "0"), new_basis_state(("A",), "0")):
+        outcome, after = measure_z(s, "A", 1)
+        assert outcome == 0
+        assert after is s  # a certain measurement returns its input
 
 
 @pytest.mark.parametrize("bit", [0, 1])
 def test_measure_z_outcome_is_the_bit_when_fair_and_forced_when_certain(bit):
     ghz = from_terms(("A", "B", "C"), {"000": 1, "111": 1}, 1)
-    assert probability_of_zero(ghz, "A") == 0.5
+    assert marginal_probabilities(ghz, ("A",)) == pytest.approx({"0": 0.5, "1": 0.5})
     outcome, after = measure_z(ghz, "A", bit)
     assert outcome == bit
     assert after.key == new_basis_state(("A", "B", "C"), str(bit) * 3).key
@@ -290,7 +288,7 @@ def test_measure_z_outcome_is_the_bit_when_fair_and_forced_when_certain(bit):
         assert after is certain
     # Not a stabilizer state: A reads 0 with probability 12/16, which no one bit names.
     skewed = StateVector(("A", "B", "C"), [3, 1, 1, 1, 1, 1, 1, 1], 4)
-    assert probability_of_zero(skewed, "A") == 0.75
+    assert marginal_probabilities(skewed, ("A",)) == pytest.approx({"0": 0.75, "1": 0.25})
     for _ in range(2):
         with pytest.raises(ValueError, match="neither certain nor fair"):
             measure_z(skewed, "A", bit)
@@ -301,11 +299,6 @@ def test_measure_z_refuses_a_bit_other_than_0_or_1(bit):
     ghz = from_terms(("A", "B", "C"), {"000": 1, "111": 1}, 1)
     with pytest.raises(ValueError, match="bit must be 0 or 1"):
         measure_z(ghz, "A", bit)
-    # The collapse half keeps no entry for such an outcome, and refuses the
-    # all-zero result rather than halving it forever.
-    for collapse in (_collapse, _collapse.__wrapped__):
-        with pytest.raises(ValueError, match="every entry is 0"):
-            collapse(ghz, "A", bit)
 
 
 def test_measure_detached_s1_is_deterministic():
@@ -331,23 +324,18 @@ def test_an_outcome_below_the_minimum_is_never_realized(improbable, certain):
     # P(0) is exact, so the minimum is 0: an outcome of probability 0 is never
     # realized, whatever the bit.
     state = tensor(new_basis_state(("A",), str(certain)), apply_h(new_basis_state(("B",), "0"), "B"))
-    # P(0) is 0.0 when outcome 0 is improbable and 1.0 when outcome 1 is.
-    assert probability_of_zero(state, "A") == float(improbable)
+    # The certain outcome holds all the weight and the improbable one none.
+    assert marginal_probabilities(state, ("A",)) == pytest.approx({str(certain): 1.0})
     for bit in (0, 1):
         outcome, after = measure_z(state, "A", bit)
         assert outcome == certain
         assert after is state
-    # Collapsing onto the improbable branch would leave every entry 0, which
-    # no state has and which halving never makes odd, so it raises.
-    for collapse in (_collapse, _collapse.__wrapped__):
-        with pytest.raises(ValueError, match="every entry is 0"):
-            collapse(state, "A", improbable)
 
 
 def test_a_branch_of_probability_other_than_a_power_of_one_half_raises():
     # Not a stabilizer state: A reads 0 with probability 12/16 and 1 with 4/16.
     state = StateVector(("A", "B", "C"), [3, 1, 1, 1, 1, 1, 1, 1], 4)
-    assert probability_of_zero(state, "A") == 0.75
+    assert marginal_probabilities(state, ("A",)) == pytest.approx({"0": 0.75, "1": 0.25})
     for bit in (0, 1):
         with pytest.raises(ValueError, match="neither certain nor fair"):
             measure_z(state, "A", bit)
@@ -359,17 +347,16 @@ def test_born_frequencies_match_marginals():
         apply_h(new_basis_state(("A",), "0"), "A"),
         random_state(("A", "B", "C"), rng),
     ]
-    # P(0) is exact and a fair outcome is its bit, so bits that are 1 on
-    # the upper half of equispaced draws give P(0) times their number of
-    # zeros, exactly.
+    # A measurement is certain or fair and a fair outcome is its bit, so
+    # bits that are 1 on the upper half of equispaced draws give zeros at
+    # the rate P(0): 0, 1/2 or 1, exactly.
     bits = ((np.arange(10_000) + 0.5) / 10_000 >= 0.5).astype(int).tolist()
     for s in states:
         for q in s.labels:
-            p0 = probability_of_zero(s, q)
-            table = marginal_probabilities(s, (q,))
-            assert table.get("0", 0.0) == pytest.approx(p0, abs=1e-12)
+            p0 = marginal_probabilities(s, (q,)).get("0", 0.0)
             zeros = sum(measure_z(s, q, bit)[0] == 0 for bit in bits)
-            assert zeros == p0 * len(bits)
+            assert zeros / len(bits) in (0.0, 0.5, 1.0)
+            assert zeros / len(bits) == pytest.approx(p0, abs=1e-12)
 
 
 # --- comparison and diagnostics ----------------------------------------------
@@ -527,26 +514,18 @@ def _variants(seed):
 
 def _cached_calls(state):
     """Each cached op on ``state``, as (name, thunk); ``measure_z`` covers
-    the collapse for both outcomes, and ``discard_qubit`` acts on a state
-    collapsed before the thunks run."""
-    collapsed = measure_z(state, "S1", 0 if probability_of_zero(state, "S1") > 0.5 else 1)[1]
-    outcome = int(probability_of_zero(collapsed, "S1") < 0.5)
+    both bits, and ``discard_qubit`` acts on a state measured before the
+    thunks run."""
+    outcome, collapsed = measure_z(state, "S1", 1)
     return [
         ("tensor", lambda: tensor(discard_qubit(collapsed, "S1", outcome), new_basis_state(("S1",), "1"))),
         ("tensor right", lambda: tensor(new_basis_state(("S1",), "0"), discard_qubit(collapsed, "S1", outcome))),
         ("apply_h", lambda: apply_h(state, "C")),
         ("apply_cnot", lambda: apply_cnot(state, "A", "S2")),
-        ("probability_of_zero", lambda: probability_of_zero(state, "B")),
         ("measure_z 0", lambda: measure_z(state, "S2", 0)[1]),
         ("measure_z 1", lambda: measure_z(state, "S2", 1)[1]),
         ("discard_qubit", lambda: discard_qubit(collapsed, "S1", outcome)),
     ]
-
-
-def _exact(result):
-    if isinstance(result, StateVector):
-        return result.key
-    return float(result).hex()
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -555,14 +534,14 @@ def test_memoized_ops_match_the_ops_bit_for_bit(seed, monkeypatch):
     with monkeypatch.context() as uncached:
         bind_uncached(uncached, sys.modules[__name__])
         before = cache_totals()
-        direct = [[_exact(thunk()) for _, thunk in _cached_calls(s)] for s in states]
+        direct = [[thunk().key for _, thunk in _cached_calls(s)] for s in states]
         assert cache_totals() == before  # no call reached a cache
     assert direct[0] == direct[1] and direct[2] != direct[3]  # equal states, and states a sign apart
     for _ in range(2):  # the second pass is answered from the caches
         hits = cache_totals()[0]
         for state, expected in zip(states, direct):
             for (name, thunk), want in zip(_cached_calls(state), expected):
-                assert _exact(thunk()) == want, name
+                assert thunk().key == want, name
     assert cache_totals()[0] > hits
 
 
