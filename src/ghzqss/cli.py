@@ -158,82 +158,104 @@ def _cmd_run(args, parser: argparse.ArgumentParser) -> int:
     return 0
 
 
+def _json(value, pad: str = "\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` of a trace's values,
+    nested at ``pad``, with every dict key, a name or an int, turned into a
+    string first; made without the pure-Python encoder an ``indent`` forces."""
+    inner = pad + "  "
+    if type(value) is dict and value:
+        return "{" + ",".join(f'{inner}"{k}": {_json(value[k], inner)}' for k in sorted(value, key=str)) + pad + "}"
+    if type(value) in (list, tuple) and value:
+        return "[" + ",".join(inner + _json(v, inner) for v in value) + pad + "]"
+    return str(value) if type(value) is int else json.dumps(value)
+
+
+def _state_json(state) -> str:
+    """``state_to_dict(state)`` as ``json.dumps(..., indent=2, sort_keys=True)``
+    renders it in a snapshot; its labels and ket strings need no escaping."""
+    d = state_to_dict(state)
+    labels = ",".join(f'\n          "{label}"' for label in d["labels"])
+    terms = ",".join(
+        f'\n          [\n            "{bits}",\n            {re!r},\n            {im!r}\n          ]'
+        for bits, re, im in d["terms"]
+    )
+    return (
+        f'{{\n        "labels": [{labels}\n        ],\n        "msb_first": {_json(d["msb_first"])},'
+        f'\n        "terms": [{terms}\n        ]\n      }}'
+    )
+
+
+def _write_batches(texts) -> None:
+    # A few dozen pieces per write: fewer, larger writes than stdout's 8 KiB
+    # buffer makes, while a batch stays a small part of a long trace's memory.
+    while batch := "".join(itertools.islice(texts, 32)):
+        sys.stdout.write(batch)
+
+
 def _cmd_trace(args, parser: argparse.ArgumentParser) -> int:
     bits = args.bits
     config = _build_config(args, parser, n_bits=len(bits), bits=bits)
-    snapshots = []
-    result = run_trial(config, trial_index=0, observer=lambda *snapshot: snapshots.append(snapshot))
-
     if args.format == "json":
-        eve = result.eve
-        payload = {
-            "version": __version__,
-            "bits": bits,
-            "attack": config.attack.value,
-            "seed": config.master_seed,
-            "snapshots": None,
-            "records": [
-                {
-                    "round": rec.round_index,
-                    "sent": rec.sent,
-                    "bob": rec.bob_outcome,
-                    "charlie": rec.charlie_outcome,
-                    "reconstructed": rec.reconstructed,
-                    "consistent": rec.consistent,
-                }
-                for rec in result.transcript
-            ],
+        from array import array  # only a JSON trace needs it; every other command starts without
+
+        # Each snapshot is kept as three small ints: its round and the indices
+        # of its stage and state among the distinct ones, each rendered once.
+        stages, states = {}, {}
+        rounds, stage_ids, state_ids = array("I"), array("B"), array("I")
+
+        def keep(k, stage, state):
+            rounds.append(k)
+            stage_ids.append(stages.setdefault(stage, len(stages)))
+            state_ids.append(states.setdefault(state, len(states)))
+
+        result = run_trial(config, trial_index=0, observer=keep)
+        det, eve = result.detection, result.eve
+        head, rest = _json({
+            "version": __version__, "bits": bits, "attack": config.attack.value, "seed": config.master_seed,
+            "records": None, "snapshots": None,  # written below, in batches
             "comparison": {
-                "compared_indices": list(result.detection.compared_indices),
-                "mismatches": result.detection.mismatches,
-                "detected": result.detection.detected,
-                "any_odd_index_announced": result.detection.any_odd_index_announced,
+                "compared_indices": det.compared_indices, "mismatches": det.mismatches,
+                "detected": det.detected, "any_odd_index_announced": det.any_odd_index_announced,
             },
             "eve": {
-                "measured": {str(k): v for k, v in sorted(eve.measured.items())},
-                "inferred_offset": eve.inferred_offset,
-                "inferred_bits": None
-                if eve.inferred_bits is None
-                else {str(k): v for k, v in sorted(eve.inferred_bits.items())},
-                "ambiguous": eve.ambiguous,
+                "measured": eve.measured, "inferred_offset": eve.inferred_offset,
+                "inferred_bits": eve.inferred_bits, "ambiguous": eve.ambiguous,
             },
-        }
-        # Each distinct state is dumped once, and the snapshots are rendered
-        # at the depth and key order json.dumps(payload, indent=2) gives them
-        # and written as they are rendered, so the output is never held whole.
-        state_json = functools.cache(
-            lambda state: json.dumps(state_to_dict(state), indent=2, sort_keys=True).replace("\n", "\n      ")
+        }).split('"records": null', 1)
+        middle, tail = rest.split('"snapshots": null', 1)
+        sys.stdout.write(f'{head}"records": [')
+        _write_batches(
+            f'{"," if i else ""}\n    {{\n      "bob": {rec.bob_outcome},\n      "charlie": {rec.charlie_outcome},\n'
+            f'      "consistent": {"true" if rec.consistent else "false"},\n'
+            f'      "reconstructed": {rec.reconstructed},\n'
+            f'      "round": {rec.round_index},\n      "sent": {rec.sent}\n    }}'
+            for i, rec in enumerate(result.transcript)
         )
-        texts = (
-            f'{"," if i else ""}\n    {{\n      "round": {k},\n      "stage": {json.dumps(stage)},\n'
-            f'      "state": {state_json(state)}\n    }}'
-            for i, (k, stage, state) in enumerate(snapshots)
+        sys.stdout.write(f'\n  ]{middle}"snapshots": [')
+        stage_json = [json.dumps(stage) for stage in stages]
+        state_json = [_state_json(state) for state in states]
+        _write_batches(
+            f'{"," if i else ""}\n    {{\n      "round": {k},\n      "stage": {stage_json[j]},\n'
+            f'      "state": {state_json[s]}\n    }}'
+            for i, (k, j, s) in enumerate(zip(rounds, stage_ids, state_ids))
         )
-        head, tail = json.dumps(payload, indent=2, sort_keys=True).split('"snapshots": null', 1)
-        sys.stdout.write(f'{head}"snapshots": [')
-        # A few hundred snapshots per write, so a pipe's reader gets large
-        # reads, not one per 8 KiB that stdout buffers.
-        while batch := "".join(itertools.islice(texts, 256)):
-            sys.stdout.write(batch)
         sys.stdout.write(f"\n  ]{tail}\n")
         return 0
 
-    state_text = functools.cache(
-        lambda state: "\n".join(f"    {line}" for line in format_state(state).splitlines())
-    )
+    # Text is printed as run_trial emits each snapshot.
     print(f"bits: {bits}  attack: {config.attack.value}  seed: {config.master_seed}")
     print("ket convention: leftmost label = most significant basis bit")
-    current: int | None = None
-    for k, stage, state in snapshots:
+    state_text = functools.cache(lambda state: "".join(f"    {line}\n" for line in format_state(state).splitlines()))
+    current = None
+
+    def show(k, stage, state):
+        nonlocal current
         if k != current:
             current = k
-            if k == 0:
-                print("\nsetup")
-            else:
-                parity = "odd" if k % 2 == 1 else "even"
-                print(f"\nround {k} ({parity}) sent={result.bits[k - 1]}")
-        print(f"  {stage}  [{' '.join(state.labels)}]")
-        print(state_text(state))
+            print("\nsetup" if k == 0 else f"\nround {k} ({'odd' if k % 2 else 'even'}) sent={bits[k - 1]}")
+        sys.stdout.write(f"  {stage}  [{' '.join(state.labels)}]\n{state_text(state)}")
+
+    result = run_trial(config, trial_index=0, observer=show)
     print("\nround records")
     for rec in result.transcript:
         print(

@@ -318,19 +318,39 @@ def reference_trace(fmt, out, snapshots, bits):
     return reference_trace_text(out, snapshots, bits)
 
 
+def assert_trace_matches_reference(capsys, monkeypatch, attack, bits, seed, fmt):
+    """Trace ``bits`` and compare the output with the reference rendering; return it."""
+    snapshots = record_snapshots(monkeypatch)
+    code, out = run_cli(capsys, "trace", "--bits", bits, "--attack", attack, "--seed", str(seed), "--format", fmt)
+    assert code == 0
+    assert out == reference_trace(fmt, out, snapshots, bits)
+    return out
+
+
 @pytest.mark.parametrize("fmt", ["json", "text"])
-@pytest.mark.parametrize("n", [1, 2, 5, 64])
+@pytest.mark.parametrize("n", [1, 2, 5, 17, 64, 256, 257])
 @pytest.mark.parametrize("attack", ["none", "intercept-resend", "cnot-ancilla"])
 def test_trace_matches_per_snapshot_rendering(capsys, monkeypatch, attack, n, fmt):
     # Intercept-resend at n=64 holds many states equal up to rounding noise.
+    # 256 and 257 bits end the records at and just past a whole number of
+    # write batches.
     rng = random.Random(f"{attack}/{n}")
     bits = "".join(rng.choice("01") for _ in range(n))
-    snapshots = record_snapshots(monkeypatch)
-    code, out = run_cli(
-        capsys, "trace", "--bits", bits, "--attack", attack, "--seed", str(rng.getrandbits(32)), "--format", fmt
-    )
-    assert code == 0
-    assert out == reference_trace(fmt, out, snapshots, bits)
+    assert_trace_matches_reference(capsys, monkeypatch, attack, bits, rng.getrandbits(32), fmt)
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("seed, ambiguous", [(0, False), (2, True)])
+def test_trace_matches_per_snapshot_rendering_on_each_eve_branch(capsys, monkeypatch, seed, ambiguous, fmt):
+    # Seed 2 announces only even indices of TRACE_BITS, seed 0 an odd one too.
+    out = assert_trace_matches_reference(capsys, monkeypatch, "cnot-ancilla", TRACE_BITS, seed, fmt)
+    if fmt == "json":
+        eve = json.loads(out)["eve"]
+        assert eve["ambiguous"] is ambiguous
+        assert eve["inferred_offset"] == (None if ambiguous else 1)
+        assert (eve["inferred_bits"] is None) is ambiguous
+    else:
+        assert ("eve inference: ambiguous;" in out) is ambiguous
 
 
 #: The amplitudes reachable states have, ±2^(-r/2) for r = 0..4, correctly rounded.
@@ -588,3 +608,33 @@ def test_json_trace_peak_memory_is_below_its_output_size(monkeypatch, attack):
     finally:
         tracemalloc.stop()
     assert 0 < peak < sink.size
+
+
+@pytest.mark.parametrize("attack", ["none", "intercept-resend", "cnot-ancilla"])
+def test_trace_holds_less_than_a_tenth_of_its_output_beyond_its_trial(monkeypatch, attack):
+    # The trial itself keeps every round's record, about a fifth of a text
+    # trace's output, so the bound is on what a trace holds beyond its trial:
+    # its snapshots and their rendering. An untraced trace first fills the op
+    # caches and makes argparse's lazy imports, so neither run counts them.
+    import tracemalloc
+
+    rng = random.Random(4096)
+    bits = "".join(rng.choice("01") for _ in range(1024))
+    argv = ["trace", "--bits", bits, "--attack", attack, "--seed", "0", "--format"]
+    monkeypatch.setattr(sys, "stdout", _CountingSink())
+    assert main([*argv, "text"]) == 0
+    config = harness.ExperimentConfig(
+        attack=harness.AttackKind.from_name(attack), compare_fraction=0.25, master_seed=0, n_bits=1024, bits=bits
+    )
+    tracemalloc.start()
+    try:
+        harness.run_trial(config)
+        trial_peak = tracemalloc.get_traced_memory()[1]
+        for fmt in ("json", "text"):
+            sink = _CountingSink()
+            monkeypatch.setattr(sys, "stdout", sink)
+            tracemalloc.reset_peak()
+            assert main([*argv, fmt]) == 0
+            assert tracemalloc.get_traced_memory()[1] - trial_peak < sink.size / 10, fmt
+    finally:
+        tracemalloc.stop()
