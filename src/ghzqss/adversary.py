@@ -25,7 +25,6 @@ from enum import Enum
 from typing import NamedTuple
 
 from .statevector import StateVector, apply_cnot, apply_h, measure_z
-from .protocol import RoundParity, round_parity
 
 
 class AttackKind(Enum):
@@ -121,7 +120,7 @@ def eve_on_transit(kind: AttackKind, k: int, joint: StateVector, bit: int, emit)
 
     joint = _guarded_cnot(joint, "E", "S1")
     emit(k, "after Eve C(E->S1)", joint)
-    if round_parity(k) is RoundParity.EVEN:
+    if k % 2 == 0:
         return joint, None
 
     # Odd rounds >= 3: S1 is now disentangled; read it, then restore.
@@ -140,10 +139,9 @@ def eve_end_round(kind: AttackKind, joint: StateVector) -> StateVector:
     return joint
 
 
-def _candidate_sequences(record: EveRecord) -> tuple[dict[int, int], dict[int, int]]:
-    cand0 = {1: 0, **record.measured}
-    cand1 = {1: 1, **{k: r ^ 1 for k, r in record.measured.items()}}
-    return cand0, cand1
+def _decode(record: EveRecord, offset: int) -> dict[int, int]:
+    """The odd-indexed bits Eve's readouts give under round 1's bit ``offset``."""
+    return {1: offset, **{k: r ^ offset for k, r in record.measured.items()}}
 
 
 def eve_postprocess(record: EveRecord, announced: dict[int, int]) -> EveRecord:
@@ -174,17 +172,13 @@ def eve_postprocess(record: EveRecord, announced: dict[int, int]) -> EveRecord:
             inferred_offset=None,
             inferred_bits=None,
             ambiguous=True,
-            candidates=_candidate_sequences(record),
+            candidates=(_decode(record, 0), _decode(record, 1)),
         )
     if len(set(offsets)) != 1:
         raise EveInferenceError(f"announced odd indices imply conflicting offsets {offsets!r}")
-    offset = offsets[0]
-    inferred = {1: offset}
-    for k, r in record.measured.items():
-        inferred[k] = r ^ offset
     return record._replace(
-        inferred_offset=offset,
-        inferred_bits=inferred,
+        inferred_offset=offsets[0],
+        inferred_bits=_decode(record, offsets[0]),
         ambiguous=False,
         candidates=None,
     )

@@ -70,6 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument("--seed", type=int, default=None, help=f"master seed (default: ${SEED_ENV_VAR} or 0)")
     run.add_argument("--format", choices=["pretty", "json", "csv"], default="pretty")
+    run.set_defaults(handler=_cmd_run, parser=run)
 
     trace = sub.add_parser("trace", help="trace one run with per-stage state snapshots")
     trace.add_argument("--bits", required=True, help="bit sequence to transmit, e.g. 1011")
@@ -82,10 +83,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="fraction of indices announced in the public comparison (default 0.25)",
     )
     trace.add_argument("--format", choices=["text", "json"], default="text")
+    trace.set_defaults(handler=_cmd_trace, parser=trace)
 
     verify = sub.add_parser("verify", help="check the simulator against the golden scenario states")
     verify.add_argument("--format", choices=["text", "json"], default="text")
     verify.add_argument("--inject-sign-fault", action="store_true", help=argparse.SUPPRESS)
+    verify.set_defaults(handler=_cmd_verify, parser=verify)
 
     return parser
 
@@ -103,22 +106,22 @@ def _resolve_seed(parser: argparse.ArgumentParser, seed: int | None) -> int:
         raise AssertionError("unreachable")
 
 
-def _build_config(args, parser: argparse.ArgumentParser, **fields) -> ExperimentConfig:
+def _build_config(args, **fields) -> ExperimentConfig:
     """The config of a ``run`` or ``trace``; a rule it breaks is a usage error."""
     try:
         return ExperimentConfig(
             attack=AttackKind.from_name(args.attack),
             compare_fraction=args.compare_fraction,
-            master_seed=_resolve_seed(parser, args.seed),
+            master_seed=_resolve_seed(args.parser, args.seed),
             **fields,
         )
     except ValueError as exc:
-        parser.error(str(exc))
+        args.parser.error(str(exc))
         raise AssertionError("unreachable")
 
 
-def _cmd_run(args, parser: argparse.ArgumentParser) -> int:
-    config = _build_config(args, parser, n_bits=args.bits_count, trials=args.trials)
+def _cmd_run(args) -> int:
+    config = _build_config(args, n_bits=args.bits_count, trials=args.trials)
     if args.format == "csv":
         import csv  # only CSV output needs it; every other command starts without
 
@@ -192,9 +195,9 @@ def _write_batches(texts) -> None:
         sys.stdout.write(batch)
 
 
-def _cmd_trace(args, parser: argparse.ArgumentParser) -> int:
+def _cmd_trace(args) -> int:
     bits = args.bits
-    config = _build_config(args, parser, n_bits=len(bits), bits=bits)
+    config = _build_config(args, n_bits=len(bits), bits=bits)
     if args.format == "json":
         from array import array  # only a JSON trace needs it; every other command starts without
 
@@ -280,7 +283,7 @@ def _cmd_trace(args, parser: argparse.ArgumentParser) -> int:
     return 0
 
 
-def _cmd_verify(args, parser: argparse.ArgumentParser) -> int:
+def _cmd_verify(args) -> int:
     checks = verify_golden_states(inject_sign_fault=args.inject_sign_fault)
     all_passed = all(c.passed for c in checks)
     if args.format == "json":
@@ -309,7 +312,7 @@ def main(argv=None) -> int:
     try:
         try:
             args = parser.parse_args(argv)
-            return {"run": _cmd_run, "trace": _cmd_trace, "verify": _cmd_verify}[args.command](args, parser)
+            return args.handler(args)
         finally:
             sys.stdout.flush()  # here, not at exit, so a small output meets the guard too
     except BrokenPipeError:

@@ -49,7 +49,6 @@ from .protocol import (
     init_carrier,
     public_comparison,
     receive_and_reconstruct,
-    round_parity,
 )
 from .statevector import (
     StateVector,
@@ -63,9 +62,8 @@ _MASK64 = (1 << 64) - 1
 #: Trial-rounds per batch-engine chunk (``_CHUNK_ROUNDS // n_bits`` trials),
 #: and the largest ``n_bits`` a config accepts, so a chunk holds one trial.
 _CHUNK_ROUNDS = 2**21
-#: The low bits of a comparison key, which hold the round index k - 1; wide
-#: enough for every ``n_bits`` up to ``2**21``.
-_KEY_ROUND_BITS = 2**21 - 1
+#: The low bits of a comparison key, which hold the round index k - 1.
+_KEY_ROUND_BITS = _CHUNK_ROUNDS - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
@@ -194,15 +192,13 @@ class ExperimentConfig(_ExperimentFields):
 
 
 class TrialResult(NamedTuple):
-    """Everything one trial produced."""
+    """What one trial produced. Its data bits are the transcript's ``sent``
+    bits; its states, the final carrier included, reach only an observer."""
 
-    bits: tuple[int, ...]
     transcript: list[RoundRecord]
     detection: DetectionReport
     eve: EveRecord
     eve_correct_bits: int
-    eve_known_fraction: float
-    final_carrier: StateVector
 
 
 class AggregateReport(NamedTuple):
@@ -234,10 +230,9 @@ def _round(kind: AttackKind, k: int, carrier: StateVector, q: int, eve: int, bit
     hook. Returns the record, Eve's readout (``None`` in a round she reads
     nothing, see ``eve_on_transit``) and the carrier the next round starts
     from. ``emit(k, stage, state)`` is invoked at every protocol stage."""
-    parity = round_parity(k)
-    joint = tensor(carrier, encode_pair(q, parity))
+    joint = tensor(carrier, encode_pair(q, k % 2))
     emit(k, "carrier+pair prepared", joint)
-    joint = alice_entangle(joint, parity)
+    joint = alice_entangle(joint, k % 2)
     emit(k, "after Alice CNOTs", joint)
     joint, readout = eve_on_transit(kind, k, joint, eve, emit)
     joint = charlie_disentangle(bob_disentangle(joint))
@@ -257,7 +252,8 @@ def run_trial(config: ExperimentConfig, trial_index: int = 0, observer=None) -> 
     against the announced bits.
 
     ``observer(round, stage, state)``, when given, is invoked at every
-    protocol stage; it is the only way to watch a trial.
+    protocol stage; it is the only way to watch a trial, and its last
+    snapshot is the final carrier.
     """
     seed = seed_for_trial(config.master_seed, operator.index(trial_index))
     n = config.n_bits
@@ -269,33 +265,23 @@ def run_trial(config: ExperimentConfig, trial_index: int = 0, observer=None) -> 
     emit(0, "initial carrier", carrier)
     measured: dict[int, int] = {}
     transcript: list[RoundRecord] = []
-    bits: list[int] = []
 
     for k in range(1, n + 1):
         q = _bit(_stream(seed, k, _BIT)) if config.bits is None else int(config.bits[k - 1])
         eve, bob, charlie = (_bit(_stream(seed, k, c)) for c in (_EVE, _BOB, _CHARLIE))
-        bits.append(q)
         rec, readout, carrier = _round(kind, k, carrier, q, eve, (bob, charlie), emit)
         if readout is not None:
             measured[k] = readout
         transcript.append(rec)
 
-    detection = public_comparison(transcript, bits, subset)
+    detection = public_comparison(transcript, subset)
     record = EveRecord(measured, n)
     if kind is AttackKind.CNOT_ANCILLA:
-        record = eve_postprocess(record, {j: bits[j - 1] for j in subset})
+        record = eve_postprocess(record, {j: transcript[j - 1].sent for j in subset})
     correct = 0
     if record.inferred_bits:
-        correct = sum(1 for j, b in record.inferred_bits.items() if bits[j - 1] == b)
-    return TrialResult(
-        bits=tuple(bits),
-        transcript=transcript,
-        detection=detection,
-        eve=record,
-        eve_correct_bits=correct,
-        eve_known_fraction=correct / config.n_bits,
-        final_carrier=carrier,
-    )
+        correct = sum(1 for j, b in record.inferred_bits.items() if transcript[j - 1].sent == b)
+    return TrialResult(transcript, detection, record, correct)
 
 
 # ---------------------------------------------------------------------------
@@ -366,19 +352,19 @@ def _transition_table(kind: AttackKind) -> _TransitionTable:
                 record = EveRecord({} if readout is None else {k: readout}, k)
                 offset = eve_postprocess(record, {k: q}).inferred_offset
             next_states.append(state_id(carrier, following))
-            mismatches.append(public_comparison([rec], [q], [1]).detected)
+            mismatches.append(public_comparison([rec], [1]).detected)
             reveals.append(-1 if offset is None else offset)
 
     return _TransitionTable(tuple(next_states), tuple(mismatches), tuple(reveals))
 
 
 class _BatchOutcome(NamedTuple):
+    """A chunk's per-trial columns; ``run_experiment`` derives the rest."""
+
     path: np.ndarray          # (B, n) flat [state, symbol] table index per round
-    mismatches: np.ndarray    # (B,) counted within the compared subset
-    detected: np.ndarray      # (B,) bool
+    mismatches: np.ndarray    # (B,) counted within the compared subset; > 0 is detected
     ambiguous: np.ndarray     # (B,) bool
-    eve_correct: np.ndarray   # (B,)
-    known_fraction: np.ndarray  # (B,)
+    eve_correct: np.ndarray   # (B,) 0 where ambiguous
 
 
 def _batch_randomness(config: ExperimentConfig, indices: np.ndarray):
@@ -435,14 +421,7 @@ def _run_batch(config: ExperimentConfig, indices: np.ndarray) -> _BatchOutcome:
         # A round decodes right exactly when the offset is the one it reveals.
         eve_correct = np.where(ambiguous, 0, (revealed == offset[:, None]).sum(axis=1))
 
-    return _BatchOutcome(
-        path=path,
-        mismatches=mismatches,
-        detected=mismatches > 0,
-        ambiguous=ambiguous,
-        eve_correct=eve_correct,
-        known_fraction=eve_correct / float(n),
-    )
+    return _BatchOutcome(path, mismatches, ambiguous, eve_correct)
 
 
 def run_experiment(config: ExperimentConfig, on_chunk=None) -> AggregateReport:
@@ -456,34 +435,33 @@ def run_experiment(config: ExperimentConfig, on_chunk=None) -> AggregateReport:
     ``on_chunk(indices, detected, mismatches, ambiguous, eve_correct,
     known_fraction)``, when given, receives each chunk's per-trial columns as
     arrays in trial order, before the chunk is released; it is the only way
-    to see single trials, so nothing per trial outlives its chunk.
+    to see single trials, so nothing per trial outlives its chunk. The
+    totals kept are the mismatch histogram, the ambiguous count and Eve's
+    correct bits; the report derives its other counts from them.
     """
     import numpy as np
 
     hist: Counter[int] = Counter()
-    detected_total = 0
     ambiguous_total = 0
     correct_total = 0
-    nonambiguous_total = 0
 
     chunk = _CHUNK_ROUNDS // config.n_bits
     for start in range(0, config.trials, chunk):
         indices = np.arange(start, min(start + chunk, config.trials))
         out = _run_batch(config, indices)
-        detected_total += int(out.detected.sum())
         ambiguous_total += int(out.ambiguous.sum())
-        nonambiguous = ~out.ambiguous
-        correct_total += int(out.eve_correct[nonambiguous].sum())
-        nonambiguous_total += int(nonambiguous.sum())
+        correct_total += int(out.eve_correct.sum())
         for value, c in zip(*np.unique(out.mismatches, return_counts=True)):
             hist[int(value)] += int(c)
         if on_chunk is not None:
-            on_chunk(indices, out.detected, out.mismatches, out.ambiguous, out.eve_correct, out.known_fraction)
+            on_chunk(indices, out.mismatches > 0, out.mismatches, out.ambiguous, out.eve_correct,
+                     out.eve_correct / float(config.n_bits))
         del out  # free this chunk's arrays before the next chunk draws its own
 
+    nonambiguous_total = config.trials - ambiguous_total
     return AggregateReport(
         trial_count=config.trials,
-        detection_rate=detected_total / config.trials,
+        detection_rate=(config.trials - hist[0]) / config.trials,
         mean_eve_known_fraction=(correct_total / (config.n_bits * nonambiguous_total)) if nonambiguous_total else 0.0,
         ambiguous_rate=ambiguous_total / config.trials,
         mismatch_histogram=dict(sorted(hist.items())),

@@ -1,7 +1,7 @@
 """Three-party secret sharing rounds over a reusable GHZ carrier.
 
 Alice, Bob and Charlie share the carrier (1/sqrt2)(|000> + |111>) on qubits
-A, B, C. Each round transports one data bit on a fresh sending pair (S1, S2):
+A, B, C. Round k sends one data bit on a fresh pair (S1, S2), by ``k % 2``:
 
 - odd rounds encode the bit as the basis pair |q,q> and Alice entangles it
   with two CNOTs (A->S1, A->S2);
@@ -18,7 +18,6 @@ subsequence of the data bits.
 from __future__ import annotations
 
 import functools
-from enum import Enum
 from typing import NamedTuple
 
 from .statevector import (
@@ -29,18 +28,6 @@ from .statevector import (
     measure_z,
     new_basis_state,
 )
-
-
-class RoundParity(Enum):
-    ODD = "odd"
-    EVEN = "even"
-
-
-def round_parity(k: int) -> RoundParity:
-    """Parity of 1-based round index ``k``."""
-    if k < 1:
-        raise ValueError(f"round index must be >= 1, got {k}")
-    return RoundParity.ODD if k % 2 == 1 else RoundParity.EVEN
 
 
 class RoundRecord(NamedTuple):
@@ -57,7 +44,7 @@ class RoundRecord(NamedTuple):
     def from_outcomes(cls, k: int, sent: int, bob: int, charlie: int) -> "RoundRecord":
         """Apply the reconstruction rule: odd rounds take Bob's outcome and
         flag Bob != Charlie as an inconsistency; even rounds take the XOR."""
-        if round_parity(k) is RoundParity.ODD:
+        if k % 2:
             return cls(k, sent, bob, charlie, bob, bob == charlie)
         return cls(k, sent, bob, charlie, bob ^ charlie, True)
 
@@ -80,10 +67,10 @@ def init_carrier(with_adversary_ancilla: bool = False) -> StateVector:
 
 
 @functools.cache
-def encode_pair(q: int, parity: RoundParity) -> StateVector:
-    """Sending pair for data bit ``q``: |q,q> on odd rounds, the Bell pair
-    |q-bar> on even rounds. States are immutable, so each (q, parity) is
-    built once and shared by every round and trial that sends it.
+def encode_pair(q: int, odd: int) -> StateVector:
+    """Sending pair for data bit ``q``: |q,q> on odd rounds (``odd`` = 1),
+    the Bell pair |q-bar> on even rounds. States are immutable, so each
+    (q, odd) is built once and shared by every round and trial that sends it.
 
     The Bell convention is |0-bar> = (|00> + |11>)/sqrt2 and
     |1-bar> = (|01> + |10>)/sqrt2, the unique sign choice under which a bit
@@ -93,16 +80,16 @@ def encode_pair(q: int, parity: RoundParity) -> StateVector:
     if q not in (0, 1):
         raise ValueError(f"data bit must be 0 or 1, got {q!r}")
     q = int(q)  # True or 1.0 shares the entry of 1, so it must build the same state
-    if parity is RoundParity.ODD:
+    if odd:
         return new_basis_state(("S1", "S2"), f"{q}{q}")
     return from_terms(("S1", "S2"), {f"0{q}": 1, f"1{1 - q}": 1}, 1)
 
 
-def alice_entangle(joint: StateVector, parity: RoundParity) -> StateVector:
-    """Alice's entangling CNOTs: A->S1 then A->S2 on odd rounds, A->S1 only
-    on even rounds."""
+def alice_entangle(joint: StateVector, odd: int) -> StateVector:
+    """Alice's entangling CNOTs: A->S1 then A->S2 on odd rounds (``odd`` = 1),
+    A->S1 only on even rounds (``odd`` = 0)."""
     joint = apply_cnot(joint, "A", "S1")
-    if parity is RoundParity.ODD:
+    if odd:
         joint = apply_cnot(joint, "A", "S2")
     return joint
 
@@ -139,19 +126,16 @@ def end_round_hadamards(joint: StateVector) -> StateVector:
     return joint
 
 
-def public_comparison(records, sent, indices) -> DetectionReport:
+def public_comparison(records, indices) -> DetectionReport:
     """Publicly compare the data bits at ``indices`` (1-based).
 
-    A compared index mismatches when its reconstructed bit differs from the
-    sent bit or its consistency flag is down. Detection is declared on any
-    mismatch. The report also notes whether any announced index is odd,
-    which is the quantity the interceptor exploits.
+    A compared index mismatches when its record's reconstructed bit differs
+    from the record's sent bit or its consistency flag is down. Detection is
+    declared on any mismatch. The report also notes whether any announced
+    index is odd, which is the quantity the interceptor exploits.
     """
     records = list(records)
-    sent = list(sent)
     n = len(records)
-    if len(sent) != n:
-        raise ValueError(f"{n} round record(s) but {len(sent)} sent bit(s)")
     indices = tuple(sorted(int(i) for i in indices))
     if len(set(indices)) != len(indices):
         raise ValueError(f"comparison indices must be distinct, got {indices!r}")
@@ -160,7 +144,7 @@ def public_comparison(records, sent, indices) -> DetectionReport:
     mismatches = 0
     for i in indices:
         rec = records[i - 1]
-        if rec.reconstructed != sent[i - 1] or not rec.consistent:
+        if rec.reconstructed != rec.sent or not rec.consistent:
             mismatches += 1
     return DetectionReport(
         compared_indices=indices,

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from ghzqss import statevector
-from ghzqss.harness import _transition_table, run_experiment
+from ghzqss.harness import _transition_table, run_experiment, run_trial
 from ghzqss.statevector import StateVector, apply_cnot, apply_h, new_basis_state
 
 ROW_COLUMNS = ("trial_index", "detected", "mismatches", "ambiguous", "eve_correct_bits", "eve_known_fraction")
@@ -115,6 +115,18 @@ def reduced_density_matrix(state: StateVector, subset) -> np.ndarray:
     axes, k = _subset_axes(state, subset)
     psi = amplitudes(state).reshape([2] * state.n_qubits).transpose(axes).reshape(1 << k, -1)
     return psi @ psi.conj().T
+
+
+def sent_bits(result) -> tuple[int, ...]:
+    """A trial's data bits: its transcript's ``sent`` bits."""
+    return tuple(rec.sent for rec in result.transcript)
+
+
+def run_to_final_carrier(config, trial_index=0):
+    """``run_trial`` and the trial's final carrier, its observer's last snapshot."""
+    snapshots = []
+    result = run_trial(config, trial_index, observer=lambda *snapshot: snapshots.append(snapshot))
+    return result, snapshots[-1][2]
 
 
 def run_with_rows(config):

@@ -16,7 +16,6 @@ from ghzqss.harness import (
     verify_golden_states,
 )
 from ghzqss.protocol import (
-    RoundParity,
     alice_entangle,
     bob_disentangle,
     charlie_disentangle,
@@ -42,7 +41,9 @@ from _util import (
     path_columns,
     random_state,
     reduced_density_matrix,
+    run_to_final_carrier,
     run_with_rows,
+    sent_bits,
 )
 from oracles import (
     all_even_subset_probability,
@@ -135,16 +136,16 @@ def test_criterion_2_zero_detection(attack_run_32):
     worst_gap = 0.0
     for q1 in (0, 1):
         cases = [
-            (1, init_carrier(with_adversary_ancilla=True), honest_odd, RoundParity.ODD),
-            (3, carrier_ancilla_odd(q1), honest_odd, RoundParity.ODD),
-            (2, carrier_ancilla_even(q1), honest_even, RoundParity.EVEN),
+            (1, init_carrier(with_adversary_ancilla=True), honest_odd),
+            (3, carrier_ancilla_odd(q1), honest_odd),
+            (2, carrier_ancilla_even(q1), honest_even),
         ]
-        for k, attack_carrier, honest_carrier, parity in cases:
+        for k, attack_carrier, honest_carrier in cases:
             for q in (0, 1):
-                attacked = alice_entangle(tensor(attack_carrier, encode_pair(q, parity)), parity)
+                attacked = alice_entangle(tensor(attack_carrier, encode_pair(q, k % 2)), k % 2)
                 attacked, _ = eve_on_transit(AttackKind.CNOT_ANCILLA, k, attacked, 1, ignore_stage)
                 attacked = charlie_disentangle(bob_disentangle(attacked))
-                honest = alice_entangle(tensor(honest_carrier, encode_pair(q, parity)), parity)
+                honest = alice_entangle(tensor(honest_carrier, encode_pair(q, k % 2)), k % 2)
                 honest = charlie_disentangle(bob_disentangle(honest))
                 for subset in (("S1", "S2"), ("A",), ("B",), ("C",)):
                     ta = marginal_probabilities(attacked, subset)
@@ -162,11 +163,11 @@ def test_criterion_2_zero_detection(attack_run_32):
         compare_fraction=0.25, master_seed=config.master_seed,
     )
     for t in range(40):
-        result = run_trial(sample_config, t)
+        result, final_carrier = run_to_final_carrier(sample_config, t)
         assert equal_up_to_global_phase(
-            result.final_carrier, carrier_ancilla_odd(result.bits[0]), tol=1e-9
+            final_carrier, carrier_ancilla_odd(sent_bits(result)[0]), tol=1e-9
         )
-        table = marginal_probabilities(result.final_carrier, ("A", "B", "C"))
+        table = marginal_probabilities(final_carrier, ("A", "B", "C"))
         ok = ok and _tables_close(table, honest_table, 1e-9)
 
     _report(
@@ -215,7 +216,7 @@ def test_criterion_3_half_the_bits(attack_run_32):
             continue
         inferred = result.eve.inferred_bits
         ok = ok and len(inferred) == 5 == result.eve_correct_bits
-        ok = ok and all(result.bits[j - 1] == b for j, b in inferred.items())
+        ok = ok and all(sent_bits(result)[j - 1] == b for j, b in inferred.items())
 
     _report(
         3,
@@ -260,8 +261,8 @@ def test_criterion_5_even_round_ancilla_independence():
     for q1 in (0, 1):
         ancilla_states = {}
         for q in (0, 1):
-            joint = tensor(carrier_ancilla_even(q1), encode_pair(q, RoundParity.EVEN))
-            joint = alice_entangle(joint, RoundParity.EVEN)
+            joint = tensor(carrier_ancilla_even(q1), encode_pair(q, 0))
+            joint = alice_entangle(joint, 0)
             joint, _ = eve_on_transit(AttackKind.CNOT_ANCILLA, 2, joint, 1, ignore_stage)
             joint = charlie_disentangle(bob_disentangle(joint))
             states = [reduced_density_matrix(joint, ("E",))]
@@ -350,20 +351,20 @@ def test_criterion_7_engine_properties():
 
     # Strict single-flip identity on the Bell-encoded pair.
     for q in (0, 1):
-        pair = encode_pair(q, RoundParity.EVEN)
-        flipped = encode_pair(q ^ 1, RoundParity.EVEN)
+        pair = encode_pair(q, 0)
+        flipped = encode_pair(q ^ 1, 0)
         ok = ok and max_abs_difference(apply_x(pair, "S1"), flipped) <= 1e-12
         ok = ok and max_abs_difference(apply_x(pair, "S2"), flipped) <= 1e-12
 
     # Even numbers of flips over either pair qubit leave the encoding alone.
     for q in (0, 1):
-        s = encode_pair(q, RoundParity.EVEN)
+        s = encode_pair(q, 0)
         for count in (2, 4, 6):
             t = s
             for i in range(count):
                 t = apply_x(t, "S1" if rng.integers(2) else "S2")
             parity_flips = count % 2
-            ok = ok and max_abs_difference(t, encode_pair(q ^ parity_flips, RoundParity.EVEN)) <= 1e-12
+            ok = ok and max_abs_difference(t, encode_pair(q ^ parity_flips, 0)) <= 1e-12
 
     # Born consistency on a random three-qubit state.
     s = random_state(("A", "B", "C"), rng)

@@ -17,7 +17,6 @@ from ghzqss.adversary import (
     eve_postprocess,
 )
 from ghzqss.protocol import (
-    RoundParity,
     alice_entangle,
     bob_disentangle,
     charlie_disentangle,
@@ -25,7 +24,6 @@ from ghzqss.protocol import (
     end_round_hadamards,
     init_carrier,
     receive_and_reconstruct,
-    round_parity,
 )
 from ghzqss.statevector import (
     from_terms,
@@ -60,10 +58,9 @@ def odd_round_system(q1, q):
     )
 
 
-def transit_state(q1, q, parity):
-    joint = tensor(carrier_ancilla_odd(q1) if parity is RoundParity.ODD else carrier_ancilla_even(q1),
-                   encode_pair(q, parity))
-    return alice_entangle(joint, parity)
+def transit_state(q1, q, odd):
+    joint = tensor(carrier_ancilla_odd(q1) if odd else carrier_ancilla_even(q1), encode_pair(q, odd))
+    return alice_entangle(joint, odd)
 
 
 # --- attack kinds -------------------------------------------------------------
@@ -82,7 +79,7 @@ def test_attack_kind_names_round_trip():
 @pytest.mark.parametrize("q1", [0, 1])
 def test_round1_cnot_copies_pair_bit_onto_ancilla(q1):
     carrier = init_carrier(with_adversary_ancilla=True)
-    joint = alice_entangle(tensor(carrier, encode_pair(q1, RoundParity.ODD)), RoundParity.ODD)
+    joint = alice_entangle(tensor(carrier, encode_pair(q1, 1)), 1)
     joint, readout = eve_on_transit(AttackKind.CNOT_ANCILLA, 1, joint, 1, ignore_stage)
     flip = q1 ^ 1
     expected = from_terms(
@@ -139,11 +136,11 @@ def test_odd_round_introduces_no_error(q1):
 def test_even_round_changes_nothing_and_leaks_nothing(q1):
     ancilla_states = {}
     for q in (0, 1):
-        joint = transit_state(q1, q, RoundParity.EVEN)
+        joint = transit_state(q1, q, 0)
         joint, _ = eve_on_transit(AttackKind.CNOT_ANCILLA, 2, joint, 1, ignore_stage)
         joint = charlie_disentangle(bob_disentangle(joint))
         # Carrier+ancilla part is exactly the even form it started in.
-        expected = tensor(carrier_ancilla_even(q1), encode_pair(q, RoundParity.EVEN))
+        expected = tensor(carrier_ancilla_even(q1), encode_pair(q, 0))
         assert joint.key == expected.key
         ancilla_states[q] = reduced_density_matrix(joint, ("E",))
     # Eve's ancilla state is independent of the transmitted bit.
@@ -174,7 +171,7 @@ def test_eve_end_round_identity_for_passive_kinds():
 
 def test_intercept_resend_collapses_and_forwards():
     carrier = init_carrier()
-    joint = alice_entangle(tensor(carrier, encode_pair(0, RoundParity.ODD)), RoundParity.ODD)
+    joint = alice_entangle(tensor(carrier, encode_pair(0, 1)), 1)
     joint, readout = eve_on_transit(AttackKind.INTERCEPT_RESEND, 1, joint, 0, ignore_stage)
     # Measuring S1 collapses the whole branch structure: S1 is definite now.
     table = marginal_probabilities(joint, ("S1",))
@@ -184,7 +181,7 @@ def test_intercept_resend_collapses_and_forwards():
 
 def test_no_attack_leaves_state_untouched():
     carrier = init_carrier()
-    joint = alice_entangle(tensor(carrier, encode_pair(1, RoundParity.ODD)), RoundParity.ODD)
+    joint = alice_entangle(tensor(carrier, encode_pair(1, 1)), 1)
     out, _ = eve_on_transit(AttackKind.NO_ATTACK, 1, joint, 1, ignore_stage)
     assert out is joint
 
@@ -196,13 +193,13 @@ def _joint_eve_meets(kind, k, q1, q):
     """The joint state after Alice's CNOTs in round ``k``, carrying ``q``:
     for the CNOT-ancilla attack the carrier+ancilla of offset ``q1`` (the
     golden odd-round system in odd rounds >= 3), else the honest carrier."""
-    parity = round_parity(k)
+    odd = k % 2
     if kind is AttackKind.CNOT_ANCILLA:
         if k == 1:
-            return alice_entangle(tensor(init_carrier(with_adversary_ancilla=True), encode_pair(q, parity)), parity)
-        return odd_round_system(q1, q) if parity is RoundParity.ODD else transit_state(q1, q, parity)
-    carrier = init_carrier() if parity is RoundParity.ODD else end_round_hadamards(init_carrier())
-    return alice_entangle(tensor(carrier, encode_pair(q, parity)), parity)
+            return alice_entangle(tensor(init_carrier(with_adversary_ancilla=True), encode_pair(q, odd)), odd)
+        return odd_round_system(q1, q) if odd else transit_state(q1, q, odd)
+    carrier = init_carrier() if odd else end_round_hadamards(init_carrier())
+    return alice_entangle(tensor(carrier, encode_pair(q, odd)), odd)
 
 
 @pytest.mark.parametrize("kind", list(AttackKind))

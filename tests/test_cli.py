@@ -209,6 +209,9 @@ def test_run_usage_errors_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as excinfo:
         main(argv)
     assert excinfo.value.code == 2
+    # Every usage error, a config rule's too, shows the subcommand's usage.
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: ghzqss {argv[0]} ") and f"\nghzqss {argv[0]}: error: " in err, err
 
 
 # --- trace ------------------------------------------------------------------
@@ -401,6 +404,8 @@ def test_invalid_environment_seed_is_a_usage_error(capsys, monkeypatch):
     with pytest.raises(SystemExit) as excinfo:
         main(["run", "--bits-count", "4", "--trials", "10"])
     assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ghzqss run ") and "\nghzqss run: error: environment variable" in err, err
 
 
 # --- start-up cost ---------------------------------------------------------------
@@ -486,14 +491,14 @@ _PIPE_BITS = "".join(random.Random(1).choice("01") for _ in range(4000))
 def test_a_reader_closing_stdout_ends_the_run_with_141_and_no_traceback(argv, head):
     # 200000 CSV rows, or a 4000-bit trace, are megabytes, far more than a
     # pipe buffers.
-    child = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "ghzqss", *argv],
         env=_checkout_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-    )
-    assert child.stdout.read(len(head)) == head
-    child.stdout.close()
-    stderr = child.stderr.read()
-    assert (child.wait(timeout=120), stderr) == (141, b"")
+    ) as child:
+        assert child.stdout.read(len(head)) == head
+        child.stdout.close()
+        stderr = child.stderr.read()
+        assert (child.wait(timeout=120), stderr) == (141, b"")
 
 
 def _child_exit(*args, closed_stdout=True, unbuffered=False):

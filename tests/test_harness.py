@@ -39,7 +39,6 @@ from ghzqss.protocol import (
     end_round_hadamards,
     init_carrier,
     receive_and_reconstruct,
-    round_parity,
 )
 from ghzqss.statevector import (
     StateVector,
@@ -58,7 +57,9 @@ from _util import (
     equal_up_to_global_phase,
     marginal_probabilities,
     path_columns,
+    run_to_final_carrier,
     run_with_rows,
+    sent_bits,
 )
 
 LAB4 = ("A", "B", "C", "E")
@@ -153,7 +154,7 @@ def test_compared_positions_are_uniform():
 
 def test_fixed_bits_mode():
     config = ExperimentConfig(n_bits=4, bits="1011", master_seed=1)
-    assert run_trial(config, 0).bits == (1, 0, 1, 1)
+    assert sent_bits(run_trial(config, 0)) == (1, 0, 1, 1)
     assert config.bits_mode == "fixed"
 
 
@@ -235,10 +236,10 @@ def test_no_attack_trial_reconstructs_everything():
     config = ExperimentConfig(n_bits=10, attack=AttackKind.NO_ATTACK, master_seed=3)
     result = run_trial(config, 0)
     assert not result.detection.detected
-    for rec, sent in zip(result.transcript, result.bits):
+    for rec, sent in zip(result.transcript, sent_bits(result)):
         assert rec.reconstructed == sent
         assert rec.consistent
-    assert result.eve_known_fraction == 0.0
+    assert result.eve_correct_bits / config.n_bits == 0.0
     assert result.eve.measured == {}
 
 
@@ -255,11 +256,11 @@ def test_cnot_ancilla_trial_recovers_odd_bits():
         pytest.fail("no non-ambiguous trial in 20 attempts")
     assert not result.detection.detected
     assert result.eve_correct_bits == 4  # ceil(8/2)
-    assert result.eve_known_fraction == 0.5
+    assert result.eve_correct_bits / config.n_bits == 0.5
     inferred = result.eve.inferred_bits
     assert set(inferred) == {1, 3, 5, 7}
     for j, guess in inferred.items():
-        assert guess == result.bits[j - 1]
+        assert guess == sent_bits(result)[j - 1]
 
 
 def test_cnot_ancilla_all_even_announcement_is_ambiguous():
@@ -274,7 +275,7 @@ def test_cnot_ancilla_all_even_announcement_is_ambiguous():
             assert result.eve.candidates is not None
             first, second = result.eve.candidates
             # One of the two candidates is the truth.
-            truth = {1: result.bits[0]}
+            truth = {1: sent_bits(result)[0]}
             assert truth in (first, second)
             return
     pytest.fail("no all-even comparison subset in 50 trials")
@@ -292,7 +293,7 @@ def test_honest_run_correctness_and_carrier_cycle(n, seed):
         if stage == "after round-end Hadamards"
         else None,
     )
-    for rec, sent in zip(result.transcript, result.bits):
+    for rec, sent in zip(result.transcript, sent_bits(result)):
         assert rec.reconstructed == sent and rec.consistent
     ghz = init_carrier()
     even_form = end_round_hadamards(ghz)
@@ -317,7 +318,7 @@ def test_zero_detection_for_cnot_ancilla(n, seed, fraction):
     result = run_trial(config, 0)
     assert result.detection.mismatches == 0
     assert not result.detection.detected
-    for rec, sent in zip(result.transcript, result.bits):
+    for rec, sent in zip(result.transcript, sent_bits(result)):
         assert rec.reconstructed == sent and rec.consistent
 
 
@@ -327,22 +328,23 @@ def test_offset_relation_and_deterministic_readouts(n, seed):
     config = ExperimentConfig(n_bits=n, attack=AttackKind.CNOT_ANCILLA, master_seed=seed)
     states = {}
     result = run_trial(config, 0, observer=lambda k, stage, state: states.__setitem__((k, stage), state))
-    q1 = result.bits[0]
+    bits = sent_bits(result)
+    q1 = bits[0]
     expected_rounds = {k for k in range(3, n + 1, 2)}
     assert set(result.eve.measured) == expected_rounds
     for k, r in result.eve.measured.items():
-        assert r == result.bits[k - 1] ^ q1
+        assert r == bits[k - 1] ^ q1
         # A certain readout: the measurement returned the state it was given.
         assert states[k, "after Eve measurement of S1"].key == states[k, "after Eve C(E->S1)"].key
 
 
 def test_final_carrier_purity_after_even_length_attack_run():
     config = ExperimentConfig(n_bits=6, attack=AttackKind.CNOT_ANCILLA, master_seed=21)
-    result = run_trial(config, 0)
-    expected = carrier_ancilla_odd(result.bits[0])
-    assert equal_up_to_global_phase(result.final_carrier, expected, tol=1e-9)
+    result, final_carrier = run_to_final_carrier(config)
+    expected = carrier_ancilla_odd(sent_bits(result)[0])
+    assert equal_up_to_global_phase(final_carrier, expected, tol=1e-9)
     # The carrier qubits alone look exactly like the honest GHZ carrier.
-    attack_table = marginal_probabilities(result.final_carrier, ("A", "B", "C"))
+    attack_table = marginal_probabilities(final_carrier, ("A", "B", "C"))
     honest_table = marginal_probabilities(init_carrier(), ("A", "B", "C"))
     assert attack_table == pytest.approx(honest_table, abs=1e-9)
 
@@ -359,10 +361,10 @@ def test_trace_snapshots_cover_every_round():
 
 
 def _exact_trial(result, snapshots):
-    """A trial's fields, its Eve record, and its trace, with every state as
-    its exact key (labels and bytes)."""
-    fields = result._replace(eve=None, final_carrier=None)
-    return fields, result.eve, result.final_carrier.key, [(k, stage, state.key) for k, stage, state in snapshots]
+    """A trial's fields, its Eve record, and its trace, which ends with the
+    final carrier, with every state as its exact key (labels and bytes)."""
+    fields = result._replace(eve=None)
+    return fields, result.eve, [(k, stage, state.key) for k, stage, state in snapshots]
 
 
 def _play_trial(config):
@@ -427,6 +429,7 @@ def test_batch_engine_matches_single_trials(attack, n_bits, fraction, bits):
         n_bits=n_bits, trials=24, attack=attack, compare_fraction=fraction, master_seed=77, bits=bits
     )
     out = _run_batch(config, np.arange(24))
+    _, rows = run_with_rows(config)
     columns = path_columns(out.path, attack)
     table = _transition_table(attack)
     mismatch = np.array(table.mismatch)[out.path]
@@ -438,18 +441,18 @@ def test_batch_engine_matches_single_trials(attack, n_bits, fraction, bits):
             config, t, observer=lambda k, stage, state: after.__setitem__(k, state)
             if stage == "after round-end Hadamards" else None,
         )
-        assert tuple(columns.bits[t]) == single.bits
+        assert tuple(columns.bits[t]) == sent_bits(single)
         for k, rec in enumerate(single.transcript, start=1):
             assert bool(mismatch[t, k - 1]) == (rec.reconstructed != rec.sent or not rec.consistent)
             # Trials in one table state after a round hold one carrier, entering
             # a round of one parity, and vice versa.
             key = carriers.setdefault(int(states[t, k - 1]), (k % 2, after[k].key))
             assert key == (k % 2, after[k].key)
-        assert bool(out.detected[t]) == single.detection.detected
+        assert bool(rows["detected"][t]) == single.detection.detected
         assert int(out.mismatches[t]) == single.detection.mismatches
         assert bool(out.ambiguous[t]) == single.eve.ambiguous
         assert int(out.eve_correct[t]) == single.eve_correct_bits
-        assert float(out.known_fraction[t]) == pytest.approx(single.eve_known_fraction)
+        assert float(rows["eve_known_fraction"][t]) == pytest.approx(single.eve_correct_bits / n_bits)
         if attack is AttackKind.CNOT_ANCILLA:
             for k, r in single.eve.measured.items():
                 assert columns.eve_readouts[t, k - 1] == r
@@ -516,7 +519,7 @@ def test_a_round_decodes_right_exactly_when_it_reveals_the_offset():
     reached = set()
     for t in range(config.trials):
         single = run_trial(config, t)
-        for k, q in enumerate(single.bits, start=1):
+        for k, q in enumerate(sent_bits(single), start=1):
             cell = int(path[t, k - 1])
             reached.add(cell >> 2)  # [state, q, eve]
             readout = single.eve.measured.get(k)
@@ -686,6 +689,20 @@ def test_run_experiment_no_attack():
     assert report.trial_count == 300
 
 
+def test_run_experiment_with_every_trial_ambiguous():
+    # Two rounds, one compared: a seed whose every trial compares round 2
+    # announces no odd bit, so no trial resolves Eve's offset.
+    config = ExperimentConfig(n_bits=2, trials=4, attack=AttackKind.CNOT_ANCILLA, compare_fraction=0.5)
+    config = next(
+        c for c in (config._replace(master_seed=seed) for seed in range(1000))
+        if all(run_trial(c, t).detection.compared_indices == (2,) for t in range(c.trials))
+    )
+    report = run_experiment(config)
+    assert report.ambiguous_rate == 1.0
+    assert report.mean_eve_known_fraction == 0.0
+    assert report.detection_rate == 0.0
+
+
 @pytest.mark.parametrize("attack", [AttackKind.INTERCEPT_RESEND, AttackKind.CNOT_ANCILLA])
 def test_run_experiment_chunking_is_invisible(monkeypatch, attack):
     import ghzqss.harness as harness
@@ -821,8 +838,7 @@ def test_golden_states_sign_fault_is_caught():
 
 def _eve_after_the_receivers(kind, k, carrier, q, eve, bits, emit):
     """A broken round: Eve acts on S1 after Bob's and Charlie's CNOTs."""
-    parity = round_parity(k)
-    joint = alice_entangle(tensor(carrier, encode_pair(q, parity)), parity)
+    joint = alice_entangle(tensor(carrier, encode_pair(q, k % 2)), k % 2)
     emit(k, "after Alice CNOTs", joint)
     joint = charlie_disentangle(bob_disentangle(joint))
     joint, readout = eve_on_transit(kind, k, joint, eve, emit)

@@ -6,7 +6,6 @@ import pytest
 from ghzqss.adversary import AttackKind, eve_end_round
 from ghzqss.protocol import (
     DetectionReport,
-    RoundParity,
     RoundRecord,
     alice_entangle,
     bob_disentangle,
@@ -16,7 +15,6 @@ from ghzqss.protocol import (
     init_carrier,
     public_comparison,
     receive_and_reconstruct,
-    round_parity,
 )
 from ghzqss.statevector import (
     apply_cnot,
@@ -67,25 +65,17 @@ def test_init_carrier_with_ancilla():
     assert marginal_probabilities(carrier, ("A",)) == pytest.approx({"0": 0.5, "1": 0.5})
 
 
-def test_round_parity():
-    assert round_parity(1) is RoundParity.ODD
-    assert round_parity(2) is RoundParity.EVEN
-    assert round_parity(7) is RoundParity.ODD
-    with pytest.raises(ValueError):
-        round_parity(0)
-
-
 # --- encoding --------------------------------------------------------------
 
 
 @pytest.mark.parametrize("q, expected", [(0, "00"), (1, "11")])
 def test_encode_odd_is_basis_pair(q, expected):
-    pair = encode_pair(q, RoundParity.ODD)
+    pair = encode_pair(q, 1)
     assert max_abs_difference(pair, new_basis_state(("S1", "S2"), expected)) <= 1e-12
 
 
 def test_encode_even_zero_is_even_parity_bell():
-    pair = encode_pair(0, RoundParity.EVEN)
+    pair = encode_pair(0, 0)
     expected = from_terms(("S1", "S2"), {"00": 1, "11": 1}, 1)
     assert max_abs_difference(pair, expected) <= 1e-12
 
@@ -93,8 +83,8 @@ def test_encode_even_zero_is_even_parity_bell():
 def test_encode_even_one_is_the_flip_of_even_zero():
     # The encoding of bit 1 must be exactly what a single flip of either
     # qubit does to the encoding of bit 0 (strict vector equality).
-    zero = encode_pair(0, RoundParity.EVEN)
-    one = encode_pair(1, RoundParity.EVEN)
+    zero = encode_pair(0, 0)
+    one = encode_pair(1, 0)
     assert max_abs_difference(one, apply_x(zero, "S1")) <= 1e-12
     assert max_abs_difference(one, apply_x(zero, "S2")) <= 1e-12
     expected = from_terms(("S1", "S2"), {"01": 1, "10": 1}, 1)
@@ -103,10 +93,10 @@ def test_encode_even_one_is_the_flip_of_even_zero():
 
 def test_encode_rejects_non_bit():
     with pytest.raises(ValueError):
-        encode_pair(2, RoundParity.ODD)
+        encode_pair(2, 1)
 
 
-@pytest.mark.parametrize("parity", list(RoundParity))
+@pytest.mark.parametrize("parity", [1, 0], ids=["odd", "even"])
 def test_encode_shares_one_state_per_bit_and_parity(parity):
     encode_pair.cache_clear()
     for q in (0, 1):
@@ -125,8 +115,8 @@ def test_encode_shares_one_state_per_bit_and_parity(parity):
 @pytest.mark.parametrize("q1", [0, 1])
 @pytest.mark.parametrize("q", [0, 1])
 def test_alice_entangle_odd_builds_two_branch_system(q1, q):
-    joint = tensor(carrier_ancilla_odd(q1), encode_pair(q, RoundParity.ODD))
-    joint = alice_entangle(joint, RoundParity.ODD)
+    joint = tensor(carrier_ancilla_odd(q1), encode_pair(q, 1))
+    joint = alice_entangle(joint, 1)
     expected = from_terms(
         LAB6,
         {
@@ -145,7 +135,7 @@ def test_even_round_cnots_change_nothing_with_interceptor(q1, q):
     # the carrier+ancilla and the pair exactly as they were: every ket of
     # the even-form carrier has even weight, and an even number of flips
     # fixes the Bell pair.
-    start = tensor(carrier_ancilla_even(q1), encode_pair(q, RoundParity.EVEN))
+    start = tensor(carrier_ancilla_even(q1), encode_pair(q, 0))
     orders = [
         (("A", "S1"), ("E", "S1"), ("B", "S1"), ("C", "S2")),
         (("C", "S2"), ("B", "S1"), ("E", "S1"), ("A", "S1")),
@@ -159,8 +149,8 @@ def test_even_round_cnots_change_nothing_with_interceptor(q1, q):
 
 @pytest.mark.parametrize("q", [0, 1])
 def test_even_round_cnots_change_nothing_honest(q):
-    start = tensor(honest_even_carrier(), encode_pair(q, RoundParity.EVEN))
-    joint = alice_entangle(start, RoundParity.EVEN)
+    start = tensor(honest_even_carrier(), encode_pair(q, 0))
+    joint = alice_entangle(start, 0)
     joint = bob_disentangle(joint)
     joint = charlie_disentangle(joint)
     assert max_abs_difference(joint, start) <= 1e-12
@@ -199,7 +189,7 @@ def test_disentangle_honest_round1(q):
 
 def test_receive_odd_honest_is_deterministic():
     carrier = init_carrier()
-    joint = alice_entangle(tensor(carrier, encode_pair(1, RoundParity.ODD)), RoundParity.ODD)
+    joint = alice_entangle(tensor(carrier, encode_pair(1, 1)), 1)
     joint = charlie_disentangle(bob_disentangle(joint))
     record, _ = receive_and_reconstruct(joint, 1, 1, (1, 0))
     assert record.bob_outcome == 1
@@ -214,7 +204,7 @@ def test_receive_even_honest_reconstructs_by_parity(bob_draw):
     # XOR always reconstructs the bit (enumerated over both of Bob's bits,
     # each the top bit of a draw).
     carrier = honest_even_carrier()
-    joint = alice_entangle(tensor(carrier, encode_pair(1, RoundParity.EVEN)), RoundParity.EVEN)
+    joint = alice_entangle(tensor(carrier, encode_pair(1, 0)), 0)
     joint = charlie_disentangle(bob_disentangle(joint))
     record, _ = receive_and_reconstruct(joint, 2, 1, (int(bob_draw >= 0.5), 1))
     assert record.charlie_outcome == record.bob_outcome ^ 1
@@ -252,50 +242,44 @@ def test_hadamards_on_honest_carrier():
 
 
 def test_public_comparison_honest_run_is_clean():
-    bits = [1, 0, 1, 1]
-    records = [RoundRecord.from_outcomes(k, b, b, b) for k, b in enumerate(bits, 1)]
+    records = [RoundRecord.from_outcomes(k, b, b, b) for k, b in enumerate([1, 0, 1, 1], 1)]
     # Even rounds reconstruct via XOR, so feed outcomes that XOR to the bit.
     records[1] = RoundRecord.from_outcomes(2, 0, 1, 1)
     records[3] = RoundRecord.from_outcomes(4, 1, 0, 1)
-    report = public_comparison(records, bits, (1, 2, 3, 4))
+    report = public_comparison(records, (1, 2, 3, 4))
     assert report.mismatches == 0
     assert not report.detected
     assert report.any_odd_index_announced
 
 
 def test_public_comparison_flags_corrupted_record():
-    bits = [1, 0]
     records = [
         RoundRecord.from_outcomes(1, 1, 0, 0),  # reconstructed 0 != sent 1
         RoundRecord.from_outcomes(2, 0, 1, 1),
     ]
-    report = public_comparison(records, bits, (1,))
+    report = public_comparison(records, (1,))
     assert report.detected and report.mismatches == 1
     # An inconsistency alone also counts, even when the bit is right.
     records = [RoundRecord.from_outcomes(1, 1, 1, 0), RoundRecord.from_outcomes(2, 0, 0, 0)]
-    report = public_comparison(records, bits, (1, 2))
+    report = public_comparison(records, (1, 2))
     assert report.detected and report.mismatches == 1
 
 
 def test_public_comparison_only_counts_compared_indices():
-    bits = [1, 0]
     records = [
         RoundRecord.from_outcomes(1, 1, 0, 0),
         RoundRecord.from_outcomes(2, 0, 1, 1),
     ]
-    report = public_comparison(records, bits, (2,))
+    report = public_comparison(records, (2,))
     assert not report.detected
     assert not report.any_odd_index_announced
 
 
 def test_public_comparison_validates_indices():
-    bits = [1, 0]
     records = [RoundRecord.from_outcomes(1, 1, 1, 1), RoundRecord.from_outcomes(2, 0, 0, 0)]
     with pytest.raises(ValueError):
-        public_comparison(records, bits, (0,))
+        public_comparison(records, (0,))
     with pytest.raises(ValueError):
-        public_comparison(records, bits, (3,))
+        public_comparison(records, (3,))
     with pytest.raises(ValueError):
-        public_comparison(records, bits, (1, 1))
-    with pytest.raises(ValueError):
-        public_comparison(records, [1], (1,))
+        public_comparison(records, (1, 1))

@@ -70,9 +70,9 @@ def test_the_script_starts_the_function_python_m_starts():
     assert (PACKAGE / f"{module}.py").read_text().endswith(f'if __name__ == "__main__":\n    sys.exit({function}())\n')
 
 
-#: NamedTuple fields that only the tests read: the seams through which they
-#: check a trial's final state, its known fraction and a batch's table path.
-_TEST_SEAMS = ("final_carrier", "eve_known_fraction", "path")
+#: NamedTuple fields that only the tests read: the seam through which they
+#: check a batch's table path.
+_TEST_SEAMS = ("path",)
 
 
 def test_every_named_tuple_field_is_read():
