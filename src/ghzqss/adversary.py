@@ -58,17 +58,24 @@ class EveRecord(NamedTuple):
 
     ``measured`` maps odd round indices >= 3 to the readout r_k (only the
     CNOT-ancilla strategy reads anything) over the ``rounds_seen`` rounds of
-    the trial. Post-processing fills either the inferred fields or, when no
-    odd index was announced, the ``ambiguous`` flag plus the two candidate
-    sequences for the odd-indexed bits.
+    the trial. Post-processing sets either the inferred offset or, when no
+    odd index was announced, the ``ambiguous`` flag; the inferred bits and
+    the two candidate sequences for the odd-indexed bits are decoded from
+    ``measured`` when read.
     """
 
     measured: dict[int, int]
     rounds_seen: int
     inferred_offset: int | None = None
-    inferred_bits: dict[int, int] | None = None
     ambiguous: bool = False
-    candidates: tuple[dict[int, int], dict[int, int]] | None = None
+
+    @property
+    def inferred_bits(self) -> dict[int, int] | None:
+        return None if self.inferred_offset is None else _decode(self, self.inferred_offset)
+
+    @property
+    def candidates(self) -> tuple[dict[int, int], dict[int, int]] | None:
+        return (_decode(self, 0), _decode(self, 1)) if self.ambiguous else None
 
 
 def _guard(*qubits: str) -> None:
@@ -150,8 +157,9 @@ def eve_postprocess(record: EveRecord, announced: dict[int, int]) -> EveRecord:
     Any announced odd index j fixes the offset (the announced value itself
     for j = 1, otherwise r_j XOR q_j); the offset then decodes every recorded
     odd round. Multiple announced odd indices are cross-checked and must
-    agree. If only even indices were announced, the record stays ambiguous
-    with both candidate sequences retained.
+    agree. The returned record sets the offset, from which its
+    ``inferred_bits`` decode; if only even indices were announced, it is
+    ambiguous instead, and its ``candidates`` decode both offsets.
     """
     offsets: list[int] = []
     for j in sorted(announced):
@@ -168,17 +176,7 @@ def eve_postprocess(record: EveRecord, announced: dict[int, int]) -> EveRecord:
                 raise ValueError(f"announced odd index {j} has no recorded readout")
             offsets.append(record.measured[j] ^ announced[j])
     if not offsets:
-        return record._replace(
-            inferred_offset=None,
-            inferred_bits=None,
-            ambiguous=True,
-            candidates=(_decode(record, 0), _decode(record, 1)),
-        )
+        return record._replace(inferred_offset=None, ambiguous=True)
     if len(set(offsets)) != 1:
         raise EveInferenceError(f"announced odd indices imply conflicting offsets {offsets!r}")
-    return record._replace(
-        inferred_offset=offsets[0],
-        inferred_bits=_decode(record, offsets[0]),
-        ambiguous=False,
-        candidates=None,
-    )
+    return record._replace(inferred_offset=offsets[0], ambiguous=False)

@@ -3,7 +3,8 @@
 Subcommands:
 
 - ``run``: Monte Carlo experiment, reported as pretty text, JSON (aggregate
-  plus config echo), or CSV (one row per trial, written chunk by chunk).
+  plus config echo), or CSV (one row per trial, written chunk by chunk and
+  formatted from the engine's four per-trial columns).
 - ``trace``: single run over a fixed bit sequence with labeled state
   snapshots at every protocol stage.
 - ``verify``: golden-state checks of the simulator against the hand-coded
@@ -123,23 +124,13 @@ def _build_config(args, **fields) -> ExperimentConfig:
 def _cmd_run(args) -> int:
     config = _build_config(args, n_bits=args.bits_count, trials=args.trials)
     if args.format == "csv":
-        import csv  # only CSV output needs it; every other command starts without
+        n = config.n_bits
+        sys.stdout.write("trial_index,detected,mismatches,ambiguous,eve_correct_bits,eve_known_fraction\r\n")
 
-        writer = csv.writer(sys.stdout)
-        writer.writerow(
-            ["trial_index", "detected", "mismatches", "ambiguous", "eve_correct_bits", "eve_known_fraction"]
-        )
-
-        def write_rows(indices, detected, mismatches, ambiguous, eve_correct, known_fraction):
-            writer.writerows(
-                zip(
-                    indices.tolist(),
-                    detected.astype(int).tolist(),
-                    mismatches.tolist(),
-                    ambiguous.astype(int).tolist(),
-                    eve_correct.tolist(),
-                    [f"{fraction:.6f}" for fraction in known_fraction.tolist()],
-                )
+        def write_rows(indices, mismatches, ambiguous, eve_correct):
+            sys.stdout.writelines(
+                f"{i},{int(m > 0)},{m},{int(a)},{e},{e / n:.6f}\r\n"
+                for i, m, a, e in zip(indices.tolist(), mismatches.tolist(), ambiguous.tolist(), eve_correct.tolist())
             )
 
         run_experiment(config, on_chunk=write_rows)
@@ -149,7 +140,7 @@ def _cmd_run(args) -> int:
         print(json.dumps(aggregate_report_dict(config, report), indent=2, sort_keys=True))
     else:
         print(f"attack:                  {config.attack.value}")
-        print(f"trials:                  {report.trial_count}")
+        print(f"trials:                  {config.trials}")
         print(f"bits per trial:          {config.n_bits} ({config.bits_mode})")
         print(f"compare fraction:        {config.compare_fraction} ({config.compare_count} indices)")
         print(f"master seed:             {config.master_seed}")
@@ -216,10 +207,7 @@ def _cmd_trace(args) -> int:
         head, rest = _json({
             "version": __version__, "bits": bits, "attack": config.attack.value, "seed": config.master_seed,
             "records": None, "snapshots": None,  # written below, in batches
-            "comparison": {
-                "compared_indices": det.compared_indices, "mismatches": det.mismatches,
-                "detected": det.detected, "any_odd_index_announced": det.any_odd_index_announced,
-            },
+            "comparison": det._asdict(),
             "eve": {
                 "measured": eve.measured, "inferred_offset": eve.inferred_offset,
                 "inferred_bits": eve.inferred_bits, "ambiguous": eve.ambiguous,
@@ -290,10 +278,7 @@ def _cmd_verify(args) -> int:
         payload = {
             "version": __version__,
             "all_passed": all_passed,
-            "checks": [
-                {"name": c.name, "passed": c.passed, "max_error": c.max_error, "detail": c.detail}
-                for c in checks
-            ],
+            "checks": [c._asdict() for c in checks],
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:

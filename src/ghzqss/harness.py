@@ -139,7 +139,8 @@ class ExperimentConfig(_ExperimentFields):
     fraction's decimal form, so 0.28 x 25 gives 7, not the 8 the float
     product rounds up to. The integer fields are stored as Python ints, and
     a field of the wrong type raises ``TypeError``: a bool, a count or seed
-    without ``__index__``, or a ``compare_fraction`` not an int or a float.
+    without ``__index__``, a ``compare_fraction`` not an int or a float, an
+    ``attack`` not an :class:`AttackKind`, or ``bits`` neither a str nor None.
     """
 
     __slots__ = ()
@@ -154,6 +155,10 @@ class ExperimentConfig(_ExperimentFields):
         fraction = fields["compare_fraction"]
         if isinstance(fraction, bool) or not isinstance(fraction, (int, float)):
             raise TypeError(f"compare_fraction must be an int or a float, got {fraction!r}")
+        if not isinstance(fields["attack"], AttackKind):
+            raise TypeError(f"attack must be an AttackKind, got {fields['attack']!r}")
+        if not isinstance(fields["bits"], (str, type(None))):
+            raise TypeError(f"bits must be a str or None, got {fields['bits']!r}")
         self = super().__new__(cls, **fields)
         if self.n_bits < 1:
             raise ValueError(f"n_bits must be >= 1, got {self.n_bits}")
@@ -210,7 +215,6 @@ class AggregateReport(NamedTuple):
     number, rounded once, so it does not depend on the chunking.
     """
 
-    trial_count: int
     detection_rate: float
     mean_eve_known_fraction: float
     ambiguous_rate: float
@@ -278,9 +282,8 @@ def run_trial(config: ExperimentConfig, trial_index: int = 0, observer=None) -> 
     record = EveRecord(measured, n)
     if kind is AttackKind.CNOT_ANCILLA:
         record = eve_postprocess(record, {j: transcript[j - 1].sent for j in subset})
-    correct = 0
-    if record.inferred_bits:
-        correct = sum(1 for j, b in record.inferred_bits.items() if transcript[j - 1].sent == b)
+    inferred = record.inferred_bits or {}
+    correct = sum(1 for j, b in inferred.items() if transcript[j - 1].sent == b)
     return TrialResult(transcript, detection, record, correct)
 
 
@@ -359,7 +362,7 @@ def _transition_table(kind: AttackKind) -> _TransitionTable:
 
 
 class _BatchOutcome(NamedTuple):
-    """A chunk's per-trial columns; ``run_experiment`` derives the rest."""
+    """A chunk's per-trial columns; ``on_chunk`` gets all but ``path``."""
 
     path: np.ndarray          # (B, n) flat [state, symbol] table index per round
     mismatches: np.ndarray    # (B,) counted within the compared subset; > 0 is detected
@@ -432,10 +435,12 @@ def run_experiment(config: ExperimentConfig, on_chunk=None) -> AggregateReport:
     derived solely from its index, the report is independent of chunking and
     execution order, and two runs with the same config are byte-identical.
 
-    ``on_chunk(indices, detected, mismatches, ambiguous, eve_correct,
-    known_fraction)``, when given, receives each chunk's per-trial columns as
-    arrays in trial order, before the chunk is released; it is the only way
-    to see single trials, so nothing per trial outlives its chunk. The
+    ``on_chunk(indices, mismatches, ambiguous, eve_correct)``, when given,
+    receives each chunk's per-trial columns as arrays in trial order, before
+    the chunk is released; it is the only way to see single trials, so
+    nothing per trial outlives its chunk. A trial is detected when its
+    mismatches are > 0, and Eve knows ``eve_correct / n_bits`` of its bits
+    (0 where ambiguous). The
     totals kept are the mismatch histogram, the ambiguous count and Eve's
     correct bits; the report derives its other counts from them.
     """
@@ -454,13 +459,11 @@ def run_experiment(config: ExperimentConfig, on_chunk=None) -> AggregateReport:
         for value, c in zip(*np.unique(out.mismatches, return_counts=True)):
             hist[int(value)] += int(c)
         if on_chunk is not None:
-            on_chunk(indices, out.mismatches > 0, out.mismatches, out.ambiguous, out.eve_correct,
-                     out.eve_correct / float(config.n_bits))
+            on_chunk(indices, out.mismatches, out.ambiguous, out.eve_correct)
         del out  # free this chunk's arrays before the next chunk draws its own
 
     nonambiguous_total = config.trials - ambiguous_total
     return AggregateReport(
-        trial_count=config.trials,
         detection_rate=(config.trials - hist[0]) / config.trials,
         mean_eve_known_fraction=(correct_total / (config.n_bits * nonambiguous_total)) if nonambiguous_total else 0.0,
         ambiguous_rate=ambiguous_total / config.trials,
@@ -483,7 +486,7 @@ def aggregate_report_dict(config: ExperimentConfig, report: AggregateReport) -> 
             "bits": config.bits,
         },
         "report": {
-            "trial_count": report.trial_count,
+            "trial_count": config.trials,
             "detection_rate": report.detection_rate,
             "mean_eve_known_fraction": report.mean_eve_known_fraction,
             "ambiguous_rate": report.ambiguous_rate,

@@ -8,7 +8,7 @@ from ghzqss import statevector
 from ghzqss.harness import _transition_table, run_experiment, run_trial
 from ghzqss.statevector import StateVector, apply_cnot, apply_h, new_basis_state
 
-ROW_COLUMNS = ("trial_index", "detected", "mismatches", "ambiguous", "eve_correct_bits", "eve_known_fraction")
+ROW_COLUMNS = ("trial_index", "mismatches", "ambiguous", "eve_correct_bits")
 
 
 #: The statevector ops that cache their results.

@@ -187,7 +187,7 @@ def test_criterion_3_half_the_bits(attack_run_32):
     nonambiguous = ~rows["ambiguous"]
     ok = bool(nonambiguous.any())
     ok = ok and bool(np.all(rows["eve_correct_bits"][nonambiguous] == 16))  # ceil(32/2)
-    ok = ok and bool(np.all(rows["eve_known_fraction"][nonambiguous] == 0.5))
+    ok = ok and bool(np.all(rows["eve_correct_bits"][nonambiguous] / 32 == 0.5))
     ok = ok and report.mean_eve_known_fraction == 0.5
 
     # Offset relation r_k = q_k xor q_1 in 100% of recorded rounds,

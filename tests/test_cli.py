@@ -13,7 +13,9 @@ from pathlib import Path
 import pytest
 
 from ghzqss import cli, harness
+from ghzqss.adversary import AttackKind
 from ghzqss.cli import SEED_ENV_VAR, main
+from ghzqss.harness import ExperimentConfig
 from ghzqss.statevector import format_state, state_to_dict
 
 
@@ -122,6 +124,45 @@ def test_run_csv_emits_one_row_per_trial(capsys):
     ]
     assert len(rows) == 26
     assert all(row[1] == "0" for row in rows[1:])  # never detected
+
+
+def _csv_writer_rendering(config):
+    """``run_experiment``'s columns for ``config`` as ``csv.writer`` renders
+    them, each trial's detected flag and known fraction derived with numpy."""
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(["trial_index", "detected", "mismatches", "ambiguous", "eve_correct_bits", "eve_known_fraction"])
+
+    def write_rows(indices, mismatches, ambiguous, eve_correct):
+        fractions = eve_correct / float(config.n_bits)
+        writer.writerows(zip(
+            indices.tolist(), (mismatches > 0).astype(int).tolist(), mismatches.tolist(),
+            ambiguous.astype(int).tolist(), eve_correct.tolist(), [f"{f:.6f}" for f in fractions.tolist()],
+        ))
+
+    harness.run_experiment(config, on_chunk=write_rows)
+    return text.getvalue()
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+@pytest.mark.parametrize("n", [1, 2, 17, 256])
+@pytest.mark.parametrize("attack", ["none", "intercept-resend", "cnot-ancilla"])
+def test_run_csv_matches_the_csv_writer(capsys, attack, n, seed):
+    argv = ("--bits-count", str(n), "--trials", "40", "--attack", attack, "--seed", str(seed))
+    code, out = run_cli(capsys, "run", *argv, "--format", "csv")
+    assert code == 0
+    config = ExperimentConfig(n_bits=n, trials=40, attack=AttackKind(attack), master_seed=seed)
+    assert out == _csv_writer_rendering(config)
+
+
+@pytest.mark.parametrize("attack", ["intercept-resend", "cnot-ancilla"])
+def test_run_csv_of_many_chunks_matches_the_csv_writer(capsys, monkeypatch, attack):
+    monkeypatch.setattr(harness, "_CHUNK_ROUNDS", 35)  # chunks of 7 trials at 5 bits
+    code, out = run_cli(capsys, "run", "--bits-count", "5", "--trials", "50", "--attack", attack,
+                        "--compare-fraction", "0.5", "--seed", "6", "--format", "csv")
+    assert code == 0
+    config = ExperimentConfig(n_bits=5, trials=50, attack=AttackKind(attack), compare_fraction=0.5, master_seed=6)
+    assert out == _csv_writer_rendering(config)
 
 
 # sha256 of stdout per (attack, format, compare fraction), on random stream
@@ -467,10 +508,14 @@ def test_trace_verify_and_version_import_neither_dataclasses_nor_fractions(argv)
     assert not {"dataclasses", "fractions"} & _imported_packages(*argv)
 
 
-def test_only_csv_output_imports_csv():
-    assert "csv" not in _imported_packages(*RUN_ARGV, "--format", "json")
-    # The positive control: the same log does show csv when it is imported.
-    assert "csv" in _imported_packages(*RUN_ARGV, "--format", "csv")
+@pytest.mark.parametrize("fmt", ["pretty", "json", "csv"])
+def test_no_run_format_imports_csv(fmt):
+    assert "csv" not in _imported_packages(*RUN_ARGV, "--format", fmt)
+
+
+def test_the_import_log_shows_csv_when_it_is_imported():
+    # The positive control: the guard above can only fail if csv shows up in the log.
+    assert "csv" in _imported_by("-c", "import csv, ghzqss.harness")
 
 
 # --- output streams -------------------------------------------------------------

@@ -191,6 +191,8 @@ def test_config_validation(kwargs):
         {"n_bits": 4, "compare_fraction": Fraction(1, 4)},
         {"n_bits": 4, "compare_fraction": True},
         {"n_bits": 4, "compare_fraction": "0.25"},
+        {"n_bits": 4, "attack": "none"},
+        {"n_bits": 4, "bits": ["1", "0", "1", "1"]},
     ],
 )
 def test_config_refuses_a_field_of_the_wrong_type(kwargs):
@@ -448,11 +450,11 @@ def test_batch_engine_matches_single_trials(attack, n_bits, fraction, bits):
             # a round of one parity, and vice versa.
             key = carriers.setdefault(int(states[t, k - 1]), (k % 2, after[k].key))
             assert key == (k % 2, after[k].key)
-        assert bool(rows["detected"][t]) == single.detection.detected
+        assert bool(rows["mismatches"][t] > 0) == single.detection.detected
         assert int(out.mismatches[t]) == single.detection.mismatches
         assert bool(out.ambiguous[t]) == single.eve.ambiguous
         assert int(out.eve_correct[t]) == single.eve_correct_bits
-        assert float(rows["eve_known_fraction"][t]) == pytest.approx(single.eve_correct_bits / n_bits)
+        assert int(rows["eve_correct_bits"][t]) == single.eve_correct_bits
         if attack is AttackKind.CNOT_ANCILLA:
             for k, r in single.eve.measured.items():
                 assert columns.eve_readouts[t, k - 1] == r
@@ -686,7 +688,7 @@ def test_run_experiment_no_attack():
     assert report.mean_eve_known_fraction == 0.0
     assert report.ambiguous_rate == 0.0
     assert report.mismatch_histogram == {0: 300}
-    assert report.trial_count == 300
+    assert aggregate_report_dict(config, report)["report"]["trial_count"] == 300
 
 
 def test_run_experiment_with_every_trial_ambiguous():
@@ -803,7 +805,7 @@ def test_trial_rows_align_with_aggregate():
     report, rows = run_with_rows(config)
     assert len(rows["trial_index"]) == 120
     assert rows["trial_index"].tolist() == list(range(120))
-    assert rows["detected"].sum() / 120 == pytest.approx(report.detection_rate)
+    assert (rows["mismatches"] > 0).sum() / 120 == pytest.approx(report.detection_rate)
     hist = {}
     for m in rows["mismatches"].tolist():
         hist[m] = hist.get(m, 0) + 1
