@@ -50,13 +50,21 @@ class _Parser(argparse.ArgumentParser):  # argparse drops a failed write to stdo
             super()._print_message(message, file)
 
 
+class _Version(argparse.Action):  # argparse's own formats through textwrap, an import --version need not pay
+    def __call__(self, parser, namespace, values, option_string=None):
+        sys.stdout.write(f"{parser.prog} {__version__}\n")
+        parser.exit()
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="ghzqss",
         description="Simulate a GHZ-carrier quantum secret sharing channel and "
         "measure eavesdropping strategies against it.",
     )
-    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    parser.add_argument(
+        "--version", action=_Version, nargs=0, default=argparse.SUPPRESS, help="show program's version number and exit"
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run a Monte Carlo experiment")
@@ -130,7 +138,7 @@ def _cmd_run(args) -> int:
         def write_rows(indices, mismatches, ambiguous, eve_correct):
             sys.stdout.writelines(
                 f"{i},{int(m > 0)},{m},{int(a)},{e},{e / n:.6f}\r\n"
-                for i, m, a, e in zip(indices.tolist(), mismatches.tolist(), ambiguous.tolist(), eve_correct.tolist())
+                for i, m, a, e in zip(indices, mismatches, ambiguous, eve_correct)
             )
 
         run_experiment(config, on_chunk=write_rows)

@@ -13,8 +13,9 @@ key. ``_stream`` is the only reader of the stream and ``_bit`` and
 the single-trial engine, and uint64 arrays, for the vectorized batch
 engine, alike, so results are independent of execution order and identical
 between the two. numpy is imported only when ``_batch_randomness``,
-``_round_symbols``, ``_run_batch`` or ``run_experiment`` runs; the transition
-table those read is built in pure Python.
+``_round_symbols`` or ``_run_batch`` runs, which ``run_experiment`` calls
+only for an attack whose outputs can vary; the transition table and the
+minimal machine they read are built in pure Python.
 
 ``run_experiment`` keeps only running totals: per-trial results leave each
 chunk through its ``on_chunk`` callback, so its memory is bounded by the
@@ -64,6 +65,8 @@ _MASK64 = (1 << 64) - 1
 _CHUNK_ROUNDS = 2**21
 #: The low bits of a comparison key, which hold the round index k - 1.
 _KEY_ROUND_BITS = _CHUNK_ROUNDS - 1
+#: Trial-rounds per numpy call of the batch hashing, so its temporaries stay in cache.
+_BLOCK = 2**14
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
@@ -296,13 +299,17 @@ def run_trial(config: ExperimentConfig, trial_index: int = 0, observer=None) -> 
 # playing the round run_trial plays, _round, from every reachable state on
 # each round symbol, and reads each transition's mismatch and Eve's
 # inference from the reference rules; the op caches answer its repeats.
-# A chunk of trials steps through the table by one integer gather per round,
-# on the round's 4-bit symbol (data bit, then Eve's, Bob's and Charlie's
-# bits), then gathers every per-trial column along each trial's path. It
-# reads run_trial's randomness through the same _stream, _bit and
-# _compare_key, so outcomes match run_trial trial for trial (asserted by the
-# test suite). The table is flat tuples and its build imports no numpy;
-# only _batch_randomness, _round_symbols, _run_batch and run_experiment do.
+# _minimal_machine merges the table's states that no symbol string tells
+# apart (1 / 3 / 5 states for none / intercept-resend / cnot-ancilla) and
+# finds the symbol bits some cell reads. A chunk of trials steps through
+# the machine by one integer gather per round, on the round's 4-bit symbol
+# (data bit, then Eve's, Bob's and Charlie's bits) with every unread bit 0,
+# then gathers every per-trial column along each trial's path; a machine
+# whose outputs cannot vary is not walked at all. The engine reads
+# run_trial's randomness through the same _stream, _bit and _compare_key,
+# hashing it in cache-sized blocks, so outcomes match run_trial trial for
+# trial (asserted by the test suite). The table and the machine are flat
+# tuples and their builds import no numpy.
 # ---------------------------------------------------------------------------
 
 
@@ -361,10 +368,34 @@ def _transition_table(kind: AttackKind) -> _TransitionTable:
     return _TransitionTable(tuple(next_states), tuple(mismatches), tuple(reveals))
 
 
+@functools.cache
+def _minimal_machine(kind: AttackKind) -> tuple[_TransitionTable, int]:
+    """The table with equal states merged, and the mask of symbol bits it reads.
+
+    Moore's partition refinement (1956): a pass splits the states by each
+    of their 16 cells' (``mismatch``, ``reveals``) and next state's class,
+    until a pass splits nothing. Classes are numbered by their first state,
+    so the initial state stays 0. A bit is read when flipping it changes
+    some cell's outputs or next class; an unread bit cannot change a trial.
+    """
+    table = _transition_table(kind)
+    classes, count = [0] * (len(table.next_state) // 16), 1
+    while True:
+        cells = [(classes[s], *outputs) for s, *outputs in zip(*table)]
+        ids: dict[tuple, int] = {}
+        classes = [ids.setdefault(tuple(cells[i : i + 16]), len(ids)) for i in range(0, len(cells), 16)]
+        if len(ids) == count:  # no class split, so the cells' classes are the final ones
+            break
+        count = len(ids)
+    cells = [cells[16 * classes.index(c) + x] for c in range(count) for x in range(16)]
+    reads = sum(bit for bit in (8, 4, 2, 1) if any(cells[i ^ bit] != cell for i, cell in enumerate(cells)))
+    return _TransitionTable(*map(tuple, zip(*cells))), reads
+
+
 class _BatchOutcome(NamedTuple):
     """A chunk's per-trial columns; ``on_chunk`` gets all but ``path``."""
 
-    path: np.ndarray          # (B, n) flat [state, symbol] table index per round
+    path: np.ndarray          # (B, n) flat [state, symbol] minimal machine index per round
     mismatches: np.ndarray    # (B,) counted within the compared subset; > 0 is detected
     ambiguous: np.ndarray     # (B,) bool
     eve_correct: np.ndarray   # (B,) 0 where ambiguous
@@ -372,59 +403,76 @@ class _BatchOutcome(NamedTuple):
 
 def _batch_randomness(config: ExperimentConfig, indices: np.ndarray):
     """The trials' seeds (B,) and (B, n) comparison subset masks: a trial
-    compares the ``compare_count`` rounds with the smallest ``_compare_key``."""
+    compares the ``compare_count`` rounds with the smallest ``_compare_key``,
+    hashed and ranked a block of about ``_BLOCK`` trial-rounds at a time."""
     import numpy as np
 
-    m = config.compare_count
+    m, n = config.compare_count, config.n_bits
     seeds = seed_for_trial(config.master_seed, np.asarray(indices, dtype=np.uint64))
-    rounds = np.arange(1, config.n_bits + 1, dtype=np.uint64)
-    keys = _compare_key(_stream(seeds[:, None], rounds, _KEY), rounds)
-    return seeds, keys <= np.partition(keys, m - 1, axis=1)[:, m - 1 : m]
+    rounds = np.arange(1, n + 1, dtype=np.uint64)
+    compared = np.empty((len(seeds), n), dtype=bool)
+    rows = max(1, _BLOCK // n)
+    for t in range(0, len(seeds), rows):
+        keys = _compare_key(_stream(seeds[t : t + rows, None], rounds, _KEY), rounds)
+        np.less_equal(keys, np.partition(keys, m - 1, axis=1)[:, m - 1 : m], out=compared[t : t + rows])
+    return seeds, compared
 
 
-def _round_symbols(config: ExperimentConfig, seeds: np.ndarray, k: int):
-    """Round ``k``'s symbols ``q<<3 | eve<<2 | bob<<1 | charlie`` (int64) for
-    the trials with ``seeds``: the top bits of columns 0-3, with the data bit
-    ``q`` fixed where the config fixes it."""
+def _round_symbols(config: ExperimentConfig, seeds: np.ndarray, reads: int):
+    """Every round's symbols ``q<<3 | eve<<2 | bob<<1 | charlie`` for the
+    trials with ``seeds``, as an (n, B) uint8 array, rounds-major: the top
+    bits of the stream columns 0-3 that ``reads`` masks, and 0 for the bits
+    it leaves out, with a read data bit ``q`` fixed where the config fixes
+    it. Each numpy call hashes a block of about ``_BLOCK`` trial-rounds."""
     import numpy as np
 
-    bits = _bit(_stream(seeds, k, np.arange(_BIT, _KEY, dtype=np.uint64)[:, None])).astype(np.int64)
-    if config.bits is not None:
-        bits[_BIT] = int(config.bits[k - 1])
-    return bits[_BIT] << 3 | bits[_EVE] << 2 | bits[_BOB] << 1 | bits[_CHARLIE]
+    n, B = config.n_bits, len(seeds)
+    symbols = np.zeros((n, B), dtype=np.uint8)
+    columns = [c for c in (_BIT, _EVE, _BOB, _CHARLIE) if reads >> (3 - c) & 1]
+    if config.bits is not None and _BIT in columns:
+        columns.remove(_BIT)
+        symbols |= ((np.frombuffer(config.bits.encode(), dtype=np.uint8) & 1) << 3)[:, None]
+    rows, width = max(1, _BLOCK // B), min(B, _BLOCK)
+    for first in range(0, n, rows):
+        k = np.arange(first + 1, min(first + rows, n) + 1, dtype=np.uint64)[:, None]
+        for t in range(0, B, width):
+            block = symbols[first : first + rows, t : t + width]
+            for c in columns:
+                block |= _bit(_stream(seeds[t : t + width], k, c)) << (3 - c)
+    return symbols
 
 
 def _run_batch(config: ExperimentConfig, indices: np.ndarray) -> _BatchOutcome:
     import numpy as np
 
-    n = config.n_bits
-    B = len(indices)
     seeds, compared = _batch_randomness(config, indices)
-    table = _transition_table(config.attack)
-    next_state = np.array(table.next_state)
+    machine, reads = _minimal_machine(config.attack)
+    # Round k's row of the path is walked in place over its symbols: each
+    # trial's flat [state, q, eve, bob, charlie] machine index, its state
+    # times 16 plus its symbol.
+    path = _round_symbols(config, seeds, reads)
+    path = path.astype(np.min_scalar_type(len(machine.next_state) - 1), copy=False)
+    next_cell = np.array([16 * s for s in machine.next_state], dtype=path.dtype)
+    state = np.zeros(len(seeds), dtype=path.dtype)
+    for row in path:
+        row += state
+        next_cell.take(row, out=state)
 
-    # Trial t's flat [state, q, eve, bob, charlie] table index in round k:
-    # state times 16 plus the round's symbol.
-    path = np.empty((B, n), dtype=np.min_scalar_type(len(next_state) - 1))
-    state = np.zeros(B, dtype=np.int64)
-    for k in range(1, n + 1):
-        path[:, k - 1] = state * 16 + _round_symbols(config, seeds, k)
-        state = next_state[path[:, k - 1]]
-
-    mismatches = (np.array(table.mismatch)[path] & compared).sum(axis=1)
-    ambiguous = np.zeros(B, dtype=bool)
-    eve_correct = np.zeros(B, dtype=np.int64)
+    compared = compared.T
+    mismatches = (np.array(machine.mismatch)[path] & compared).sum(axis=0)
+    ambiguous = np.zeros(len(seeds), dtype=bool)
+    eve_correct = np.zeros(len(seeds), dtype=np.int64)
     if config.attack is AttackKind.CNOT_ANCILLA:
-        revealed = np.array(table.reveals, dtype=np.int8)[path]
+        revealed = np.array(machine.reveals, dtype=np.int8)[path]
         reveals = np.where(compared, revealed, -1)
-        offset = reveals.max(axis=1)
-        if np.any((reveals >= 0) & (reveals != offset[:, None])):
+        offset = reveals.max(axis=0)
+        if np.any((reveals >= 0) & (reveals != offset)):
             raise EveInferenceError("announced odd indices imply conflicting offsets")
         ambiguous = offset < 0
         # A round decodes right exactly when the offset is the one it reveals.
-        eve_correct = np.where(ambiguous, 0, (revealed == offset[:, None]).sum(axis=1))
+        eve_correct = np.where(ambiguous, 0, (revealed == offset).sum(axis=0))
 
-    return _BatchOutcome(path, mismatches, ambiguous, eve_correct)
+    return _BatchOutcome(path.T, mismatches, ambiguous, eve_correct)
 
 
 def run_experiment(config: ExperimentConfig, on_chunk=None) -> AggregateReport:
@@ -436,30 +484,42 @@ def run_experiment(config: ExperimentConfig, on_chunk=None) -> AggregateReport:
     execution order, and two runs with the same config are byte-identical.
 
     ``on_chunk(indices, mismatches, ambiguous, eve_correct)``, when given,
-    receives each chunk's per-trial columns as arrays in trial order, before
-    the chunk is released; it is the only way to see single trials, so
-    nothing per trial outlives its chunk. A trial is detected when its
-    mismatches are > 0, and Eve knows ``eve_correct / n_bits`` of its bits
-    (0 where ambiguous). The
+    receives each chunk's per-trial columns as equal-length Python sequences
+    in trial order (``indices`` a ``range``), before the chunk is released;
+    it is the only way to see single trials, so nothing per trial outlives
+    its chunk. A trial is detected when its mismatches are > 0, and Eve
+    knows ``eve_correct / n_bits`` of its bits (0 where ambiguous). The
     totals kept are the mismatch histogram, the ambiguous count and Eve's
-    correct bits; the report derives its other counts from them.
+    correct bits; the report derives its other counts from them. An attack
+    whose minimal machine never mismatches or reveals has constant columns,
+    ambiguous where ``_run_batch``'s CNOT-ancilla rule finds no offset, and
+    draws nothing.
     """
-    import numpy as np
-
     hist: Counter[int] = Counter()
     ambiguous_total = 0
     correct_total = 0
+    machine, _ = _minimal_machine(config.attack)
+    varies = any(machine.mismatch) or max(machine.reveals) >= 0
+    if varies:
+        import numpy as np
+    constant_ambiguous = config.attack is AttackKind.CNOT_ANCILLA
 
     chunk = _CHUNK_ROUNDS // config.n_bits
     for start in range(0, config.trials, chunk):
-        indices = np.arange(start, min(start + chunk, config.trials))
-        out = _run_batch(config, indices)
+        indices = range(start, min(start + chunk, config.trials))
+        if not varies:
+            hist[0] += len(indices)
+            ambiguous_total += len(indices) * constant_ambiguous
+            if on_chunk is not None:
+                on_chunk(indices, [0] * len(indices), [constant_ambiguous] * len(indices), [0] * len(indices))
+            continue
+        out = _run_batch(config, np.arange(indices.start, indices.stop))
         ambiguous_total += int(out.ambiguous.sum())
         correct_total += int(out.eve_correct.sum())
         for value, c in zip(*np.unique(out.mismatches, return_counts=True)):
             hist[int(value)] += int(c)
         if on_chunk is not None:
-            on_chunk(indices, out.mismatches, out.ambiguous, out.eve_correct)
+            on_chunk(indices, out.mismatches.tolist(), out.ambiguous.tolist(), out.eve_correct.tolist())
         del out  # free this chunk's arrays before the next chunk draws its own
 
     nonambiguous_total = config.trials - ambiguous_total

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from ghzqss import statevector
-from ghzqss.harness import _transition_table, run_experiment, run_trial
+from ghzqss.harness import run_experiment, run_trial
 from ghzqss.statevector import StateVector, apply_cnot, apply_h, new_basis_state
 
 ROW_COLUMNS = ("trial_index", "mismatches", "ambiguous", "eve_correct_bits")
@@ -137,10 +137,10 @@ def run_with_rows(config):
     return report, {name: np.concatenate(column) for name, column in zip(ROW_COLUMNS, zip(*chunks))}
 
 
-def path_columns(path, attack):
-    """The per-round columns of a batch outcome, derived from its (B, n)
-    ``path`` of flat [state, q, eve, bob, charlie] table indices, indexed
-    by the round's symbol bits: data bits and Eve's readouts.
+def path_columns(path, table):
+    """The per-round columns of a (B, n) ``path`` of flat [state, q, eve,
+    bob, charlie] indices of ``table``, a transition table or a minimal
+    machine that reads q: data bits and Eve's readouts.
 
     A readout is derived from the table's ``reveals``: announcing round k
     reveals its readout XOR its bit q as the offset, so where a round
@@ -148,7 +148,7 @@ def path_columns(path, attack):
     as its bit itself, and rounds that reveal nothing read -1."""
     path = path.astype(np.int64)
     bits = (path >> 3) & 1
-    reveals = np.array(_transition_table(attack).reveals)[path]
+    reveals = np.array(table.reveals)[path]
     readouts = np.where(reveals >= 0, bits ^ reveals, -1)
     readouts[:, 0] = -1
     return SimpleNamespace(bits=bits, eve_readouts=readouts)

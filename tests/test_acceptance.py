@@ -10,6 +10,7 @@ import pytest
 from ghzqss.adversary import AttackKind, eve_end_round, eve_on_transit
 from ghzqss.harness import (
     ExperimentConfig,
+    _minimal_machine,
     _run_batch,
     run_experiment,
     run_trial,
@@ -198,7 +199,9 @@ def test_criterion_3_half_the_bits(attack_run_32):
             n_bits=n, trials=2048, attack=AttackKind.CNOT_ANCILLA,
             compare_fraction=0.25, master_seed=97 + n,
         )
-        out = path_columns(_run_batch(config, np.arange(config.trials)).path, config.attack)
+        machine, reads = _minimal_machine(config.attack)
+        assert reads & 0b1000  # the path holds the data bits
+        out = path_columns(_run_batch(config, np.arange(config.trials)).path, machine)
         for k in range(3, n + 1, 2):
             r = out.eve_readouts[:, k - 1]
             assert np.all(r >= 0)

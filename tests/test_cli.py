@@ -129,11 +129,17 @@ def test_run_csv_emits_one_row_per_trial(capsys):
 def _csv_writer_rendering(config):
     """``run_experiment``'s columns for ``config`` as ``csv.writer`` renders
     them, each trial's detected flag and known fraction derived with numpy."""
+    import numpy as np
+
     text = io.StringIO()
     writer = csv.writer(text)
     writer.writerow(["trial_index", "detected", "mismatches", "ambiguous", "eve_correct_bits", "eve_known_fraction"])
 
-    def write_rows(indices, mismatches, ambiguous, eve_correct):
+    def write_rows(*columns):
+        # The columns arrive as four equal-length Python sequences.
+        assert all(isinstance(column, (range, list)) for column in columns)
+        assert len({len(column) for column in columns}) == 1
+        indices, mismatches, ambiguous, eve_correct = map(np.array, columns)
         fractions = eve_correct / float(config.n_bits)
         writer.writerows(zip(
             indices.tolist(), (mismatches > 0).astype(int).tolist(), mismatches.tolist(),
@@ -491,16 +497,30 @@ def test_trace_verify_and_version_never_import_numpy(argv):
 def test_building_every_transition_table_never_imports_numpy():
     build = (
         "from ghzqss.adversary import AttackKind\n"
-        "from ghzqss.harness import _transition_table\n"
+        "from ghzqss.harness import _minimal_machine\n"
         "for kind in AttackKind:\n"
-        "    _transition_table(kind)\n"
+        "    _minimal_machine(kind)\n"
     )
     assert "numpy" not in _imported_by("-c", build)
 
 
 def test_run_imports_numpy():
-    # The guard above can only fail if numpy shows up in the log when it is imported.
-    assert "numpy" in _imported_packages(*RUN_ARGV)
+    # The guards above and below can only fail if numpy shows up in the log when it is imported.
+    assert "numpy" in _imported_packages(*RUN_ARGV, "--attack", "cnot-ancilla")
+
+
+@pytest.mark.parametrize("fmt", ["pretty", "json", "csv"])
+def test_a_run_whose_outputs_cannot_vary_never_imports_numpy(fmt):
+    assert "numpy" not in _imported_packages(*RUN_ARGV, "--attack", "none", "--format", fmt)
+
+
+def test_version_never_imports_textwrap():
+    assert "textwrap" not in _imported_packages("--version")
+
+
+def test_help_imports_textwrap():
+    # The positive control: the guard above can only fail if textwrap shows up in the log.
+    assert "textwrap" in _imported_packages("--help")
 
 
 @pytest.mark.parametrize("argv", STARTUP_ARGV, ids=["version", "trace", "verify"])

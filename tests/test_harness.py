@@ -21,6 +21,7 @@ from ghzqss.harness import (
     ExperimentConfig,
     _batch_randomness,
     _bit,
+    _minimal_machine,
     _round_symbols,
     _run_batch,
     _stream,
@@ -100,10 +101,11 @@ def test_seed_for_trial_vectorised_matches_the_integer_formula(master):
     assert [int(seed_for_trial(master, t)) for t in indices] == expected
 
 
-def _trial_randomness(config, indices):
+def _trial_randomness(config, indices, reads=0b1111):
+    """The trials' seeds, (B, n) symbols of the bits ``reads`` masks, and
+    comparison masks."""
     seeds, compared = _batch_randomness(config, indices)
-    symbols = np.stack([_round_symbols(config, seeds, k) for k in range(1, config.n_bits + 1)], axis=1)
-    return seeds, symbols, compared
+    return seeds, _round_symbols(config, seeds, reads).T, compared
 
 
 def test_trial_randomness_is_stable_and_sized():
@@ -117,7 +119,7 @@ def test_trial_randomness_is_stable_and_sized():
         _, symbols2, compared2 = _trial_randomness(config, np.array([4]))
         assert np.array_equal(symbols, symbols2) and np.array_equal(compared, compared2)
         assert symbols.shape == (1, 9) and compared.shape == (1, 9)
-        assert symbols.dtype == np.int64 and set(np.unique(symbols)) <= set(range(16))
+        assert symbols.dtype == np.uint8 and set(np.unique(symbols)) <= set(range(16))
         assert compared.sum() == config.compare_count == 3
         seed = int(seeds[0])
         for k in range(1, 10):
@@ -125,6 +127,23 @@ def test_trial_randomness_is_stable_and_sized():
             q = _bit(_stream(seed, k, 0)) if bits is None else int(bits[k - 1])
             e, b, c = (_bit(_stream(seed, k, column)) for column in (1, 2, 3))
             assert int(symbols[0, k - 1]) == q << 3 | e << 2 | b << 1 | c
+        # Only the masked bits are drawn; the others read 0.
+        for reads in range(16):
+            assert np.array_equal(_trial_randomness(config, np.array([4]), reads)[1], symbols & reads)
+
+
+@pytest.mark.parametrize("trials, n_bits", [(1, 40_000), (3, 20_000), (40_000, 2), (70_000, 1), (300, 300)])
+def test_round_symbols_are_the_same_in_every_blocking(trials, n_bits, monkeypatch):
+    # Blocks of whole rounds, of one round, and of part of a round all cut
+    # the (n, B) symbols into pieces that hash each trial-round once.
+    import ghzqss.harness as harness
+
+    config = ExperimentConfig(n_bits=n_bits, master_seed=8)
+    seeds = seed_for_trial(config.master_seed, np.arange(trials, dtype=np.uint64))
+    symbols = _round_symbols(config, seeds, 0b1111)
+    assert symbols.shape == (n_bits, trials) and symbols.flags.c_contiguous
+    monkeypatch.setattr(harness, "_BLOCK", n_bits * trials)  # one block
+    assert np.array_equal(_round_symbols(config, seeds, 0b1111), symbols)
 
 
 @pytest.mark.parametrize("word", [0, 2**63 - 2**11, 2**63 - 1, 2**63, 2**64 - 1])
@@ -412,6 +431,26 @@ def test_the_op_caches_stop_growing_with_the_trial_length():
 # --- batch engine equivalence ---------------------------------------------------
 
 
+def clear_table_caches():
+    """Drop every built transition table and minimal machine."""
+    import ghzqss.harness as harness
+
+    harness._transition_table.cache_clear()
+    harness._minimal_machine.cache_clear()
+
+
+def table_walk(table, symbols):
+    """The flat [state, symbol] index of ``table`` along each row of the
+    (B, n) ``symbols``, from state 0, one round at a time."""
+    next_state = np.array(table.next_state)
+    path = np.empty(symbols.shape, dtype=np.int64)
+    state = np.zeros(len(symbols), dtype=np.int64)
+    for k in range(symbols.shape[1]):
+        path[:, k] = state * 16 + symbols[:, k]
+        state = next_state[path[:, k]]
+    return path
+
+
 @pytest.mark.parametrize("attack", list(AttackKind))
 @pytest.mark.parametrize(
     "n_bits, fraction, bits",
@@ -432,10 +471,16 @@ def test_batch_engine_matches_single_trials(attack, n_bits, fraction, bits):
     )
     out = _run_batch(config, np.arange(24))
     _, rows = run_with_rows(config)
-    columns = path_columns(out.path, attack)
+    # The full table, walked on all four symbol bits of the same trials, gives
+    # every round's outputs as the engine's minimal machine does.
     table = _transition_table(attack)
-    mismatch = np.array(table.mismatch)[out.path]
-    states = np.array(table.next_state)[out.path]  # (B, n) table state after each round
+    machine = _minimal_machine(attack)[0]
+    path = table_walk(table, _trial_randomness(config, np.arange(24))[1])
+    for name in ("mismatch", "reveals"):
+        assert np.array_equal(np.array(getattr(table, name))[path], np.array(getattr(machine, name))[out.path]), name
+    columns = path_columns(path, table)
+    mismatch = np.array(table.mismatch)[path]
+    states = np.array(table.next_state)[path]  # (B, n) table state after each round
     carriers = {}
     for t in range(24):
         after = {}
@@ -463,13 +508,17 @@ def test_batch_engine_matches_single_trials(attack, n_bits, fraction, bits):
 
 @pytest.mark.parametrize("attack", list(AttackKind))
 def test_batch_path_is_each_rounds_state_and_symbol(attack):
-    # One gather per round: a round's path entry is the state it starts in
-    # times 16 plus its symbol, and its cell's next state starts the next round.
+    # One gather per round: a round's path entry is the minimal machine's
+    # state it starts in times 16 plus the symbol of the bits the machine
+    # reads, and its cell's next state starts the next round.
     config = ExperimentConfig(n_bits=9, trials=64, attack=attack, master_seed=31)
+    machine, reads = _minimal_machine(attack)
     _, symbols, _ = _trial_randomness(config, np.arange(64))
-    path = _run_batch(config, np.arange(64)).path.astype(np.int64)
-    next_state = np.array(_transition_table(attack).next_state)
-    assert np.array_equal(path & 15, symbols)
+    path = _run_batch(config, np.arange(64)).path
+    assert path.dtype == np.uint8
+    path = path.astype(np.int64)
+    next_state = np.array(machine.next_state)
+    assert np.array_equal(path & 15, symbols & reads)
     assert np.all(path[:, 0] >> 4 == 0)
     assert np.array_equal(path[:, 1:] >> 4, next_state[path[:, :-1]])
 
@@ -477,13 +526,14 @@ def test_batch_path_is_each_rounds_state_and_symbol(attack):
 def test_transition_table_is_built_on_first_use_once_per_attack():
     import ghzqss.harness as harness
 
-    harness._transition_table.cache_clear()
+    clear_table_caches()
     for attack in AttackKind:
         config = ExperimentConfig(n_bits=3, trials=2, attack=attack)
         run_experiment(config)
         run_experiment(config)
-    info = harness._transition_table.cache_info()
-    assert info.misses == info.currsize == len(AttackKind)
+    for built in (harness._transition_table, harness._minimal_machine):
+        info = built.cache_info()
+        assert info.misses == info.currsize == len(AttackKind), built
 
 
 # State count and sha256 of the repr of each table's flat columns, in field
@@ -503,6 +553,126 @@ def test_transition_tables_are_pinned(attack):
     assert (len(table.next_state) // 16, digest) == TABLE_DIGESTS[attack]
 
 
+#: Minimal machine state count and the mask of the symbol bits it reads,
+#: q<<3 | eve<<2 | bob<<1 | charlie.
+MACHINES = {
+    AttackKind.NO_ATTACK: (1, 0b0000),
+    AttackKind.INTERCEPT_RESEND: (3, 0b1011),
+    AttackKind.CNOT_ANCILLA: (5, 0b1000),
+}
+
+
+@pytest.mark.parametrize("attack", list(AttackKind))
+def test_minimal_machines_are_pinned(attack):
+    machine, reads = _minimal_machine(attack)
+    assert machine._fields == _transition_table(attack)._fields
+    assert {len(column) for column in machine} == {len(machine.next_state)}
+    assert (len(machine.next_state) // 16, reads) == MACHINES[attack]
+
+
+def _play(table, symbols):
+    """The (mismatch, reveals) of every round of ``table`` along ``symbols``, from state 0."""
+    state, outputs = 0, []
+    for x in symbols:
+        cell = 16 * state + x
+        outputs.append((table.mismatch[cell], table.reveals[cell]))
+        state = table.next_state[cell]
+    return outputs
+
+
+@pytest.mark.parametrize("attack", list(AttackKind))
+def test_the_minimal_machine_plays_the_tables_outputs(attack):
+    table = _transition_table(attack)
+    machine = _minimal_machine(attack)[0]
+    rng = random.Random(1956)
+    for length in range(1, 65):
+        for _ in range(8):
+            symbols = [rng.randrange(16) for _ in range(length)]
+            assert _play(machine, symbols) == _play(table, symbols), symbols
+
+
+def test_the_minimal_machines_state_the_papers_claims():
+    def cells(machine, state):
+        return [(x >> 3, x >> 2 & 1, x >> 1 & 1, x & 1, machine.next_state[16 * state + x],
+                 machine.mismatch[16 * state + x], machine.reveals[16 * state + x]) for x in range(16)]
+
+    # Without an attack nothing is ever detected, and nothing is revealed.
+    assert all((n, m, r) == (0, False, -1) for *_, n, m, r in cells(_minimal_machine(AttackKind.NO_ATTACK)[0], 0))
+    # Measure-and-resend: round 1 passes, then an even-round and an odd-round
+    # state alternate, mismatching on q ^ bob ^ charlie and on q ^ bob.
+    ir = _minimal_machine(AttackKind.INTERCEPT_RESEND)[0]
+    for state, following, mismatch in ((0, 1, lambda q, b, c: 0), (1, 2, lambda q, b, c: q ^ b ^ c), (2, 1, lambda q, b, c: q ^ b)):
+        assert all(n == following and m == bool(mismatch(q, b, c)) and r == -1 for q, _, b, c, n, m, r in cells(ir, state))
+    # The CNOT ancilla is never detected. Announcing round 1 reveals its bit
+    # q1 as her offset and leads to an even-round state per q1; announcing an
+    # odd round >= 3 reveals q1 too, and even rounds reveal nothing.
+    cnot = _minimal_machine(AttackKind.CNOT_ANCILLA)[0]
+    assert all((n, m, r) == (1 + q, False, q) for q, _, _, _, n, m, r in cells(cnot, 0))
+    for state, following, revealed in ((1, 3, -1), (2, 4, -1), (3, 1, 0), (4, 2, 1)):
+        assert all((n, m, r) == (following, False, revealed) for *_, n, m, r in cells(cnot, state))
+
+
+def test_a_table_that_reads_eves_bit_makes_the_engine_draw_it(monkeypatch):
+    # The reads are derived from the table: a mutant whose one even-round cell
+    # mismatches XOR Eve's bit makes the engine draw her column, and it still
+    # plays each trial as a walk of the mutant table on all four bits does.
+    import ghzqss.harness as harness
+
+    attack = AttackKind.INTERCEPT_RESEND
+    table = _transition_table(attack)
+    reads = _minimal_machine(attack)[1]
+    flipped = 16 * table.next_state[0] + 0b0100  # Eve's bit set
+    mutant = table._replace(mismatch=tuple(m ^ (i == flipped) for i, m in enumerate(table.mismatch)))
+    monkeypatch.setattr(harness, "_transition_table", lambda kind: mutant)
+    config = ExperimentConfig(n_bits=6, trials=200, attack=attack, compare_fraction=0.5, master_seed=21)
+    harness._minimal_machine.cache_clear()
+    try:
+        assert harness._minimal_machine(attack)[1] == reads | 0b0100
+        out = _run_batch(config, np.arange(config.trials))
+    finally:
+        harness._minimal_machine.cache_clear()
+    expected, honest = [], []
+    for t in range(config.trials):
+        seed = seed_for_trial(config.master_seed, t)
+        symbols = [sum(_bit(_stream(seed, k, c)) << (3 - c) for c in range(4)) for k in range(1, config.n_bits + 1)]
+        single = run_trial(config, t)
+        compared = single.detection.compared_indices
+        expected.append(sum(m for k, (m, _) in enumerate(_play(mutant, symbols), start=1) if k in compared))
+        honest.append(single.detection.mismatches)
+    assert out.mismatches.tolist() == expected
+    assert expected != honest  # the mutant cell is reached and changes some trial
+
+
+@pytest.mark.parametrize(
+    "attack, symbol_columns",
+    [(AttackKind.NO_ATTACK, None), (AttackKind.INTERCEPT_RESEND, 3), (AttackKind.CNOT_ANCILLA, 1)],
+)
+def test_a_chunk_hashes_only_the_words_its_machine_reads(attack, symbol_columns, monkeypatch):
+    # Words the stream's hash returns over one chunk: the trials' seeds, the
+    # comparison keys and one word per read symbol column and trial-round;
+    # none at all when no output can vary.
+    import ghzqss.harness as harness
+
+    words = []
+    avalanche = harness._avalanche
+    monkeypatch.setattr(harness, "_avalanche", lambda z: words.append(np.size(z)) or avalanche(z))
+    B, n = 300, 17
+    run_experiment(ExperimentConfig(n_bits=n, trials=B, attack=attack, master_seed=2))
+    assert sum(words) == (0 if symbol_columns is None else B + B * n + symbol_columns * B * n)
+
+
+@pytest.mark.parametrize("attack", list(AttackKind))
+def test_a_long_trial_draws_its_symbols_in_a_few_calls(attack, monkeypatch):
+    import ghzqss.harness as harness
+
+    calls = []
+    stream = harness._stream
+    monkeypatch.setattr(harness, "_stream", lambda *args: calls.append(args) or stream(*args))
+    _run_batch(ExperimentConfig(n_bits=4096, attack=attack, master_seed=4), np.arange(1))
+    # The comparison keys in one call, then one call per read column.
+    assert len(calls) == 1 + bin(_minimal_machine(attack)[1]).count("1")
+
+
 def test_a_round_decodes_right_exactly_when_it_reveals_the_offset():
     # The batch engine counts Eve's correct bits as the rounds whose reveals
     # equal her offset. On every reachable cell that agrees with the
@@ -511,13 +681,19 @@ def test_a_round_decodes_right_exactly_when_it_reveals_the_offset():
     import ghzqss.harness as harness
 
     attack = AttackKind.CNOT_ANCILLA
-    harness._transition_table.cache_clear()
+    clear_table_caches()
     try:
-        reveals = harness._transition_table(attack).reveals
+        table = harness._transition_table(attack)
+        reveals = table.reveals
         config = ExperimentConfig(n_bits=6, trials=16, attack=attack, master_seed=3)
-        path = _run_batch(config, np.arange(config.trials)).path
+        out = _run_batch(config, np.arange(config.trials))
+        machine = harness._minimal_machine(attack)[0]
     finally:
-        harness._transition_table.cache_clear()
+        clear_table_caches()
+    # The full table's walk on all four symbol bits, which the engine's
+    # minimal machine matches round for round.
+    path = table_walk(table, _trial_randomness(config, np.arange(config.trials))[1])
+    assert np.array_equal(np.array(reveals)[path], np.array(machine.reveals)[out.path])
     reached = set()
     for t in range(config.trials):
         single = run_trial(config, t)
@@ -562,11 +738,11 @@ def _build_recording_measurements(monkeypatch, attack):
 
     reached = {}
     _record_measurements(monkeypatch, reached)
-    harness._transition_table.cache_clear()
+    clear_table_caches()
     try:
         return harness._transition_table(attack), reached
     finally:
-        harness._transition_table.cache_clear()
+        clear_table_caches()
 
 
 @pytest.mark.parametrize("attack", list(AttackKind))
@@ -625,7 +801,7 @@ def test_a_changed_round_op_reaches_both_engines(monkeypatch):
             rec = rec._replace(reconstructed=rec.charlie_outcome)
         return rec, joint
 
-    harness._transition_table.cache_clear()
+    clear_table_caches()
     monkeypatch.setattr(harness, "receive_and_reconstruct", charlie_alone_on_even_rounds)
     try:
         for attack in AttackKind:
@@ -633,8 +809,10 @@ def test_a_changed_round_op_reaches_both_engines(monkeypatch):
             batch = _run_batch(config, np.arange(40)).mismatches.tolist()
             assert batch == [run_trial(config, t).detection.mismatches for t in range(40)]
             assert any(batch)
+            # run_experiment takes the engine path, since the machine now mismatches.
+            assert run_with_rows(config)[1]["mismatches"].tolist() == batch
     finally:
-        harness._transition_table.cache_clear()
+        clear_table_caches()
 
 
 def test_transition_table_refuses_a_measurement_neither_certain_nor_fair(monkeypatch):
@@ -646,7 +824,7 @@ def test_transition_table_refuses_a_measurement_neither_certain_nor_fair(monkeyp
         carrier = StateVector(("A", "B", "C"), [3, 1, 1, 1, 1, 1, 1, 1], 4)
         return tensor(carrier, new_basis_state(("E",), "0")) if with_adversary_ancilla else carrier
 
-    harness._transition_table.cache_clear()
+    clear_table_caches()
     monkeypatch.setattr(harness, "init_carrier", skewed_carrier)
     try:
         for attack in AttackKind:
@@ -655,7 +833,7 @@ def test_transition_table_refuses_a_measurement_neither_certain_nor_fair(monkeyp
             with pytest.raises(ValueError, match="neither certain nor fair"):
                 run_trial(ExperimentConfig(n_bits=4, attack=attack), 0)
     finally:
-        harness._transition_table.cache_clear()
+        clear_table_caches()
 
 
 def test_batch_engine_refuses_conflicting_reveals(monkeypatch):
@@ -666,8 +844,12 @@ def test_batch_engine_refuses_conflicting_reveals(monkeypatch):
     conflicting = table._replace(reveals=tuple((i >> 3) & 1 for i in range(len(table.reveals))))
     monkeypatch.setattr(harness, "_transition_table", lambda kind: conflicting)
     config = ExperimentConfig(n_bits=2, trials=4, attack=AttackKind.CNOT_ANCILLA, compare_fraction=1.0, bits="10")
-    with pytest.raises(EveInferenceError, match="conflicting offsets"):
-        _run_batch(config, np.arange(4))
+    harness._minimal_machine.cache_clear()
+    try:
+        with pytest.raises(EveInferenceError, match="conflicting offsets"):
+            _run_batch(config, np.arange(4))
+    finally:
+        harness._minimal_machine.cache_clear()
 
 
 def test_batch_compared_subset_matches_single():
