@@ -6,13 +6,17 @@ Three strategies are modeled:
 - ``INTERCEPT_RESEND``: Eve measures S1 in the computational basis every
   round and forwards the collapsed qubit. This collapses the carrier and is
   eventually detectable through the public comparison.
-- ``CNOT_ANCILLA``: Eve entangles a private |0> ancilla into the carrier
-  with one CNOT in round 1, mirrors the parties' round-end Hadamards, rides
+- ``CNOT_ANCILLA``: Eve adds a private |0> ancilla E to the carrier, entangles
+  it with one CNOT in round 1, mirrors the parties' round-end Hadamards, rides
   along invisibly through even rounds, and in odd rounds >= 3 disentangles
   S1 with a CNOT from her ancilla, reads it out deterministically, and
   restores the state with a second CNOT. Her readouts r_k satisfy
   r_k = q_k XOR q_1, so any publicly announced odd-indexed bit resolves the
   offset q_1 and with it every odd-indexed data bit.
+
+Every per-attack decision lives here: the harness calls :func:`eve_prepare`,
+:func:`eve_on_transit`, :func:`eve_end_round` and :func:`eve_postprocess`
+for every attack, and neither it nor the protocol names one.
 
 Eve may only ever touch her own ancilla E and the in-transit qubit S1; every
 gate and measurement she performs is routed through a guard that raises
@@ -24,7 +28,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import NamedTuple
 
-from .statevector import StateVector, apply_cnot, apply_h, measure_z
+from .statevector import StateVector, apply_cnot, apply_h, measure_z, new_basis_state, tensor
 
 
 class AttackKind(Enum):
@@ -102,6 +106,14 @@ def _guarded_measure(state: StateVector, q: str, bit: int):
     return measure_z(state, q, bit)
 
 
+def eve_prepare(kind: AttackKind, carrier: StateVector) -> StateVector:
+    """The carrier Eve starts from: the CNOT-ancilla strategy tensors her |0>
+    ancilla on E onto it; the other strategies return it unchanged."""
+    if kind is AttackKind.CNOT_ANCILLA:
+        return tensor(carrier, new_basis_state(("E",), "0"))
+    return carrier
+
+
 def eve_on_transit(kind: AttackKind, k: int, joint: StateVector, bit: int, emit):
     """Eve's action on the in-transit qubit S1 during round ``k``.
 
@@ -151,8 +163,9 @@ def _decode(record: EveRecord, offset: int) -> dict[int, int]:
     return {1: offset, **{k: r ^ offset for k, r in record.measured.items()}}
 
 
-def eve_postprocess(record: EveRecord, announced: dict[int, int]) -> EveRecord:
-    """Resolve Eve's readouts against the publicly announced bits.
+def eve_postprocess(kind: AttackKind, record: EveRecord, announced: dict[int, int]) -> EveRecord:
+    """Resolve Eve's readouts against the publicly announced bits; only the
+    CNOT-ancilla strategy infers anything, the others get ``record`` back.
 
     Any announced odd index j fixes the offset (the announced value itself
     for j = 1, otherwise r_j XOR q_j); the offset then decodes every recorded
@@ -161,6 +174,8 @@ def eve_postprocess(record: EveRecord, announced: dict[int, int]) -> EveRecord:
     ``inferred_bits`` decode; if only even indices were announced, it is
     ambiguous instead, and its ``candidates`` decode both offsets.
     """
+    if kind is not AttackKind.CNOT_ANCILLA:
+        return record
     offsets: list[int] = []
     for j in sorted(announced):
         if not 1 <= j <= record.rounds_seen:

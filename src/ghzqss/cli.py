@@ -172,7 +172,7 @@ def _json(value, pad: str = "\n") -> str:
     return str(value) if type(value) is int else json.dumps(value)
 
 
-def _state_json(state) -> str:
+def _state_json(state) -> str:  # not _json(state_to_dict(state)): same bytes, 4x slower on a long trace
     """``state_to_dict(state)`` as ``json.dumps(..., indent=2, sort_keys=True)``
     renders it in a snapshot; its labels and ket strings need no escaping."""
     d = state_to_dict(state)
@@ -266,8 +266,8 @@ def _cmd_trace(args) -> int:
     print(f"\ncomparison indices: {' '.join(map(str, det.compared_indices))}")
     print(f"mismatches: {det.mismatches}")
     print(f"detected: {'yes' if det.detected else 'no'}")
-    if config.attack is AttackKind.CNOT_ANCILLA:
-        eve = result.eve
+    eve = result.eve
+    if eve.ambiguous or eve.inferred_offset is not None:  # Eve inferred, or tried to
         print(f"eve readouts: {dict(sorted(eve.measured.items()))}")
         if eve.ambiguous:
             first, second = eve.candidates

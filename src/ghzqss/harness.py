@@ -38,6 +38,7 @@ from .adversary import (
     eve_end_round,
     eve_on_transit,
     eve_postprocess,
+    eve_prepare,
 )
 from .protocol import (
     DetectionReport,
@@ -255,8 +256,7 @@ def _round(kind: AttackKind, k: int, carrier: StateVector, q: int, eve: int, bit
 def run_trial(config: ExperimentConfig, trial_index: int = 0, observer=None) -> TrialResult:
     """Run one full protocol trial, playing ``_round`` for every round.
     After all rounds the public comparison runs on the trial's random subset
-    and, for the CNOT-ancilla attack, Eve post-processes her readouts
-    against the announced bits.
+    and Eve post-processes her readouts against the announced bits.
 
     ``observer(round, stage, state)``, when given, is invoked at every
     protocol stage; it is the only way to watch a trial, and its last
@@ -268,7 +268,7 @@ def run_trial(config: ExperimentConfig, trial_index: int = 0, observer=None) -> 
     subset = tuple(sorted((key & _KEY_ROUND_BITS) + 1 for key in keys[: config.compare_count]))
     kind = config.attack
     emit = observer or _silent
-    carrier = init_carrier(with_adversary_ancilla=kind is AttackKind.CNOT_ANCILLA)
+    carrier = eve_prepare(kind, init_carrier())
     emit(0, "initial carrier", carrier)
     measured: dict[int, int] = {}
     transcript: list[RoundRecord] = []
@@ -282,9 +282,7 @@ def run_trial(config: ExperimentConfig, trial_index: int = 0, observer=None) -> 
         transcript.append(rec)
 
     detection = public_comparison(transcript, subset)
-    record = EveRecord(measured, n)
-    if kind is AttackKind.CNOT_ANCILLA:
-        record = eve_postprocess(record, {j: transcript[j - 1].sent for j in subset})
+    record = eve_postprocess(kind, EveRecord(measured, n), {j: transcript[j - 1].sent for j in subset})
     inferred = record.inferred_bits or {}
     correct = sum(1 for j, b in inferred.items() if transcript[j - 1].sent == b)
     return TrialResult(transcript, detection, record, correct)
@@ -318,10 +316,10 @@ class _TransitionTable(NamedTuple):
     and no more. Each is indexed by ``state * 16 + symbol``, that is by
     [state, q, eve, bob, charlie]. ``reveals`` is the offset that announcing
     the round reveals, read from ``eve_postprocess`` on the round's record,
-    for the CNOT-ancilla attack only, as in run_trial; -1 means it reveals
-    nothing. It does not depend on the receivers' bits, so it repeats over
-    each cell's four (bob, charlie) symbols. Eve decodes a round's bit right
-    exactly when its ``reveals`` equals her offset."""
+    as in run_trial; -1 means it reveals nothing, as in every cell of an
+    attack that infers nothing. It does not depend on the receivers' bits,
+    so it repeats over each cell's four (bob, charlie) symbols. Eve decodes
+    a round's bit right exactly when its ``reveals`` equals her offset."""
 
     next_state: tuple[int, ...]
     mismatch: tuple[bool, ...]  # the round's bit fails the public comparison
@@ -351,16 +349,14 @@ def _transition_table(kind: AttackKind) -> _TransitionTable:
             states.append((carrier, k))
         return ids[key]
 
-    state_id(init_carrier(with_adversary_ancilla=kind is AttackKind.CNOT_ANCILLA), 1)
+    state_id(eve_prepare(kind, init_carrier()), 1)
     # The loop also visits the states state_id appends while it runs.
     for start, k in states:
         following = 2 if k % 2 else 3
         for q, eve, bob, charlie in itertools.product((0, 1), repeat=4):
             rec, readout, carrier = _round(kind, k, start, q, eve, (bob, charlie), _silent)
-            offset = None
-            if kind is AttackKind.CNOT_ANCILLA:
-                record = EveRecord({} if readout is None else {k: readout}, k)
-                offset = eve_postprocess(record, {k: q}).inferred_offset
+            record = EveRecord({} if readout is None else {k: readout}, k)
+            offset = eve_postprocess(kind, record, {k: q}).inferred_offset
             next_states.append(state_id(carrier, following))
             mismatches.append(public_comparison([rec], [1]).detected)
             reveals.append(-1 if offset is None else offset)
@@ -462,7 +458,7 @@ def _run_batch(config: ExperimentConfig, indices: np.ndarray) -> _BatchOutcome:
     mismatches = (np.array(machine.mismatch)[path] & compared).sum(axis=0)
     ambiguous = np.zeros(len(seeds), dtype=bool)
     eve_correct = np.zeros(len(seeds), dtype=np.int64)
-    if config.attack is AttackKind.CNOT_ANCILLA:
+    if max(machine.reveals) >= 0:  # Eve infers: some round reveals her offset
         revealed = np.array(machine.reveals, dtype=np.int8)[path]
         reveals = np.where(compared, revealed, -1)
         offset = reveals.max(axis=0)
@@ -492,8 +488,7 @@ def run_experiment(config: ExperimentConfig, on_chunk=None) -> AggregateReport:
     totals kept are the mismatch histogram, the ambiguous count and Eve's
     correct bits; the report derives its other counts from them. An attack
     whose minimal machine never mismatches or reveals has constant columns,
-    ambiguous where ``_run_batch``'s CNOT-ancilla rule finds no offset, and
-    draws nothing.
+    never detected and never ambiguous, and draws nothing.
     """
     hist: Counter[int] = Counter()
     ambiguous_total = 0
@@ -502,16 +497,14 @@ def run_experiment(config: ExperimentConfig, on_chunk=None) -> AggregateReport:
     varies = any(machine.mismatch) or max(machine.reveals) >= 0
     if varies:
         import numpy as np
-    constant_ambiguous = config.attack is AttackKind.CNOT_ANCILLA
 
     chunk = _CHUNK_ROUNDS // config.n_bits
     for start in range(0, config.trials, chunk):
         indices = range(start, min(start + chunk, config.trials))
         if not varies:
             hist[0] += len(indices)
-            ambiguous_total += len(indices) * constant_ambiguous
             if on_chunk is not None:
-                on_chunk(indices, [0] * len(indices), [constant_ambiguous] * len(indices), [0] * len(indices))
+                on_chunk(indices, [0] * len(indices), [False] * len(indices), [0] * len(indices))
             continue
         out = _run_batch(config, np.arange(indices.start, indices.stop))
         ambiguous_total += int(out.ambiguous.sum())

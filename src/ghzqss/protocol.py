@@ -12,7 +12,7 @@ Bob receives S1, Charlie receives S2; each disentangles with a CNOT from his
 carrier qubit and measures. After every round the three parties apply a
 Hadamard to their carrier qubits, toggling the carrier between its two forms.
 Eavesdropping is checked at the end by publicly comparing a random
-subsequence of the data bits.
+subsequence of the data bits. No attack is named here; ``adversary`` has them.
 """
 
 from __future__ import annotations
@@ -58,11 +58,8 @@ class DetectionReport(NamedTuple):
     any_odd_index_announced: bool
 
 
-def init_carrier(with_adversary_ancilla: bool = False) -> StateVector:
-    """Fresh GHZ carrier over (A, B, C), optionally tensored with the
-    interceptor's |0> ancilla on E."""
-    if with_adversary_ancilla:
-        return from_terms(("A", "B", "C", "E"), {"0000": 1, "1110": 1}, 1)
+def init_carrier() -> StateVector:
+    """Fresh GHZ carrier over (A, B, C); ``eve_prepare`` adds Eve's qubits."""
     return from_terms(("A", "B", "C"), {"000": 1, "111": 1}, 1)
 
 

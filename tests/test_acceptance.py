@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from ghzqss.adversary import AttackKind, eve_end_round, eve_on_transit
+from ghzqss.adversary import AttackKind, eve_end_round, eve_on_transit, eve_prepare
 from ghzqss.harness import (
     ExperimentConfig,
     _minimal_machine,
@@ -137,7 +137,7 @@ def test_criterion_2_zero_detection(attack_run_32):
     worst_gap = 0.0
     for q1 in (0, 1):
         cases = [
-            (1, init_carrier(with_adversary_ancilla=True), honest_odd),
+            (1, eve_prepare(AttackKind.CNOT_ANCILLA, honest_odd), honest_odd),
             (3, carrier_ancilla_odd(q1), honest_odd),
             (2, carrier_ancilla_even(q1), honest_even),
         ]

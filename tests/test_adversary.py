@@ -15,6 +15,7 @@ from ghzqss.adversary import (
     eve_end_round,
     eve_on_transit,
     eve_postprocess,
+    eve_prepare,
 )
 from ghzqss.protocol import (
     alice_entangle,
@@ -27,6 +28,7 @@ from ghzqss.protocol import (
 )
 from ghzqss.statevector import (
     from_terms,
+    max_abs_difference,
     new_basis_state,
     tensor,
 )
@@ -73,12 +75,25 @@ def test_attack_kind_names_round_trip():
         AttackKind.from_name("quantum-cloning")
 
 
+# --- preparation ---------------------------------------------------------------
+
+
+def test_eve_prepare_adds_the_ancilla_only_under_cnot_ancilla():
+    carrier = eve_prepare(AttackKind.CNOT_ANCILLA, init_carrier())
+    expected = from_terms(LAB4, {"0000": 1, "1110": 1}, 1)
+    assert max_abs_difference(carrier, expected) <= 1e-12
+    assert marginal_probabilities(carrier, ("A",)) == pytest.approx({"0": 0.5, "1": 0.5})
+    honest = init_carrier()
+    assert eve_prepare(AttackKind.NO_ATTACK, honest) is honest
+    assert eve_prepare(AttackKind.INTERCEPT_RESEND, honest) is honest
+
+
 # --- round 1 -------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("q1", [0, 1])
 def test_round1_cnot_copies_pair_bit_onto_ancilla(q1):
-    carrier = init_carrier(with_adversary_ancilla=True)
+    carrier = eve_prepare(AttackKind.CNOT_ANCILLA, init_carrier())
     joint = alice_entangle(tensor(carrier, encode_pair(q1, 1)), 1)
     joint, readout = eve_on_transit(AttackKind.CNOT_ANCILLA, 1, joint, 1, ignore_stage)
     flip = q1 ^ 1
@@ -196,7 +211,7 @@ def _joint_eve_meets(kind, k, q1, q):
     odd = k % 2
     if kind is AttackKind.CNOT_ANCILLA:
         if k == 1:
-            return alice_entangle(tensor(init_carrier(with_adversary_ancilla=True), encode_pair(q, odd)), odd)
+            return alice_entangle(tensor(eve_prepare(kind, init_carrier()), encode_pair(q, odd)), odd)
         return odd_round_system(q1, q) if odd else transit_state(q1, q, odd)
     carrier = init_carrier() if odd else end_round_hadamards(init_carrier())
     return alice_entangle(tensor(carrier, encode_pair(q, odd)), odd)
@@ -243,7 +258,7 @@ def test_guard_allows_scope_qubits():
 def test_postprocess_announced_odd_index_recovers_everything():
     # r_k = q_k xor q1 with q1 = 1: bits q = 1,?,0,?,1 -> r3 = 1, r5 = 0.
     rec = EveRecord({3: 1, 5: 0}, 5)
-    out = eve_postprocess(rec, {3: 0})
+    out = eve_postprocess(AttackKind.CNOT_ANCILLA, rec, {3: 0})
     assert out.inferred_offset == 1
     assert out.inferred_bits == {1: 1, 3: 0, 5: 1}
     assert not out.ambiguous
@@ -252,14 +267,14 @@ def test_postprocess_announced_odd_index_recovers_everything():
 
 def test_postprocess_index_one_is_the_offset_itself():
     rec = EveRecord({3: 1}, 3)
-    out = eve_postprocess(rec, {1: 1, 2: 0})
+    out = eve_postprocess(AttackKind.CNOT_ANCILLA, rec, {1: 1, 2: 0})
     assert out.inferred_offset == 1
     assert out.inferred_bits == {1: 1, 3: 0}
 
 
 def test_postprocess_even_only_announcement_is_ambiguous():
     rec = EveRecord({3: 1, 5: 0}, 6)
-    out = eve_postprocess(rec, {2: 0, 4: 1, 6: 0})
+    out = eve_postprocess(AttackKind.CNOT_ANCILLA, rec, {2: 0, 4: 1, 6: 0})
     assert out.ambiguous
     assert out.inferred_offset is None and out.inferred_bits is None
     assert out.candidates == ({1: 0, 3: 1, 5: 0}, {1: 1, 3: 0, 5: 1})
@@ -267,28 +282,38 @@ def test_postprocess_even_only_announcement_is_ambiguous():
 
 def test_postprocess_cross_checks_multiple_odd_indices():
     rec = EveRecord({3: 1, 5: 0}, 5)
-    out = eve_postprocess(rec, {3: 0, 5: 1})  # both imply offset 1
+    out = eve_postprocess(AttackKind.CNOT_ANCILLA, rec, {3: 0, 5: 1})  # both imply offset 1
     assert out.inferred_offset == 1
     with pytest.raises(EveInferenceError):
-        eve_postprocess(rec, {3: 0, 5: 0})  # offsets 1 and 0 disagree
+        eve_postprocess(AttackKind.CNOT_ANCILLA, rec, {3: 0, 5: 0})  # offsets 1 and 0 disagree
 
 
 def test_postprocess_rejects_unknown_indices():
     rec = EveRecord({3: 1}, 4)
     with pytest.raises(ValueError):
-        eve_postprocess(rec, {7: 1})
+        eve_postprocess(AttackKind.CNOT_ANCILLA, rec, {7: 1})
     rec_missing = EveRecord({}, 4)
     with pytest.raises(ValueError):
-        eve_postprocess(rec_missing, {3: 1})
+        eve_postprocess(AttackKind.CNOT_ANCILLA, rec_missing, {3: 1})
 
 
 def test_postprocess_returns_a_new_record_and_leaves_the_notebook_as_it_was():
     rec = EveRecord({3: 1, 5: 0}, 5)
     before = EveRecord({3: 1, 5: 0}, 5)
     assert rec == before and rec is not before
-    out = eve_postprocess(rec, {3: 0})
+    out = eve_postprocess(AttackKind.CNOT_ANCILLA, rec, {3: 0})
     assert out is not rec and rec == before
     assert out != rec and out.measured == rec.measured and out.rounds_seen == 5
     assert EveRecord({}, 0) != EveRecord({}, 1)
     with pytest.raises(AttributeError):
         rec.measured = {}
+
+
+@pytest.mark.parametrize("kind", [AttackKind.NO_ATTACK, AttackKind.INTERCEPT_RESEND])
+def test_postprocess_of_an_attack_that_reads_nothing_returns_the_record_given(kind):
+    rec = EveRecord({}, 5)
+    # Announcements that would resolve, or make ambiguous, a CNOT-ancilla record.
+    for announced in ({1: 1, 3: 0}, {2: 0, 4: 1}, {}):
+        out = eve_postprocess(kind, rec, announced)
+        assert out is rec
+        assert out.inferred_offset is None and not out.ambiguous

@@ -47,7 +47,6 @@ from ghzqss.statevector import (
     discard_qubit,
     from_terms,
     measure_z,
-    new_basis_state,
     tensor,
 )
 
@@ -703,7 +702,7 @@ def test_a_round_decodes_right_exactly_when_it_reveals_the_offset():
             readout = single.eve.measured.get(k)
             record = EveRecord({} if readout is None else {k: readout}, k)
             for o in (0, 1):
-                decoded = eve_postprocess(record, {1: o}).inferred_bits.get(k) == q
+                decoded = eve_postprocess(attack, record, {1: o}).inferred_bits.get(k) == q
                 assert decoded == (reveals[cell] == o), (t, k, o)
     assert reached == set(range(len(reveals) // 4))
     # What a round reveals does not depend on the receivers' bits.
@@ -818,11 +817,11 @@ def test_a_changed_round_op_reaches_both_engines(monkeypatch):
 def test_transition_table_refuses_a_measurement_neither_certain_nor_fair(monkeypatch):
     import ghzqss.harness as harness
 
-    def skewed_carrier(with_adversary_ancilla=False):
+    def skewed_carrier():
         # Not a stabilizer state: Bob's round-1 S1 reads q^A^B, and
         # intercept-resend's S1 reads q^A, each 0 with probability 12/16.
-        carrier = StateVector(("A", "B", "C"), [3, 1, 1, 1, 1, 1, 1, 1], 4)
-        return tensor(carrier, new_basis_state(("E",), "0")) if with_adversary_ancilla else carrier
+        # The interceptor's ancilla comes from eve_prepare, as on the real carrier.
+        return StateVector(("A", "B", "C"), [3, 1, 1, 1, 1, 1, 1, 1], 4)
 
     clear_table_caches()
     monkeypatch.setattr(harness, "init_carrier", skewed_carrier)

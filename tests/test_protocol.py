@@ -58,13 +58,6 @@ def test_init_carrier_without_ancilla():
     assert marginal_probabilities(carrier, ("A",)) == pytest.approx({"0": 0.5, "1": 0.5})
 
 
-def test_init_carrier_with_ancilla():
-    carrier = init_carrier(with_adversary_ancilla=True)
-    expected = from_terms(LAB4, {"0000": 1, "1110": 1}, 1)
-    assert max_abs_difference(carrier, expected) <= 1e-12
-    assert marginal_probabilities(carrier, ("A",)) == pytest.approx({"0": 0.5, "1": 0.5})
-
-
 # --- encoding --------------------------------------------------------------
 
 

@@ -96,3 +96,24 @@ def test_every_named_tuple_field_is_read():
         if isinstance(field, ast.AnnAssign) and field.target.id not in read
     ]
     assert unread == []
+
+
+def _names_an_attack(node) -> bool:
+    """``node`` holds an ``AttackKind.<member>``, however ``AttackKind`` is reached."""
+    return any(
+        isinstance(n, ast.Attribute) and (getattr(n.value, "id", None) or getattr(n.value, "attr", None)) == "AttackKind"
+        for n in ast.walk(node)
+    )
+
+
+def test_only_the_adversary_compares_against_an_attack():
+    # Every per-attack decision lives in adversary.py; elsewhere an attack is
+    # a value to pass on (a default, a scenario's config), never a branch.
+    compares = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "adversary.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Compare) and any(map(_names_an_attack, [node.left, *node.comparators]))
+    ]
+    assert compares == []
