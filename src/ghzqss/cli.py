@@ -102,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_seed(parser: argparse.ArgumentParser, seed: int | None) -> int:
+def _resolve_seed(seed: int | None) -> int:
     if seed is not None:
         return seed
     env = os.environ.get(SEED_ENV_VAR)
@@ -111,8 +111,7 @@ def _resolve_seed(parser: argparse.ArgumentParser, seed: int | None) -> int:
     try:
         return int(env)
     except ValueError:
-        parser.error(f"environment variable {SEED_ENV_VAR}={env!r} is not an integer")
-        raise AssertionError("unreachable")
+        raise ValueError(f"environment variable {SEED_ENV_VAR}={env!r} is not an integer")
 
 
 def _build_config(args, **fields) -> ExperimentConfig:
@@ -121,7 +120,7 @@ def _build_config(args, **fields) -> ExperimentConfig:
         return ExperimentConfig(
             attack=AttackKind.from_name(args.attack),
             compare_fraction=args.compare_fraction,
-            master_seed=_resolve_seed(args.parser, args.seed),
+            master_seed=_resolve_seed(args.seed),
             **fields,
         )
     except ValueError as exc:
@@ -215,7 +214,7 @@ def _cmd_trace(args) -> int:
         head, rest = _json({
             "version": __version__, "bits": bits, "attack": config.attack.value, "seed": config.master_seed,
             "records": None, "snapshots": None,  # written below, in batches
-            "comparison": det._asdict(),
+            "comparison": {**det._asdict(), "any_odd_index_announced": any(i % 2 for i in det.compared_indices)},
             "eve": {
                 "measured": eve.measured, "inferred_offset": eve.inferred_offset,
                 "inferred_bits": eve.inferred_bits, "ambiguous": eve.ambiguous,

@@ -50,12 +50,12 @@ class RoundRecord(NamedTuple):
 
 
 class DetectionReport(NamedTuple):
-    """Result of the public subsequence comparison."""
+    """Result of the public subsequence comparison. Whether it announced an odd
+    index, which tells the interceptor her offset, is read off ``compared_indices``."""
 
     compared_indices: tuple[int, ...]
     mismatches: int
     detected: bool
-    any_odd_index_announced: bool
 
 
 def init_carrier() -> StateVector:
@@ -128,8 +128,7 @@ def public_comparison(records, indices) -> DetectionReport:
 
     A compared index mismatches when its record's reconstructed bit differs
     from the record's sent bit or its consistency flag is down. Detection is
-    declared on any mismatch. The report also notes whether any announced
-    index is odd, which is the quantity the interceptor exploits.
+    declared on any mismatch.
     """
     records = list(records)
     n = len(records)
@@ -143,9 +142,4 @@ def public_comparison(records, indices) -> DetectionReport:
         rec = records[i - 1]
         if rec.reconstructed != rec.sent or not rec.consistent:
             mismatches += 1
-    return DetectionReport(
-        compared_indices=indices,
-        mismatches=mismatches,
-        detected=mismatches > 0,
-        any_odd_index_announced=any(i % 2 == 1 for i in indices),
-    )
+    return DetectionReport(compared_indices=indices, mismatches=mismatches, detected=mismatches > 0)

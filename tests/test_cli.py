@@ -317,6 +317,22 @@ def test_trace_seed_changes_only_measurement_draws(capsys):
     assert readouts["1"] == readouts["2"] == {"3": 0}
 
 
+@pytest.mark.parametrize("attack", ["none", "intercept-resend", "cnot-ancilla"])
+@pytest.mark.parametrize("seed, compared", [("2", [2]), ("0", [1])])
+def test_trace_json_derives_whether_an_odd_index_was_announced(capsys, attack, seed, compared):
+    code, out = run_cli(
+        capsys, "trace", "--bits", "10", "--attack", attack, "--compare-fraction", "0.5", "--seed", seed,
+        "--format", "json",
+    )
+    assert code == 0
+    payload = json.loads(out)
+    comparison = payload["comparison"]
+    assert comparison["compared_indices"] == compared
+    assert comparison["any_odd_index_announced"] is any(i % 2 for i in compared)
+    if attack == "cnot-ancilla":  # an announced odd index is what resolves her offset
+        assert payload["eve"]["ambiguous"] is not comparison["any_odd_index_announced"]
+
+
 def test_trace_text_format_headers(capsys):
     code, out = run_cli(capsys, "trace", "--bits", "1", "--attack", "none", "--seed", "0")
     assert code == 0

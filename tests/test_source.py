@@ -73,9 +73,6 @@ def test_the_script_starts_the_function_python_m_starts():
 #: NamedTuple fields that only the tests read: the seam through which they
 #: check a batch's table path.
 _TEST_SEAMS = ("path",)
-#: NamedTuple fields the package reads only through their tuple's
-#: ``_asdict()``: the trace writes its comparison block whole.
-_READ_AS_DICT = ("any_odd_index_announced",)
 
 
 def test_every_named_tuple_field_is_read():
@@ -84,7 +81,7 @@ def test_every_named_tuple_field_is_read():
     perfbench = Path(__file__).resolve().parents[1] / "perfbench"
     package = [ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))]
     trees = package + [ast.parse(path.read_text()) for path in sorted(perfbench.glob("*.py"))]
-    read = set(_TEST_SEAMS + _READ_AS_DICT)
+    read = set(_TEST_SEAMS)
     for tree in trees:
         read |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
     unread = [
