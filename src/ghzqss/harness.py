@@ -469,8 +469,9 @@ def _run_batch(config: ExperimentConfig, indices: np.ndarray) -> _BatchOutcome:
         if np.any((reveals >= 0) & (reveals != offset)):
             raise EveInferenceError("announced odd indices imply conflicting offsets")
         ambiguous = offset < 0
-        # A round decodes right exactly when the offset is the one it reveals.
-        eve_correct = np.where(ambiguous, 0, (revealed == offset).sum(axis=0))
+        # A round decodes right exactly when the offset is the one it reveals (zeroed in place: np.where copies).
+        eve_correct = (revealed == offset).sum(axis=0)
+        eve_correct[ambiguous] = 0
 
     return _BatchOutcome(path.T, mismatches, ambiguous, eve_correct)
 
@@ -510,7 +511,7 @@ def run_experiment(config: ExperimentConfig, on_chunk=None) -> AggregateReport:
             if on_chunk is not None:
                 on_chunk(indices, [0] * len(indices), [False] * len(indices), [0] * len(indices))
             continue
-        out = _run_batch(config, np.arange(indices.start, indices.stop))
+        out = _run_batch(config, np.arange(indices.start, indices.stop, dtype=np.uint64))
         ambiguous_total += int(out.ambiguous.sum())
         correct_total += int(out.eve_correct.sum())
         for value, c in zip(*np.unique(out.mismatches, return_counts=True)):

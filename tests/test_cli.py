@@ -1,3 +1,4 @@
+import argparse
 import csv
 import functools
 import gc
@@ -469,6 +470,23 @@ def test_invalid_environment_seed_is_a_usage_error(capsys, monkeypatch):
     assert excinfo.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("usage: ghzqss run ") and "\nghzqss run: error: environment variable" in err, err
+
+
+# --- options -------------------------------------------------------------------
+
+
+def test_run_and_trace_share_each_option_definition():
+    (subparsers,) = (a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = {
+        command: {a.option_strings[-1]: a for a in subparsers.choices[command]._actions if a.dest != "help"}
+        for command in ("run", "trace")
+    }
+    for name in ("--attack", "--compare-fraction", "--seed"):
+        run, trace = options["run"][name], options["trace"][name]
+        assert (run.choices, run.default, run.type, run.help) == (trace.choices, trace.default, trace.type, trace.help)
+    # The order is each usage line's, which every usage error prints on stderr.
+    assert list(options["run"]) == ["--bits-count", "--trials", "--attack", "--compare-fraction", "--seed", "--format"]
+    assert list(options["trace"]) == ["--bits", "--attack", "--seed", "--compare-fraction", "--format"]
 
 
 # --- start-up cost ---------------------------------------------------------------
