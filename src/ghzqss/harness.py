@@ -53,6 +53,7 @@ from .protocol import (
     receive_and_reconstruct,
 )
 from .statevector import (
+    QUBIT_ROLES,
     StateVector,
     discard_qubit,
     from_terms,
@@ -560,9 +561,6 @@ def aggregate_report_dict(config: ExperimentConfig, report: AggregateReport) -> 
 # hand-coded expected states.
 # ---------------------------------------------------------------------------
 
-_LAB6 = ("A", "B", "C", "E", "S1", "S2")
-_LAB4 = ("A", "B", "C", "E")
-
 
 class GoldenCheck(NamedTuple):
     name: str
@@ -571,13 +569,9 @@ class GoldenCheck(NamedTuple):
     detail: str = ""
 
 
-def _round1_transit(q1: int) -> StateVector:
-    flip = q1 ^ 1
-    return from_terms(_LAB6, {f"000{q1}{q1}{q1}": 1, f"111{flip}{flip}{flip}": 1}, 1)
-
-
-def _carrier_ancilla_odd(q1: int) -> StateVector:
-    return from_terms(_LAB4, {f"000{q1}": 1, f"111{q1 ^ 1}": 1}, 1)
+def _ghz(zero: str, one: str) -> StateVector:
+    """(|000>|zero> + |111>|one>)/sqrt2 on A, B, C, then E, S1, S2 as far as ``zero`` reaches."""
+    return from_terms(QUBIT_ROLES[: 3 + len(zero)], {f"000{zero}": 1, f"111{one}": 1}, 1)
 
 
 def _carrier_ancilla_even(q1: int) -> StateVector:
@@ -587,16 +581,7 @@ def _carrier_ancilla_even(q1: int) -> StateVector:
         s = format(i, "04b")
         if s.count("1") % 2 == 0:
             terms[s] = -1 if q1 == 1 and s[3] == "1" else 1
-    return from_terms(_LAB4, terms, 3)
-
-
-def _odd_round_system(q1: int, q: int) -> StateVector:
-    return from_terms(_LAB6, {f"000{q1}{q}{q}": 1, f"111{q1 ^ 1}{q ^ 1}{q ^ 1}": 1}, 1)
-
-
-def _ancilla_split(q1: int, q: int) -> StateVector:
-    s1 = q ^ q1  # the readout: S1 is disentangled and definite in both terms
-    return from_terms(_LAB6, {f"000{q1}{s1}{q}": 1, f"111{q1 ^ 1}{s1}{q ^ 1}": 1}, 1)
+    return from_terms(QUBIT_ROLES[:4], terms, 3)
 
 
 def verify_golden_states(inject_sign_fault: bool = False) -> list[GoldenCheck]:
@@ -609,10 +594,11 @@ def verify_golden_states(inject_sign_fault: bool = False) -> list[GoldenCheck]:
     round-3 bit q, and every check reports its worst error over both trials.
     The ancilla-split check also fails, with a detail, if Eve's round-3
     readout is not q XOR q1, or is not deterministic: her measurement must
-    return the state it was given. ``inject_sign_fault`` flips one amplitude
-    sign in the round-1 post-Hadamard state as compared (the trial itself is
-    untouched), which must make exactly the Hadamard checks fail; it exists
-    for fault-injection tests.
+    return the state it was given. ``inject_sign_fault`` compares the round-1
+    post-Hadamard state with the other q1's signed form, which differs in the
+    signs of the four kets whose ancilla bit is set (the trial itself is
+    untouched), so exactly the two Hadamard checks fail, each with error
+    2 * 2**(-3/2); it exists for fault-injection tests.
     """
     checks: list[GoldenCheck] = []
 
@@ -623,39 +609,34 @@ def verify_golden_states(inject_sign_fault: bool = False) -> list[GoldenCheck]:
             states: dict[tuple[int, str], StateVector] = {}
             config = ExperimentConfig(n_bits=3, attack=AttackKind.CNOT_ANCILLA, bits=f"{q1}0{q}")
             eve = run_trial(config, observer=lambda k, stage, state: states.__setitem__((k, stage), state)).eve
-            even_form = states[1, "after round-end Hadamards"]
-            if inject_sign_fault:
-                ints = list(even_form.ints)
-                last = max(i for i, a in enumerate(ints) if a)
-                ints[last] = -ints[last]
-                even_form = StateVector(even_form.labels, ints, even_form.r)
+            f, p, s1 = q1 ^ 1, q ^ 1, q ^ q1  # s1: Eve's round-3 readout, definite in both branches
             # The receivers' CNOTs detach the round-1 pair as |q1,q1>.
-            detached = from_terms(_LAB6, {f"000{q1}{q1}{q1}": 1, f"111{q1 ^ 1}{q1}{q1}": 1}, 1)
-            system = _odd_round_system(q1, q)
+            detached = _ghz(f"{q1}{q1}{q1}", f"{f}{q1}{q1}")
+            system = _ghz(f"{q1}{q}{q}", f"{f}{p}{p}")
             comparisons = {
-                "round1 transit": [(states[1, "after Eve C(S1->E)"], _round1_transit(q1))],
+                "round1 transit": [(states[1, "after Eve C(S1->E)"], _ghz(f"{q1}{q1}{q1}", f"{f}{f}{f}"))],
                 "round1 carrier after disentangle": [
                     (states[1, "after Bob/Charlie disentangling CNOTs"], detached),
                     (states[1, "after Bob/Charlie measurements"], detached),
                 ],
                 # Round-end Hadamards: odd form -> signed even-weight form -> back.
                 "carrier after round-end Hadamards": [
-                    (even_form, _carrier_ancilla_even(q1)),
-                    (states[2, "after round-end Hadamards"], _carrier_ancilla_odd(q1)),
+                    (states[1, "after round-end Hadamards"], _carrier_ancilla_even(q1 ^ inject_sign_fault)),
+                    (states[2, "after round-end Hadamards"], _ghz(f"{q1}", f"{f}")),
                 ],
                 "odd-round entangled system": [(states[3, "after Alice CNOTs"], system)],
                 # Eve's CNOT detaches S1, she reads it deterministically, and
                 # her second CNOT restores the system.
                 "odd-round ancilla split": [
-                    (states[3, "after Eve C(E->S1)"], _ancilla_split(q1, q)),
+                    (states[3, "after Eve C(E->S1)"], _ghz(f"{q1}{s1}{q}", f"{f}{s1}{p}")),
                     (states[3, "after Eve restoring C(E->S1)"], system),
                 ],
             }
             for name, pairs in comparisons.items():
                 err = max(max_abs_difference(state, expected) for state, expected in pairs)
                 errors[name] = max(errors.get(name, 0.0), err)
-            if eve.measured[3] != q ^ q1:
-                failures.append(f"readout {eve.measured[3]} != {q ^ q1} for q={q}")
+            if eve.measured[3] != s1:
+                failures.append(f"readout {eve.measured[3]} != {s1} for q={q}")
             # A certain measurement returns its input; a fair one collapses it.
             if states[3, "after Eve measurement of S1"] != states[3, "after Eve C(E->S1)"]:
                 failures.append(f"readout not deterministic for q={q}")

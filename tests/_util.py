@@ -6,9 +6,13 @@ import numpy as np
 
 from ghzqss import statevector
 from ghzqss.harness import run_experiment, run_trial
-from ghzqss.statevector import StateVector, apply_cnot, apply_h, new_basis_state
+from ghzqss.statevector import StateVector, apply_cnot, apply_h, from_terms, new_basis_state
 
 ROW_COLUMNS = ("trial_index", "mismatches", "ambiguous", "eve_correct_bits")
+
+#: The carrier's register, and the carrier's with Alice's pair.
+LAB4 = ("A", "B", "C", "E")
+LAB6 = ("A", "B", "C", "E", "S1", "S2")
 
 
 #: The statevector ops that cache their results.
@@ -46,6 +50,23 @@ def apply_x(state: StateVector, q: str) -> StateVector:
     i with ``q``'s bit flipped, a permutation, so the form stays reduced."""
     flip = 1 << (state.n_qubits - 1 - state.axis(q))
     return StateVector(state.labels, [state.ints[i ^ flip] for i in range(len(state.ints))], state.r)
+
+
+def carrier_ancilla_odd(q1):
+    """The carrier and Eve's ancilla E in their odd-round form for the
+    round-1 bit ``q1``: (|000 q1> + |111 q1^1>)/sqrt2."""
+    return from_terms(LAB4, {f"000{q1}": 1, f"111{q1 ^ 1}": 1}, 1)
+
+
+def carrier_ancilla_even(q1):
+    """``carrier_ancilla_odd(q1)`` after Hadamards on A, B, C and E: every
+    even-weight four-bit ket, negated where ``q1`` and the ancilla bit are 1."""
+    terms = {}
+    for i in range(16):
+        s = format(i, "04b")
+        if s.count("1") % 2 == 0:
+            terms[s] = -1 if q1 == 1 and s[3] == "1" else 1
+    return from_terms(LAB4, terms, 3)
 
 
 def amplitudes(state: StateVector) -> np.ndarray:

@@ -28,7 +28,6 @@ from ghzqss.protocol import (
 from ghzqss.statevector import (
     apply_cnot,
     apply_h,
-    from_terms,
     max_abs_difference,
     measure_z,
     tensor,
@@ -36,6 +35,8 @@ from ghzqss.statevector import (
 
 from _util import (
     apply_x,
+    carrier_ancilla_even,
+    carrier_ancilla_odd,
     equal_up_to_global_phase,
     ignore_stage,
     marginal_probabilities,
@@ -51,26 +52,11 @@ from oracles import (
     intercept_resend_detection_probability,
 )
 
-LAB4 = ("A", "B", "C", "E")
-
 
 def _report(number: int, name: str, passed: bool, detail: str = "") -> None:
     status = "PASS" if passed else "FAIL"
     suffix = f"  ({detail})" if detail else ""
     print(f"[acceptance] criterion {number} ({name}): {status}{suffix}")
-
-
-def carrier_ancilla_odd(q1):
-    return from_terms(LAB4, {f"000{q1}": 1, f"111{q1 ^ 1}": 1}, 1)
-
-
-def carrier_ancilla_even(q1):
-    terms = {}
-    for i in range(16):
-        s = format(i, "04b")
-        if s.count("1") % 2 == 0:
-            terms[s] = -1 if q1 == 1 and s[3] == "1" else 1
-    return from_terms(LAB4, terms, 3)
 
 
 def _tables_close(first: dict, second: dict, tol: float) -> bool:

@@ -33,23 +33,15 @@ from ghzqss.statevector import (
     tensor,
 )
 
-from _util import ignore_stage, marginal_probabilities, reduced_density_matrix
-
-LAB4 = ("A", "B", "C", "E")
-LAB6 = ("A", "B", "C", "E", "S1", "S2")
-
-
-def carrier_ancilla_odd(q1):
-    return from_terms(LAB4, {f"000{q1}": 1, f"111{q1 ^ 1}": 1}, 1)
-
-
-def carrier_ancilla_even(q1):
-    terms = {}
-    for i in range(16):
-        s = format(i, "04b")
-        if s.count("1") % 2 == 0:
-            terms[s] = -1 if q1 == 1 and s[3] == "1" else 1
-    return from_terms(LAB4, terms, 3)
+from _util import (
+    LAB4,
+    LAB6,
+    carrier_ancilla_even,
+    carrier_ancilla_odd,
+    ignore_stage,
+    marginal_probabilities,
+    reduced_density_matrix,
+)
 
 
 def odd_round_system(q1, q):

@@ -47,12 +47,22 @@ def test_verify_json_is_machine_readable(capsys):
     assert all(set(c) == {"name", "passed", "max_error", "detail"} for c in payload["checks"])
 
 
+# sha256 of stdout of `verify --inject-sign-fault` per format.
+SIGN_FAULT_DIGESTS = {
+    "text": "5f8d43725cd4b18f768cb2b7eafd00c1019043d5bdc27e49c5c2b6a50f4f4d8f",
+    "json": "fc069c70651159a55d8fae0aab6a7c04af9326f2a95414e7bae6ab4af7336257",
+}
+
+
 def test_verify_sign_fault_fails_with_exit_1(capsys):
     code, out = run_cli(capsys, "verify", "--inject-sign-fault")
     assert code == 1
     assert "FAIL" in out
     failing = [line for line in out.splitlines() if line.startswith("FAIL")]
     assert all("Hadamards" in line for line in failing)
+    for fmt, digest in SIGN_FAULT_DIGESTS.items():
+        code, out = run_cli(capsys, "verify", "--format", fmt, "--inject-sign-fault")
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (1, digest)
 
 
 # --- run ------------------------------------------------------------------
@@ -624,6 +634,7 @@ def _child_exit(*args, closed_stdout=True, unbuffered=False):
     "argv, unbuffered",
     [
         (("run", "--format", "json", "--trials", "100"), False),
+        (("run", "--format", "json", "--trials", "100"), True),
         (("run", "--format", "csv", "--trials", "10"), False),
         (("trace", "--bits", "101"), False),
         (("verify",), False),
@@ -636,7 +647,7 @@ def _child_exit(*args, closed_stdout=True, unbuffered=False):
         (("run", "--help"), True),
     ],
     ids=[
-        "run-json", "run-csv", "trace", "verify", "version", "help", "run-help",
+        "run-json", "run-json-unbuffered", "run-csv", "trace", "verify", "version", "help", "run-help",
         "version-unbuffered", "help-unbuffered", "run-help-unbuffered",
     ],
 )

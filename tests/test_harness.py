@@ -45,7 +45,6 @@ from ghzqss.statevector import (
     StateVector,
     apply_h,
     discard_qubit,
-    from_terms,
     measure_z,
     tensor,
 )
@@ -54,6 +53,7 @@ from _util import (
     ROW_COLUMNS,
     bind_uncached,
     cache_totals,
+    carrier_ancilla_odd,
     equal_up_to_global_phase,
     marginal_probabilities,
     path_columns,
@@ -61,12 +61,6 @@ from _util import (
     run_with_rows,
     sent_bits,
 )
-
-LAB4 = ("A", "B", "C", "E")
-
-
-def carrier_ancilla_odd(q1):
-    return from_terms(LAB4, {f"000{q1}": 1, f"111{q1 ^ 1}": 1}, 1)
 
 
 # --- seeding ---------------------------------------------------------------
@@ -1014,9 +1008,8 @@ def test_golden_states_all_pass():
 
 def test_golden_states_sign_fault_is_caught():
     checks = verify_golden_states(inject_sign_fault=True)
-    failing = [c for c in checks if not c.passed]
-    assert failing
-    assert all("Hadamards" in c.name for c in failing)
+    failing = [(c.name, c.max_error) for c in checks if not c.passed]
+    assert failing == [(f"carrier after round-end Hadamards (q1={q1})", 2**-0.5) for q1 in (0, 1)]
 
 
 def _eve_after_the_receivers(kind, k, carrier, q, eve, bits, emit):

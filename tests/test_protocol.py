@@ -24,23 +24,7 @@ from ghzqss.statevector import (
     tensor,
 )
 
-from _util import apply_x, marginal_probabilities
-
-LAB4 = ("A", "B", "C", "E")
-LAB6 = ("A", "B", "C", "E", "S1", "S2")
-
-
-def carrier_ancilla_odd(q1: int):
-    return from_terms(LAB4, {f"000{q1}": 1, f"111{q1 ^ 1}": 1}, 1)
-
-
-def carrier_ancilla_even(q1: int):
-    terms = {}
-    for i in range(16):
-        s = format(i, "04b")
-        if s.count("1") % 2 == 0:
-            terms[s] = -1 if q1 == 1 and s[3] == "1" else 1
-    return from_terms(LAB4, terms, 3)
+from _util import LAB6, apply_x, carrier_ancilla_even, carrier_ancilla_odd, marginal_probabilities
 
 
 def honest_even_carrier():

@@ -21,6 +21,7 @@ from ghzqss.statevector import (
 )
 
 from _util import (
+    LAB6,
     amplitudes,
     apply_x,
     bind_uncached,
@@ -31,8 +32,6 @@ from _util import (
     reduced_density_matrix,
 )
 from oracles import brute_marginal
-
-LAB6 = ("A", "B", "C", "E", "S1", "S2")
 
 
 def bell(q: int) -> StateVector:
