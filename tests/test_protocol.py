@@ -1,11 +1,7 @@
-import itertools
-
-import numpy as np
 import pytest
 
 from ghzqss.adversary import AttackKind, eve_end_round
 from ghzqss.protocol import (
-    DetectionReport,
     RoundRecord,
     alice_entangle,
     bob_disentangle,

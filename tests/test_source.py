@@ -23,9 +23,10 @@ def _module_level(tree: ast.Module, kinds):
             stack.extend(ast.iter_child_nodes(node))
 
 
-def test_every_module_level_import_is_used():
+def _unused_imports(directory: Path) -> list[str]:
+    """``file:line name`` of each module-level import in ``directory`` that its module never reads."""
     unused = []
-    for path in sorted(PACKAGE.glob("*.py")):
+    for path in sorted(directory.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         if path.name == "__init__.py":
@@ -37,7 +38,15 @@ def test_every_module_level_import_is_used():
                 name = alias.asname or alias.name.partition(".")[0]
                 if name not in used:
                     unused.append(f"{path.name}:{node.lineno} {name}")
-    assert unused == []
+    return unused
+
+
+def test_every_module_level_import_is_used():
+    assert _unused_imports(PACKAGE) == []
+
+
+def test_every_test_module_level_import_is_used():
+    assert _unused_imports(Path(__file__).parent) == []
 
 
 def test_every_module_level_name_is_used():
