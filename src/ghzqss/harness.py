@@ -8,14 +8,13 @@ pair into a trial seed ``s``; the trial's every random word is then a
 counter-based hash of ``(s, round k, column c)``, the SplitMix64 output
 ``avalanche(s + (5k + c) * 0x9E3779B97F4A7C15)``, with columns 0 data bit,
 1 Eve's measurement bit, 2 Bob's, 3 Charlie's and 4 the round's comparison
-key. ``_stream`` is the only reader of the stream and ``_bit`` and
-``_compare_key`` the only readers of its words; they take Python ints, for
-the single-trial engine, and uint64 arrays, for the vectorized batch
-engine, alike, so results are independent of execution order and identical
-between the two. numpy is imported only when ``_batch_randomness``,
-``_round_symbols`` or ``_run_batch`` runs, which ``run_experiment`` calls
-only for an attack whose outputs can vary; the transition table and the
-minimal machine they read are built in pure Python.
+key. Three engines read it: ``run_trial``, on Python ints, ``_run_batch``,
+on uint64 arrays, both through ``_stream``, ``_bit`` and ``_compare_key``,
+and ``_run_packed``, on one 128-bit lane per word of a Python int, so
+results are independent of execution order and identical between them.
+``run_experiment`` gives a small run to ``_run_packed`` and imports numpy
+only for a larger one whose outputs can vary; the transition table and the
+minimal machine the engines walk are built in pure Python.
 
 ``run_experiment`` keeps only running totals: per-trial results leave each
 chunk through its ``on_chunk`` callback, so its memory is bounded by the
@@ -27,6 +26,8 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
+import sys
+from array import array
 from collections import Counter
 from typing import NamedTuple
 
@@ -74,6 +75,11 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 #: Columns of the random stream, per round.
 _BIT, _EVE, _BOB, _CHARLIE, _KEY = range(5)
+#: A run whose trials x (n_bits + _TRIAL_ROUNDS) is at most _PACKED_ROUNDS
+#: takes the packed engine, being too small for the numpy engine to repay
+#: numpy's import; a trial's seed and key sort cost about _TRIAL_ROUNDS rounds.
+_PACKED_ROUNDS = 2**17
+_TRIAL_ROUNDS = 5
 
 
 def _avalanche(z):
@@ -112,6 +118,11 @@ def _stream(seeds, k, column):
 def _bit(word):
     """A data or measurement bit: the top bit of its word."""
     return word >> 63
+
+
+def _compared_keys(keys, m):
+    """The keys of the rounds a trial compares: its ``m`` smallest."""
+    return sorted(keys)[:m]
 
 
 def _compare_key(word, k):
@@ -265,8 +276,8 @@ def run_trial(config: ExperimentConfig, trial_index: int = 0, observer=None) -> 
     """
     seed = seed_for_trial(config.master_seed, operator.index(trial_index))
     n = config.n_bits
-    keys = sorted(_compare_key(_stream(seed, k, _KEY), k) for k in range(1, n + 1))
-    subset = tuple(sorted((key & _KEY_ROUND_BITS) + 1 for key in keys[: config.compare_count]))
+    keys = [_compare_key(_stream(seed, k, _KEY), k) for k in range(1, n + 1)]
+    subset = tuple(sorted((key & _KEY_ROUND_BITS) + 1 for key in _compared_keys(keys, config.compare_count)))
     kind = config.attack
     emit = observer or _silent
     carrier = eve_prepare(kind, init_carrier())
@@ -290,8 +301,8 @@ def run_trial(config: ExperimentConfig, trial_index: int = 0, observer=None) -> 
 
 
 # ---------------------------------------------------------------------------
-# Vectorized batch engine. Every gate is Clifford and every prepared state is
-# a stabilizer state, so a run only ever visits a handful of distinct states,
+# Machine engines. Every gate is Clifford and every prepared state is a
+# stabilizer state, so a run only ever visits a handful of distinct states,
 # a state being a carrier plus the phase of the round it enters, and every
 # measurement is certain or fair (Aaronson & Gottesman, PRA 70, 052328), so
 # measure_z takes one random bit. _transition_table finds the states by
@@ -301,14 +312,12 @@ def run_trial(config: ExperimentConfig, trial_index: int = 0, observer=None) -> 
 # _minimal_machine merges the table's states that no symbol string tells
 # apart (1 / 3 / 5 states for none / intercept-resend / cnot-ancilla) and
 # finds the symbol bits some cell reads. A chunk of trials steps through
-# the machine by one integer gather per round, on the round's 4-bit symbol
-# (data bit, then Eve's, Bob's and Charlie's bits) with every unread bit 0,
-# then gathers every per-trial column along each trial's path; a machine
-# whose outputs cannot vary is not walked at all. The engine reads
-# run_trial's randomness through the same _stream, _bit and _compare_key,
-# hashing it in cache-sized blocks, so outcomes match run_trial trial for
-# trial (asserted by the test suite). The table and the machine are flat
-# tuples and their builds import no numpy.
+# the machine one round at a time, on the round's 4-bit symbol (data bit,
+# then Eve's, Bob's and Charlie's bits) with every unread bit 0, and sums
+# every per-trial column along each trial's path; a machine whose outputs
+# cannot vary is not walked at all. Both engines hash run_trial's stream in
+# cache-sized blocks, so outcomes match run_trial trial for trial (asserted
+# by the test suite). The table and the machine are flat tuples.
 # ---------------------------------------------------------------------------
 
 
@@ -477,13 +486,96 @@ def _run_batch(config: ExperimentConfig, indices: np.ndarray) -> _BatchOutcome:
     return _BatchOutcome(path.T, mismatches, ambiguous, eve_correct)
 
 
+def _avalanche_lanes(z, lanes):
+    """``_avalanche`` of every 128-bit lane of the int ``z``; masking each step
+    to the lanes' low words, ``lanes``, keeps every lane out of the next."""
+    z &= lanes
+    for shift, mix in (30, _MIX1), (27, _MIX2):
+        z ^= z >> shift & lanes
+        z = z * mix & lanes
+    return z ^ z >> 31 & lanes
+
+
+def _run_packed(config: ExperimentConfig, indices: range):
+    """``_run_batch``'s columns but ``path``, as lists, on Python ints alone.
+
+    Word (trial t, round k) of a stream column is the 128-bit lane
+    (k - 1) * B + t of an int spanning about ``_BLOCK`` trial-rounds, so one
+    int operation steps them all: SIMD within a register (Lamport, CACM
+    18(8), 1975). A lane's low byte holds its symbol, and bit 7 whether its
+    trial compares the round; the machine walks a round of bytes at a time.
+    """
+    n, B, m = config.n_bits, len(indices), config.compare_count
+    machine, reads = _minimal_machine(config.attack)
+    if len(machine.next_state) > 128:  # a cell, state * 16 + symbol, must leave bit 7 free
+        raise ValueError(f"a lane's byte holds a machine of at most 8 states, not {len(machine.next_state) // 16}")
+    seeds = b"".join(seed_for_trial(config.master_seed, t).to_bytes(16, "little") for t in indices)
+
+    def rounds(values):  # one value per round of a block, in each of its B lanes
+        return int.from_bytes(b"".join(v.to_bytes(16, "little") * B for v in values), "little")
+
+    @functools.cache
+    def block(count):  # the lanes of ``count`` rounds: bit 0, low words, gamma, key bits, seeds, rounds 1..count
+        ones = int.from_bytes(b"\1".ljust(16, b"\0") * (count * B), "little")
+        lanes = ones * _MASK64
+        high = lanes - ones * _KEY_ROUND_BITS
+        return ones, lanes, ones * _GAMMA, high, int.from_bytes(seeds * count, "little"), rounds(range(1, count + 1))
+
+    fixed = config.bits is not None
+    keys, path, rows = array("Q"), bytearray(), max(1, _BLOCK // B)
+    for first in range(0, n, rows):
+        count = min(rows, n - first)
+        ones, lanes, gammas, high, s, k = block(count)
+        k += first * ones  # each lane's round
+        s += 5 * _GAMMA * k  # _stream's input, seed + (5k + column) * gamma, less its column's share
+        words = _avalanche_lanes(s + _KEY * gammas, lanes) & high | k - ones  # _compare_key
+        keys += array("Q", words.to_bytes(16 * count * B, "little"))[::2]
+        symbols = rounds(int(q) << 3 for q in config.bits[first : first + count]) if fixed else 0
+        for c in (_BIT, _EVE, _BOB, _CHARLIE)[fixed:]:
+            if reads >> 3 - c & 1:
+                symbols |= _avalanche_lanes(s + c * gammas, lanes) >> 60 + c & ones << 3 - c  # _bit
+        path += symbols.to_bytes(16 * count * B, "little")[::16]
+    if sys.byteorder == "big":
+        keys.byteswap()
+    for i in ((key & _KEY_ROUND_BITS) * B + t for t in range(B) for key in _compared_keys(keys[t::B], m)):
+        path[i] |= 128
+
+    def table(column, compared=True):  # each lane byte's cell's value in ``column``
+        column = [*column, *[0] * (128 - len(column))]
+        return bytes(column[x & 127] * (x >> 7 or not compared) for x in range(256))
+
+    step, state = table([16 * following for following in machine.next_state], compared=False), 0
+    for r in range(0, n * B, B):
+        path[r : r + B] = row = (int.from_bytes(path[r : r + B], "little") | state).to_bytes(B, "little")
+        state = int.from_bytes(row.translate(step), "little")
+    mismatches, ambiguous, eve_correct = [0] * B, [False] * B, [0] * B
+    if any(machine.mismatch):
+        hits = path.translate(table(machine.mismatch))
+        mismatches = [hits[t::B].count(1) for t in range(B)]
+    if max(machine.reveals) >= 0:  # Eve infers: some round reveals her offset o, flagged 1 << o
+        told = [0 if r < 0 else 1 << r for r in machine.reveals]
+        flags, height = int.from_bytes(path.translate(table(told)), "little"), n
+        while height > 1:  # OR the rounds' rows of flags together, halving their number
+            half = height + 1 >> 1
+            flags, height = flags & (1 << 8 * B * half) - 1 | flags >> 8 * B * half, half
+        flags = flags.to_bytes(B, "little")
+        if any(flag & flag - 1 for flag in flags):
+            raise EveInferenceError("announced odd indices imply conflicting offsets")
+        known = path.translate(table(told, compared=False))
+        ambiguous = [not flag for flag in flags]
+        eve_correct = [known[t::B].count(flag) if flag else 0 for t, flag in enumerate(flags)]
+    return mismatches, ambiguous, eve_correct
+
+
 def run_experiment(config: ExperimentConfig, on_chunk=None) -> AggregateReport:
     """Aggregate ``config.trials`` independent trials.
 
-    Trials are processed by the vectorized engine in chunks of at most
-    ``_CHUNK_ROUNDS`` trial-rounds; because every trial's randomness is
-    derived solely from its index, the report is independent of chunking and
-    execution order, and two runs with the same config are byte-identical.
+    Trials are processed in chunks of at most ``_CHUNK_ROUNDS`` trial-rounds,
+    by ``_run_packed`` when ``(trials, n_bits)`` falls under the constant rule
+    at ``_PACKED_ROUNDS`` and by ``_run_batch`` otherwise; because every
+    trial's randomness is derived solely from its index, the report is
+    independent of the engine, chunking and execution order, and two runs
+    with the same config are byte-identical.
 
     ``on_chunk(indices, mismatches, ambiguous, eve_correct)``, when given,
     receives each chunk's per-trial columns as equal-length Python sequences
@@ -501,7 +593,8 @@ def run_experiment(config: ExperimentConfig, on_chunk=None) -> AggregateReport:
     correct_total = 0
     machine, _ = _minimal_machine(config.attack)
     varies = any(machine.mismatch) or max(machine.reveals) >= 0
-    if varies:
+    packed = config.trials * (config.n_bits + _TRIAL_ROUNDS) <= _PACKED_ROUNDS
+    if varies and not packed:
         import numpy as np
 
     chunk = _CHUNK_ROUNDS // config.n_bits
@@ -509,17 +602,23 @@ def run_experiment(config: ExperimentConfig, on_chunk=None) -> AggregateReport:
         indices = range(start, min(start + chunk, config.trials))
         if not varies:
             hist[0] += len(indices)
+            columns = [0] * len(indices), [False] * len(indices), [0] * len(indices)
+        elif packed:
+            columns = _run_packed(config, indices)
+            hist.update(columns[0])
+            ambiguous_total += sum(columns[1])
+            correct_total += sum(columns[2])
+        else:
+            out = _run_batch(config, np.arange(indices.start, indices.stop, dtype=np.uint64))
+            ambiguous_total += int(out.ambiguous.sum())
+            correct_total += int(out.eve_correct.sum())
+            for value, c in zip(*np.unique(out.mismatches, return_counts=True)):
+                hist[int(value)] += int(c)
             if on_chunk is not None:
-                on_chunk(indices, [0] * len(indices), [False] * len(indices), [0] * len(indices))
-            continue
-        out = _run_batch(config, np.arange(indices.start, indices.stop, dtype=np.uint64))
-        ambiguous_total += int(out.ambiguous.sum())
-        correct_total += int(out.eve_correct.sum())
-        for value, c in zip(*np.unique(out.mismatches, return_counts=True)):
-            hist[int(value)] += int(c)
+                columns = out.mismatches.tolist(), out.ambiguous.tolist(), out.eve_correct.tolist()
+            del out  # free this chunk's arrays before the next chunk draws its own
         if on_chunk is not None:
-            on_chunk(indices, out.mismatches.tolist(), out.ambiguous.tolist(), out.eve_correct.tolist())
-        del out  # free this chunk's arrays before the next chunk draws its own
+            on_chunk(indices, *columns)
 
     nonambiguous_total = config.trials - ambiguous_total
     return AggregateReport(

@@ -198,19 +198,22 @@ RUN_DIGESTS = {
 
 
 @pytest.mark.parametrize("attack, fmt, fraction", list(RUN_DIGESTS))
-def test_run_output_bytes_are_pinned(capsys, attack, fmt, fraction):
-    code, out = run_cli(
-        capsys,
-        "run",
-        "--attack", attack,
-        "--format", fmt,
-        "--compare-fraction", fraction,
-        "--bits-count", "17",
-        "--trials", "300",
-        "--seed", "7",
-    )
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == RUN_DIGESTS[attack, fmt, fraction]
+def test_run_output_bytes_are_pinned(capsys, monkeypatch, attack, fmt, fraction):
+    # On either engine: the rule's constant forces every run to the numpy one, then to the packed one.
+    for packed_rounds in (0, 2**62):
+        monkeypatch.setattr(harness, "_PACKED_ROUNDS", packed_rounds)
+        code, out = run_cli(
+            capsys,
+            "run",
+            "--attack", attack,
+            "--format", fmt,
+            "--compare-fraction", fraction,
+            "--bits-count", "17",
+            "--trials", "300",
+            "--seed", "7",
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == RUN_DIGESTS[attack, fmt, fraction], packed_rounds
 
 
 # sha256 of stdout per (command, attack, format): `trace` of TRACE_BITS at
@@ -533,6 +536,11 @@ STARTUP_ARGV = [("--version",), ("trace", "--bits", "10110", "--attack", "cnot-a
 RUN_ARGV = ("run", "--bits-count", "4", "--trials", "3")
 
 
+def _packed(n_bits, trials):
+    """Whether ``run_experiment``'s rule gives a run of this size to the packed engine."""
+    return trials * (n_bits + harness._TRIAL_ROUNDS) <= harness._PACKED_ROUNDS
+
+
 @pytest.mark.parametrize("argv", STARTUP_ARGV, ids=["version", "trace", "verify"])
 def test_trace_verify_and_version_never_import_numpy(argv):
     assert "numpy" not in _imported_packages(*argv)
@@ -549,8 +557,16 @@ def test_building_every_transition_table_never_imports_numpy():
 
 
 def test_run_imports_numpy():
-    # The guards above and below can only fail if numpy shows up in the log when it is imported.
-    assert "numpy" in _imported_packages(*RUN_ARGV, "--attack", "cnot-ancilla")
+    # The guards above and below can only fail if numpy shows up in the log
+    # when it is imported: a run above the rule, which the numpy engine plays.
+    assert not _packed(256, 1024)
+    assert "numpy" in _imported_packages("run", "--bits-count", "256", "--trials", "1024", "--attack", "cnot-ancilla")
+
+
+def test_a_run_just_below_the_rule_never_imports_numpy():
+    trials = harness._PACKED_ROUNDS // (16 + harness._TRIAL_ROUNDS)
+    assert _packed(16, trials) and not _packed(16, trials + 1)
+    assert "numpy" not in _imported_packages("run", "--bits-count", "16", "--trials", str(trials), "--attack", "cnot-ancilla")
 
 
 @pytest.mark.parametrize("fmt", ["pretty", "json", "csv"])

@@ -24,6 +24,7 @@ from ghzqss.harness import (
     _minimal_machine,
     _round_symbols,
     _run_batch,
+    _run_packed,
     _stream,
     _transition_table,
     aggregate_report_dict,
@@ -444,20 +445,21 @@ def table_walk(table, symbols):
     return path
 
 
+#: Trial lengths, fractions and fixed bits the engines are checked on.
+ENGINE_CONFIGS = [
+    pytest.param(1, 1.0, None, id="1-1.0"),
+    pytest.param(5, 0.4, None, id="5-0.4"),
+    pytest.param(8, 0.25, None, id="8-0.25"),
+    pytest.param(17, 0.25, None, id="17-0.25"),
+    pytest.param(9, 1.0, None, id="9-1.0"),
+    pytest.param(1, 1.0, "1", id="1-1.0-fixed"),
+    pytest.param(5, 0.4, "10110", id="5-0.4-fixed"),
+    pytest.param(17, 0.25, "01101001110010110", id="17-0.25-fixed"),
+]
+
+
 @pytest.mark.parametrize("attack", list(AttackKind))
-@pytest.mark.parametrize(
-    "n_bits, fraction, bits",
-    [
-        pytest.param(1, 1.0, None, id="1-1.0"),
-        pytest.param(5, 0.4, None, id="5-0.4"),
-        pytest.param(8, 0.25, None, id="8-0.25"),
-        pytest.param(17, 0.25, None, id="17-0.25"),
-        pytest.param(9, 1.0, None, id="9-1.0"),
-        pytest.param(1, 1.0, "1", id="1-1.0-fixed"),
-        pytest.param(5, 0.4, "10110", id="5-0.4-fixed"),
-        pytest.param(17, 0.25, "01101001110010110", id="17-0.25-fixed"),
-    ],
-)
+@pytest.mark.parametrize("n_bits, fraction, bits", ENGINE_CONFIGS)
 def test_batch_engine_matches_single_trials(attack, n_bits, fraction, bits):
     config = ExperimentConfig(
         n_bits=n_bits, trials=24, attack=attack, compare_fraction=fraction, master_seed=77, bits=bits
@@ -497,6 +499,20 @@ def test_batch_engine_matches_single_trials(attack, n_bits, fraction, bits):
             for k, r in single.eve.measured.items():
                 assert columns.eve_readouts[t, k - 1] == r
     assert len(set(carriers.values())) == len(carriers)
+
+
+@pytest.mark.parametrize("attack", list(AttackKind))
+@pytest.mark.parametrize("n_bits, fraction, bits", ENGINE_CONFIGS)
+def test_packed_engine_matches_the_batch_engine(attack, n_bits, fraction, bits):
+    # The batch engine matches run_trial trial for trial (above), so the
+    # packed engine does when its columns equal the batch engine's.
+    config = ExperimentConfig(
+        n_bits=n_bits, trials=24, attack=attack, compare_fraction=fraction, master_seed=77, bits=bits
+    )
+    batch = _run_batch(config, np.arange(24))
+    packed = _run_packed(config, range(24))
+    for name, column in zip(("mismatches", "ambiguous", "eve_correct"), packed):
+        assert column == getattr(batch, name).tolist(), name
 
 
 @pytest.mark.parametrize("attack", list(AttackKind))
@@ -641,17 +657,40 @@ def test_a_table_that_reads_eves_bit_makes_the_engine_draw_it(monkeypatch):
     [(AttackKind.NO_ATTACK, None), (AttackKind.INTERCEPT_RESEND, 3), (AttackKind.CNOT_ANCILLA, 1)],
 )
 def test_a_chunk_hashes_only_the_words_its_machine_reads(attack, symbol_columns, monkeypatch):
-    # Words the stream's hash returns over one chunk: the trials' seeds, the
-    # comparison keys and one word per read symbol column and trial-round;
+    # Words the stream's hash returns over one numpy chunk: the trials' seeds,
+    # the comparison keys and one word per read symbol column and trial-round;
     # none at all when no output can vary.
     import ghzqss.harness as harness
 
+    monkeypatch.setattr(harness, "_PACKED_ROUNDS", 0)  # every run takes the numpy engine
     words = []
     avalanche = harness._avalanche
     monkeypatch.setattr(harness, "_avalanche", lambda z: words.append(np.size(z)) or avalanche(z))
     B, n = 300, 17
     run_experiment(ExperimentConfig(n_bits=n, trials=B, attack=attack, master_seed=2))
     assert sum(words) == (0 if symbol_columns is None else B + B * n + symbol_columns * B * n)
+
+
+@pytest.mark.parametrize(
+    "attack, symbol_columns",
+    [(AttackKind.NO_ATTACK, None), (AttackKind.INTERCEPT_RESEND, 3), (AttackKind.CNOT_ANCILLA, 1)],
+)
+def test_a_packed_chunk_hashes_only_the_words_its_machine_reads(attack, symbol_columns, monkeypatch):
+    # The packed engine hashes the trials' seeds one at a time, then, in a
+    # block this small, one finalizer pass for the comparison keys and one
+    # per read symbol column, each over every trial-round.
+    import ghzqss.harness as harness
+
+    words, passes = [], []
+    avalanche, avalanche_lanes = harness._avalanche, harness._avalanche_lanes
+    monkeypatch.setattr(harness, "_avalanche", lambda z: words.append(np.size(z)) or avalanche(z))
+    monkeypatch.setattr(
+        harness, "_avalanche_lanes", lambda z, lanes: passes.append(lanes.bit_count() // 64) or avalanche_lanes(z, lanes)
+    )
+    B, n = 300, 17
+    run_experiment(ExperimentConfig(n_bits=n, trials=B, attack=attack, master_seed=2))
+    assert passes == ([] if symbol_columns is None else [B * n] * (1 + symbol_columns))
+    assert sum(words) == (0 if symbol_columns is None else B)
 
 
 @pytest.mark.parametrize("attack", list(AttackKind))
@@ -841,8 +880,20 @@ def test_batch_engine_refuses_conflicting_reveals(monkeypatch):
     try:
         with pytest.raises(EveInferenceError, match="conflicting offsets"):
             _run_batch(config, np.arange(4))
+        with pytest.raises(EveInferenceError, match="conflicting offsets"):
+            _run_packed(config, range(4))
     finally:
         harness._minimal_machine.cache_clear()
+
+
+def test_the_packed_engine_refuses_a_machine_too_large_for_a_byte(monkeypatch):
+    import ghzqss.harness as harness
+
+    machine, reads = _minimal_machine(AttackKind.INTERCEPT_RESEND)
+    nine = machine._replace(**{name: column * 3 for name, column in zip(machine._fields, machine)})
+    monkeypatch.setattr(harness, "_minimal_machine", lambda kind: (nine, reads))
+    with pytest.raises(ValueError, match="at most 8 states, not 9"):
+        _run_packed(ExperimentConfig(n_bits=4, trials=2, attack=AttackKind.INTERCEPT_RESEND), range(2))
 
 
 def test_batch_compared_subset_matches_single():
@@ -887,10 +938,12 @@ def test_run_experiment_chunking_is_invisible(monkeypatch, attack):
     config = ExperimentConfig(n_bits=5, trials=50, attack=attack, compare_fraction=0.5, master_seed=6)
     full, full_rows = run_with_rows(config)
     monkeypatch.setattr(harness, "_CHUNK_ROUNDS", 35)  # chunks of 7 trials at n_bits=5
-    chunked, chunked_rows = run_with_rows(config)
-    assert full == chunked
-    for name in ROW_COLUMNS:
-        assert np.array_equal(full_rows[name], chunked_rows[name]), name
+    for packed_rounds in (0, 2**62):  # the numpy engine, then the packed one
+        monkeypatch.setattr(harness, "_PACKED_ROUNDS", packed_rounds)
+        chunked, chunked_rows = run_with_rows(config)
+        assert full == chunked
+        for name in ROW_COLUMNS:
+            assert np.array_equal(full_rows[name], chunked_rows[name]), name
 
 
 def test_run_experiment_peak_memory_follows_the_chunk_budget(monkeypatch):
